@@ -16,7 +16,6 @@ from .engine import (
     LocalRule,
     LowestIdRule,
     Move,
-    RuleTie,
     StateBudgetExceeded,
     StepBudgetExceeded,
     TiePolicy,

@@ -13,7 +13,8 @@ Tie semantics: the engine breaks rule ties by lowest player id, and a chosen
 player's tied best responses by the game's canonical pick.  Branching over
 best-response ties (the "breaking ties arbitrarily" in the move, not the
 rule) is what `reachable_by_rule` explores to compute the full set of
-equilibria a rule can reach.
+equilibria a rule can reach.  `rule_successors` is the one definition of a
+rule's moves; runs and searches all go through it.
 """
 
 from __future__ import annotations
@@ -55,11 +56,6 @@ class ScriptError(EngineError):
     """A forced move is not a legal strict-improvement best response."""
 
 
-class RuleTie(Enum):
-    LOWEST_ID = "lowest-id"
-    BRANCH_ALL = "branch-all"
-
-
 class BrTie(Enum):
     LEX_SMALLEST = "lex-smallest"
     BRANCH_ALL = "branch-all"
@@ -67,12 +63,11 @@ class BrTie(Enum):
 
 @dataclass(frozen=True)
 class TiePolicy:
-    rule_tie: RuleTie = RuleTie.LOWEST_ID
     br_tie: BrTie = BrTie.LEX_SMALLEST
 
 
 DETERMINISTIC = TiePolicy()
-NE_SET_POLICY = TiePolicy(rule_tie=RuleTie.LOWEST_ID, br_tie=BrTie.BRANCH_ALL)
+NE_SET_POLICY = TiePolicy(br_tie=BrTie.BRANCH_ALL)
 
 
 def profile_digest(profile: Profile) -> str:
@@ -209,6 +204,32 @@ def _check_rule_output(
 # -- running dynamics -----------------------------------------------------------
 
 
+RuleMove = tuple[PlayerId, int, Profile]
+
+
+def rule_successors(
+    game: Game, profile: Profile, rule: DeviatorRule, br_tie: BrTie
+) -> tuple[RuleMove, ...]:
+    """The moves `rule` allows out of `profile`, as (player, strategy index,
+    resulting profile); empty exactly when `profile` is an equilibrium.
+
+    The lowest-id member of the rule's choice set moves, to the canonical
+    best response or, under `BrTie.BRANCH_ALL`, to every best response.
+    """
+    suboptimal = game.suboptimal_players(profile)
+    if not suboptimal:
+        return ()
+    vectors = state_vectors(game, profile, suboptimal)
+    choice = tuple(rule.choose(game, profile, suboptimal, vectors))
+    _check_rule_output(choice, suboptimal, rule)
+    player = min(choice)
+    if br_tie is BrTie.BRANCH_ALL:
+        targets = game.best_response(profile, player)
+    else:
+        targets = (game.canonical_br_pick(profile, player),)
+    return tuple((player, idx, profile.with_choice(game, player, idx)) for idx in targets)
+
+
 def _apply_move(
     game: Game, profile: Profile, player: PlayerId, new_index: int, step: int
 ) -> tuple[Profile, Move]:
@@ -243,7 +264,7 @@ def run_brd(
     """Run best-response dynamics from `p0` under `rule` until a Nash
     equilibrium; errors on step exhaustion or (for weighted games, which sit
     outside the potential guarantee) on a revisited profile."""
-    if policy.rule_tie is not RuleTie.LOWEST_ID or policy.br_tie is not BrTie.LEX_SMALLEST:
+    if policy.br_tie is not BrTie.LEX_SMALLEST:
         raise EngineError("run_brd needs the deterministic tie policy")
     if not rule.accepts(game):
         raise EngineError(f"rule {rule.name} does not accept this game class")
@@ -253,14 +274,10 @@ def run_brd(
     moves: list[Move] = []
     seen: set[tuple[int, ...]] = {p0.choices} if not game.is_unweighted else set()
     for step in range(max_steps):
-        suboptimal = game.suboptimal_players(profile)
-        if not suboptimal:
+        successors = rule_successors(game, profile, rule, BrTie.LEX_SMALLEST)
+        if not successors:
             return Trace(p0, tuple(moves), profile, True)
-        vectors = state_vectors(game, profile, suboptimal)
-        choice = tuple(rule.choose(game, profile, suboptimal, vectors))
-        _check_rule_output(choice, suboptimal, rule)
-        player = min(choice)
-        new_index = game.canonical_br_pick(profile, player)
+        ((player, new_index, _),) = successors
         profile, move = _apply_move(game, profile, player, new_index, step)
         moves.append(move)
         if not game.is_unweighted:
@@ -383,32 +400,20 @@ def reachable_by_rule(
     while stack:
         choices = stack.pop()
         profile = Profile(choices)
-        suboptimal = game.suboptimal_players(profile)
-        if not suboptimal:
+        successors = rule_successors(game, profile, rule, policy.br_tie)
+        if not successors:
             terminals.append(profile)
             continue
-        vectors = state_vectors(game, profile, suboptimal)
-        choice = tuple(rule.choose(game, profile, suboptimal, vectors))
-        _check_rule_output(choice, suboptimal, rule)
-        if policy.rule_tie is RuleTie.LOWEST_ID:
-            chosen = (min(choice),)
-        else:
-            chosen = choice
-        for player in chosen:
-            if policy.br_tie is BrTie.BRANCH_ALL:
-                targets = game.best_response(profile, player)
-            else:
-                targets = (game.canonical_br_pick(profile, player),)
-            for idx in targets:
-                child = profile.with_choice(game, player, idx).choices
-                if child in parents:
-                    continue
-                if len(parents) >= state_limit:
-                    raise StateBudgetExceeded(
-                        f"rule reachability exceeded {state_limit} states"
-                    )
-                parents[child] = (choices, player, idx)
-                stack.append(child)
+        for player, idx, child_profile in successors:
+            child = child_profile.choices
+            if child in parents:
+                continue
+            if len(parents) >= state_limit:
+                raise StateBudgetExceeded(
+                    f"rule reachability exceeded {state_limit} states"
+                )
+            parents[child] = (choices, player, idx)
+            stack.append(child)
     uniq = sorted({t.choices for t in terminals})
     return RuleReach(tuple(Profile(c) for c in uniq), len(parents), parents)
 

@@ -19,7 +19,7 @@ import heapq
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .core import (
     Game,
@@ -229,27 +229,38 @@ def is_ep(net: Network) -> bool:
 
 
 def _is_ep(edges: tuple[Edge, ...], s: NodeId, t: NodeId) -> bool:
-    if not edges:
+    # every pending (edges, s, t) sub-network must itself be EP; a worklist
+    # rather than recursion, since peeling a long series chain nests deeply
+    pending = [(edges, s, t)]
+    while pending:
+        edges, s, t = pending.pop()
+        if not edges:
+            return False
+        if len(edges) == 1:
+            if edges[0].tail == s and edges[0].head == t:
+                continue
+            return False
+        blocks = _parallel_blocks(edges, s, t)
+        if blocks is None:
+            return False
+        if len(blocks) > 1:
+            pending.extend((tuple(block), s, t) for block in blocks)
+            continue
+        # single block: try peeling one series edge off either terminal
+        out_s = [e for e in edges if e.tail == s]
+        if len(out_s) == 1 and not any(e.head == s for e in edges):
+            e = out_s[0]
+            if not any(o is not e and o.head == e.head for o in edges) and e.head != t:
+                pending.append((tuple(o for o in edges if o is not e), e.head, t))
+                continue
+        in_t = [e for e in edges if e.head == t]
+        if len(in_t) == 1 and not any(e.tail == t for e in edges):
+            e = in_t[0]
+            if not any(o is not e and o.tail == e.tail for o in edges) and e.tail != s:
+                pending.append((tuple(o for o in edges if o is not e), s, e.tail))
+                continue
         return False
-    if len(edges) == 1:
-        return edges[0].tail == s and edges[0].head == t
-    blocks = _parallel_blocks(edges, s, t)
-    if blocks is None:
-        return False
-    if len(blocks) > 1:
-        return all(_is_ep(tuple(block), s, t) for block in blocks)
-    # single block: try peeling one series edge off either terminal
-    out_s = [e for e in edges if e.tail == s]
-    if len(out_s) == 1 and not any(e.head == s for e in edges):
-        e = out_s[0]
-        if not any(o is not e and o.head == e.head for o in edges) and e.head != t:
-            return _is_ep(tuple(o for o in edges if o is not e), e.head, t)
-    in_t = [e for e in edges if e.head == t]
-    if len(in_t) == 1 and not any(e.tail == t for e in edges):
-        e = in_t[0]
-        if not any(o is not e and o.tail == e.tail for o in edges) and e.tail != s:
-            return _is_ep(tuple(o for o in edges if o is not e), s, e.tail)
-    return False
+    return True
 
 
 def _parallel_blocks(
@@ -302,18 +313,34 @@ def enumerate_paths(
     order of the edge-id sequence.  Raises PathCapExceeded beyond `cap`."""
     paths: list[Strategy] = []
 
-    def walk(node: NodeId, visited: frozenset[NodeId], acc: tuple[ResourceId, ...]) -> None:
-        if node == t:
-            paths.append(acc)
-            if len(paths) > cap:
-                raise PathCapExceeded(f"more than {cap} simple paths from {s} to {t}")
-            return
-        for e in sorted(net.out_edges(node), key=lambda e: e.id):
+    # depth-first with an explicit stack: one frame per node of the current
+    # path, so path length never meets the interpreter's recursion limit
+    acc: list[ResourceId] = []
+    visited = {s}
+    frames: list[tuple[NodeId, Iterator[Edge]]] = []
+    if s == t:
+        paths.append(())
+    else:
+        frames.append((s, iter(net.out_edges(s))))
+    while frames:
+        node, edges = frames[-1]
+        for e in edges:
             if e.head in visited:
                 continue
-            walk(e.head, visited | {e.head}, acc + (e.id,))
-
-    walk(s, frozenset({s}), ())
+            if e.head == t:
+                paths.append((*acc, e.id))
+                if len(paths) > cap:
+                    raise PathCapExceeded(f"more than {cap} simple paths from {s} to {t}")
+                continue
+            acc.append(e.id)
+            visited.add(e.head)
+            frames.append((e.head, iter(net.out_edges(e.head))))
+            break
+        else:
+            frames.pop()
+            visited.discard(node)
+            if frames:
+                acc.pop()
     if not paths:
         raise NetworkError(f"no path from {s} to {t}")
     return tuple(sorted(paths))

@@ -8,6 +8,10 @@ and strategy space are interchangeable: permuting them maps legal
 best-response sequences to legal ones and preserves social cost), which is
 what makes instances with many clone players enumerable at desk scale.
 
+`game_inefficiency` answers every initial profile of a game from one
+memoized best-response graph: the best and worst equilibrium cost reachable
+from each state is a min/max dynamic program over that graph.
+
 Budgets are hard: exceeding the state limit raises; partial searches are
 never reported as results.
 """
@@ -16,22 +20,29 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from functools import cached_property
+from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
 from .core import Cost, Game, Profile
 from .engine import (
+    BrTie,
+    CycleDetected,
     DeviatorRule,
+    EngineError,
     Move,
     StateBudgetExceeded,
     Trace,
     _apply_move,
     reachable_by_rule,
+    rule_successors,
     run_brd,
 )
 
 DEFAULT_STATE_LIMIT = 5_000_000
 
 Choices = tuple[int, ...]
+Node = TypeVar("Node", bound=Hashable)
+Extremes = tuple[Cost, Cost]
 
 
 class _Quotient:
@@ -51,12 +62,15 @@ class _Quotient:
                 out[pos] = value
         return tuple(out)
 
-    def expand(self, choices: Choices) -> Iterator[tuple[int, tuple[int, ...], Fraction]]:
-        """Yield one representative move candidate per (class, strategy):
-        (position, best-response indices, best cost) for suboptimal reps."""
+    def successors(self, choices: Choices) -> list[tuple[int, int, Choices]]:
+        """Every oracle move out of the canonical profile `choices`, as
+        (position, strategy index, canonical child): one representative
+        mover per (class, strategy) whose holder is suboptimal, to each of
+        her best responses.  Empty exactly at equilibria."""
         game = self.game
         profile = Profile(choices)
         full = game._full_loads(profile)
+        moves = []
         for cls in self.classes:
             seen: set[int] = set()
             for pos in cls.positions:
@@ -64,11 +78,15 @@ class _Quotient:
                 if idx in seen:
                     continue
                 seen.add(idx)
-                player = pos + 1
-                counts, weights = game._without(full, profile, player)
-                br, best = game._br_against(player, counts, weights)
-                if idx not in br:
-                    yield pos, br, best
+                counts, weights = game._without(full, profile, pos + 1)
+                br, _ = game._br_against(pos + 1, counts, weights)
+                if idx in br:
+                    continue
+                for target in br:
+                    child = list(choices)
+                    child[pos] = target
+                    moves.append((pos, target, self.canonical(tuple(child))))
+        return moves
 
 
 @dataclass(frozen=True)
@@ -89,25 +107,29 @@ class ReachableSet:
     _quotient: _Quotient
     _parents: dict[Choices, tuple[Choices, int, int] | None]
 
+    @cached_property
+    def _ranked(self) -> tuple[tuple[Cost, Choices], ...]:
+        """(social cost, encoding) of every equilibrium, ascending."""
+        return tuple(sorted((self.game.social_cost(p), p.choices) for p in self.ne_profiles))
+
+    @cached_property
+    def _ne_keys(self) -> frozenset[Choices]:
+        return frozenset(p.choices for p in self.ne_profiles)
+
     @property
     def social_costs(self) -> tuple[Cost, ...]:
-        return tuple(sorted(self.game.social_cost(p) for p in self.ne_profiles))
+        return tuple(cost for cost, _ in self._ranked)
 
     def best(self) -> tuple[Profile, Cost]:
         """Minimum-social-cost equilibrium, ties broken by encoding."""
-        ranked = sorted(
-            (self.game.social_cost(p), p.choices) for p in self.ne_profiles
-        )
-        cost, choices = ranked[0]
+        cost, choices = self._ranked[0]
         return Profile(choices), cost
 
     def worst_cost(self) -> Cost:
-        return max(self.game.social_cost(p) for p in self.ne_profiles)
+        return self._ranked[-1][0]
 
     def contains(self, profile: Profile) -> bool:
-        return self._quotient.canonical(profile.choices) in {
-            p.choices for p in self.ne_profiles
-        }
+        return self._quotient.canonical(profile.choices) in self._ne_keys
 
     def witness(self, target: Profile) -> Trace:
         """A best-response sequence from the initial profile to `target`,
@@ -162,23 +184,18 @@ def reachable_ne(
     stack = [root]
     while stack:
         choices = stack.pop()
-        is_ne = True
-        for pos, br, _ in quotient.expand(choices):
-            is_ne = False
-            for idx in br:
-                child = list(choices)
-                child[pos] = idx
-                ckey = quotient.canonical(tuple(child))
-                if ckey in parents:
-                    continue
-                if len(parents) >= state_limit:
-                    raise StateBudgetExceeded(
-                        f"oracle exceeded the {state_limit}-state budget"
-                    )
-                parents[ckey] = (choices, pos, idx)
-                stack.append(ckey)
-        if is_ne:
+        moves = quotient.successors(choices)
+        if not moves:
             ne_keys.append(choices)
+        for pos, idx, ckey in moves:
+            if ckey in parents:
+                continue
+            if len(parents) >= state_limit:
+                raise StateBudgetExceeded(
+                    f"oracle exceeded the {state_limit}-state budget"
+                )
+            parents[ckey] = (choices, pos, idx)
+            stack.append(ckey)
     ne_profiles = tuple(Profile(c) for c in sorted(set(ne_keys)))
     return ReachableSet(
         game=game,
@@ -224,6 +241,9 @@ class InefficiencyReport:
     rule_visited: int
 
 
+_OUTSIDE_NE = "rule reached an equilibrium outside NE(p0)"
+
+
 def rule_inefficiency(
     game: Game,
     p0: Profile,
@@ -251,11 +271,9 @@ def rule_inefficiency(
 
     for terminal in rule_terminals:
         if not reach.contains(terminal):
-            raise AssertionError("rule reached an equilibrium outside NE(p0)")
-    ranked = sorted(
-        ((game.social_cost(t), t) for t in rule_terminals), key=lambda x: (x[0], x[1].choices)
-    )
-    worst_cost, worst_terminal = ranked[-1]
+            raise AssertionError(_OUTSIDE_NE)
+    rule_costs = [(game.social_cost(t), t) for t in rule_terminals]
+    worst_cost, worst_terminal = max(rule_costs, key=lambda x: (x[0], x[1].choices))
     alpha = worst_cost / best_cost
     envelope = reach.worst_cost() / best_cost
     if not 1 <= alpha <= envelope:
@@ -268,7 +286,7 @@ def rule_inefficiency(
         best_cost=best_cost,
         alpha=alpha,
         ne_costs=reach.social_costs,
-        rule_ne_costs=tuple(sorted(game.social_cost(t) for t in rule_terminals)),
+        rule_ne_costs=tuple(sorted(cost for cost, _ in rule_costs)),
         rule_witness=witness_of(game, worst_terminal),
         optimal_witness=reach.witness(best_profile),
         oracle_visited=reach.stats.visited,
@@ -298,6 +316,97 @@ def all_profiles(game: Game, cap: int = 100_000) -> Iterator[Profile]:
             return
 
 
+def _widen(have: Extremes | None, value: Extremes | None) -> Extremes | None:
+    if have is None or value is None:
+        return value if have is None else have
+    return min(have[0], value[0]), max(have[1], value[1])
+
+
+def reachable_extremes(
+    root: Node,
+    successors: Callable[[Node], Iterable[Node]],
+    terminal_cost: Callable[[Node], Cost],
+    solved: dict[Node, Extremes | None],
+    state_limit: int = DEFAULT_STATE_LIMIT,
+) -> Extremes:
+    """(min, max) of `terminal_cost` over the terminals reachable from
+    `root`, a terminal being a node without successors.
+
+    `solved` memoizes the answer of every node the search has finished, and
+    callers share it across roots, so each node is expanded once.  The
+    search is an iterative Tarjan: the nodes of one strongly connected
+    component share one answer, which keeps it exact on cyclic graphs.
+    Raises StateBudgetExceeded rather than let `solved` and the nodes in
+    progress exceed `state_limit`, and CycleDetected when `root` reaches no
+    terminal (`solved` holds None for such nodes).
+    """
+    if root not in solved:
+        _solve(root, successors, terminal_cost, solved, state_limit)
+    extremes = solved[root]
+    if extremes is None:
+        raise CycleDetected("a best-response cycle reaches no equilibrium")
+    return extremes
+
+
+def _solve(
+    root: Node,
+    successors: Callable[[Node], Iterable[Node]],
+    terminal_cost: Callable[[Node], Cost],
+    solved: dict[Node, Extremes | None],
+    state_limit: int,
+) -> None:
+    """Fill `solved` for every node reachable from `root`."""
+    index: dict[Node, int] = {}
+    low: dict[Node, int] = {}
+    # the extremes over a node's own terminal and its finished successors
+    partial: dict[Node, Extremes | None] = {}
+    component: list[Node] = []
+    frames: list[tuple[Node, Iterator[Node]]] = []
+
+    def enter(node: Node) -> None:
+        if len(solved) + len(component) >= state_limit:
+            raise StateBudgetExceeded(f"search exceeded the {state_limit}-state budget")
+        index[node] = low[node] = len(index)
+        component.append(node)
+        kids = tuple(successors(node))
+        if kids:
+            partial[node] = None
+        else:
+            cost = terminal_cost(node)
+            partial[node] = (cost, cost)
+        frames.append((node, iter(kids)))
+
+    enter(root)
+    while frames:
+        node, kids = frames[-1]
+        for kid in kids:
+            if kid in solved:
+                partial[node] = _widen(partial[node], solved[kid])
+            elif kid in index:  # on the component stack: same component
+                low[node] = min(low[node], index[kid])
+            else:
+                enter(kid)
+                break
+        else:
+            frames.pop()
+            if low[node] == index[node]:
+                members: list[Node] = []
+                value: Extremes | None = None
+                member = None
+                while member != node:
+                    member = component.pop()
+                    members.append(member)
+                    value = _widen(value, partial[member])
+                for member in members:
+                    solved[member] = value
+            if frames:
+                parent = frames[-1][0]
+                if node in solved:
+                    partial[parent] = _widen(partial[parent], solved[node])
+                else:
+                    low[parent] = min(low[parent], low[node])
+
+
 def game_inefficiency(
     game: Game,
     rule: DeviatorRule,
@@ -306,24 +415,88 @@ def game_inefficiency(
     profile_cap: int = 100_000,
 ) -> Fraction:
     """Worst-case rule inefficiency over the supplied initial profiles, or
-    over every profile of a tiny game when no source is given."""
+    over every profile of a tiny game when no source is given.
+
+    Every start is answered from one memoized best-response graph per call:
+    the oracle's over canonical profiles, and a stateless rule's over raw
+    profiles (the engine's lowest-id tie-break need not commute with
+    relabeling interchangeable players).  A stateful rule gets one run per
+    start.  `state_limit` bounds the distinct states of each graph.  Every
+    rule move is checked to be an oracle move and every rule terminal an
+    oracle equilibrium, so NE_S(p0) lies within NE(p0) for every start.
+    """
     profiles = profile_source if profile_source is not None else all_profiles(game, profile_cap)
+    if not rule.accepts(game):
+        raise EngineError(f"rule {rule.name} does not accept this game class")
+    rule.reset(game)
+    quotient = _Quotient(game)
+    oracle_children: dict[Choices, frozenset[Choices]] = {}
+    oracle_solved: dict[Choices, Extremes | None] = {}
+    rule_solved: dict[Choices, Extremes | None] = {}
+
+    def children(key: Choices) -> frozenset[Choices]:
+        kids = oracle_children.get(key)
+        if kids is None:
+            kids = frozenset(child for _, _, child in quotient.successors(key))
+            oracle_children[key] = kids
+        return kids
+
+    def checked_step(key: Choices, child: Choices) -> Choices:
+        child_key = quotient.canonical(child)
+        if child_key not in children(key):
+            raise AssertionError(_OUTSIDE_NE)
+        return child_key
+
+    def check_terminal(key: Choices) -> None:
+        if children(key):
+            raise AssertionError(_OUTSIDE_NE)
+
+    def rule_children(choices: Choices) -> list[Choices]:
+        key = quotient.canonical(choices)
+        moves = rule_successors(game, Profile(choices), rule, BrTie.BRANCH_ALL)
+        if not moves:
+            check_terminal(key)
+        kids = [child.choices for _, _, child in moves]
+        for kid in kids:
+            checked_step(key, kid)
+        return kids
+
+    def rule_terminal_cost(choices: Choices) -> Cost:
+        return oracle_solved[quotient.canonical(choices)][0]
+
     # vector-based rules are equivariant under interchangeable-player
     # relabelings, so equivalent initial profiles yield the same alpha
     dedupe = rule.is_local
-    quotient = _Quotient(game)
     seen_keys: set[Choices] = set()
-    worst = Fraction(0)
-    handled = False
+    worst: Fraction | None = None
     for p0 in profiles:
+        game.validate_profile(p0)
+        root = quotient.canonical(p0.choices)
         if dedupe:
-            key = quotient.canonical(p0.choices)
-            if key in seen_keys:
+            if root in seen_keys:
                 continue
-            seen_keys.add(key)
-        handled = True
-        report = rule_inefficiency(game, p0, rule, state_limit=state_limit)
-        worst = max(worst, report.alpha)
-    if not handled:
+            seen_keys.add(root)
+        best_cost, worst_ne = reachable_extremes(
+            root, children, lambda key: game.social_cost(Profile(key)), oracle_solved, state_limit
+        )
+        if rule.is_stateless:
+            _, worst_cost = reachable_extremes(
+                p0.choices, rule_children, rule_terminal_cost, rule_solved, state_limit
+            )
+        else:
+            trace = run_brd(game, p0, rule)
+            key, profile = root, p0
+            for move in trace.moves:
+                idx = game.strategy_space(move.player).index(move.new_strategy)
+                profile = profile.with_choice(game, move.player, idx)
+                key = checked_step(key, profile.choices)
+            check_terminal(key)
+            worst_cost = oracle_solved[key][0]
+        alpha = worst_cost / best_cost
+        envelope = worst_ne / best_cost
+        if not 1 <= alpha <= envelope:
+            raise AssertionError(f"inefficiency {alpha} outside [1, {envelope}]")
+        worst = alpha if worst is None else max(worst, alpha)
+    if worst is None:
         raise ValueError("profile source was empty")
     return worst

@@ -11,7 +11,6 @@ from brdlab.engine import (
     BrTie,
     EngineError,
     LowestIdRule,
-    RuleTie,
     RuleViolation,
     ScriptError,
     StateBudgetExceeded,
@@ -138,7 +137,7 @@ class TestReachableByRule:
         assert costs == [2, 4]
         # the deterministic policy keeps only the lex-smallest branch
         one = reachable_by_rule(
-            game, p0, LowestIdRule(), policy=TiePolicy(RuleTie.LOWEST_ID, BrTie.LEX_SMALLEST)
+            game, p0, LowestIdRule(), policy=TiePolicy(BrTie.LEX_SMALLEST)
         )
         assert [game.social_cost(t) for t in one.terminals] == [2]
 

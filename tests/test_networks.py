@@ -174,6 +174,12 @@ class TestPaths:
         with pytest.raises(NetworkError):
             enumerate_paths(net, 1, 0)
 
+    def test_series_chain_longer_than_the_recursion_limit(self):
+        m = 1200
+        net = Network(tuple(Edge(i, i - 1, i, F(1)) for i in range(1, m + 1)), source=0, sink=m)
+        assert enumerate_paths(net, 0, m) == (tuple(range(1, m + 1)),)
+        assert is_ep(net)
+
 
 class TestGameConstruction:
     def test_zero_cost_edge_rejected(self):

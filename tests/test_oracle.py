@@ -7,18 +7,19 @@ from fractions import Fraction as F
 
 import pytest
 
-from brdlab.engine import StateBudgetExceeded
-from brdlab.fixtures import fig2_maxcost
+from brdlab.engine import CycleDetected, LowestIdRule, StateBudgetExceeded
+from brdlab.fixtures import fig2_maxcost, fig6_weighted_partition, fig7_weighted_local_pair
 from brdlab.networks import NetworkFormationGame, PlayerSpec
 from brdlab.oracle import (
     all_profiles,
     best_reachable,
     game_inefficiency,
     optimal_sequence,
+    reachable_extremes,
     reachable_ne,
     rule_inefficiency,
 )
-from brdlab.rules import max_cost, min_path, random_rule
+from brdlab.rules import max_cost, min_path, random_rule, round_robin
 from brdlab.serde import report_to_doc, dumps, verify_trace
 from helpers import parallel_network, random_profile, random_symmetric_game
 
@@ -141,7 +142,44 @@ class TestRuleInefficiency:
         assert dumps(a) == dumps(b)
 
 
+# min-path and max-cost are local; lowest-id is stateless but not equivariant
+# under relabeling interchangeable players; round-robin carries run state
+RULE_FACTORIES = [min_path, max_cost, LowestIdRule, round_robin]
+
+
+def per_start_alpha(game, factory, starts):
+    """The reference: one full report, with its own searches, per start."""
+    return max(rule_inefficiency(game, p0, factory()).alpha for p0 in starts)
+
+
 class TestGameInefficiency:
+    @pytest.mark.parametrize("factory", RULE_FACTORIES, ids=lambda f: f.__name__)
+    def test_shared_graph_matches_per_start_reports(self, factory):
+        rng = random.Random(33)
+        for _ in range(25):
+            game = random_symmetric_game(rng)
+            profiles = list(all_profiles(game))
+            starts = rng.sample(profiles, min(len(profiles), 12))
+            alpha = game_inefficiency(game, factory(), starts)
+            assert alpha == per_start_alpha(game, factory, starts)
+
+    @pytest.mark.parametrize("factory", RULE_FACTORIES, ids=lambda f: f.__name__)
+    def test_fig2_over_every_profile(self, factory):
+        game = fig2_maxcost().game
+        alpha = game_inefficiency(game, factory())
+        assert alpha == per_start_alpha(game, factory, all_profiles(game))
+
+    @pytest.mark.parametrize("factory", RULE_FACTORIES, ids=lambda f: f.__name__)
+    def test_weighted_fixtures_from_their_initial_profile(self, factory):
+        for fx in (fig6_weighted_partition(), *fig7_weighted_local_pair()):
+            alpha = game_inefficiency(fx.game, factory(), [fx.initial])
+            assert alpha == per_start_alpha(fx.game, factory, [fx.initial])
+
+    def test_state_limit_bounds_the_shared_graph(self):
+        fx = fig2_maxcost()
+        with pytest.raises(StateBudgetExceeded):
+            game_inefficiency(fx.game, max_cost(), state_limit=3)
+
     def test_single_profile_source_reduces(self):
         fx = fig2_maxcost()
         alpha = game_inefficiency(fx.game, max_cost(), [fx.initial])
@@ -163,3 +201,58 @@ class TestGameInefficiency:
         fx = fig2_maxcost()
         with pytest.raises(StateBudgetExceeded):
             list(all_profiles(fx.game, cap=10))
+
+
+class TestReachableExtremes:
+    # a -> b -> c -> a is one component, left through b -> x and c -> d -> y;
+    # e reaches that component and its own terminal z
+    GRAPH = {
+        "a": "b", "b": "cx", "c": "ad", "d": "y", "e": "az", "x": "", "y": "", "z": "",
+    }
+    COST = {"x": F(5), "y": F(2), "z": F(9)}
+
+    def test_cycle_shares_one_answer(self):
+        solved = {}
+        extremes = reachable_extremes("a", self.GRAPH.__getitem__, self.COST.__getitem__, solved)
+        assert extremes == (2, 5)
+        assert solved["a"] == solved["b"] == solved["c"] == (2, 5)
+        assert solved["d"] == (2, 2)
+        expanded = []
+
+        def successors(node):
+            expanded.append(node)
+            return self.GRAPH[node]
+
+        assert reachable_extremes("e", successors, self.COST.__getitem__, solved) == (2, 9)
+        assert expanded == ["e", "z"]  # the solved component is not searched again
+
+    def test_agrees_with_plain_reachability_on_random_cyclic_graphs(self):
+        rng = random.Random(41)
+        for _ in range(200):
+            nodes = range(rng.randint(1, 12))
+            graph = {v: [w for w in nodes if rng.random() < 0.2] for v in nodes}
+            for v in nodes:
+                if rng.random() < 0.3:
+                    graph[v] = []
+            cost = {v: F(rng.randint(1, 20)) for v in nodes}
+            solved = {}
+            for root in rng.sample(list(nodes), len(nodes)):
+                seen, stack = {root}, [root]
+                while stack:
+                    for w in graph[stack.pop()]:
+                        if w not in seen:
+                            seen.add(w)
+                            stack.append(w)
+                terminals = [cost[v] for v in seen if not graph[v]]
+                if not terminals:
+                    with pytest.raises(CycleDetected):
+                        reachable_extremes(root, graph.__getitem__, cost.__getitem__, solved)
+                    continue
+                expected = (min(terminals), max(terminals))
+                assert reachable_extremes(
+                    root, graph.__getitem__, cost.__getitem__, solved
+                ) == expected
+
+    def test_state_limit(self):
+        with pytest.raises(StateBudgetExceeded):
+            reachable_extremes("a", self.GRAPH.__getitem__, self.COST.__getitem__, {}, 3)

@@ -202,6 +202,27 @@ class TestCli:
         bad.write_text('{"model": "nope"}')
         assert main(["run", str(bad), "--rule", "max-cost"]) == 2
 
+    def test_oracle_on_a_1500_edge_series_chain(self, tmp_path, capsys):
+        m = 1500
+        doc = {
+            "model": "nfg",
+            "graph": {
+                "nodes": list(range(m + 1)),
+                "source": 0,
+                "sink": m,
+                "edges": [
+                    {"id": i, "tail": i - 1, "head": i, "cost": "1/1"} for i in range(1, m + 1)
+                ],
+            },
+            "players": [{"source": 0, "target": m, "weight": "1/1"}],
+            "initial": {"1": list(range(1, m + 1))},
+        }
+        instance = tmp_path / "chain.json"
+        instance.write_text(json.dumps(doc))
+        out = tmp_path / "oracle.json"
+        assert main(["oracle", str(instance), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["ne_count"] == 1
+
     def test_budget_exit_3(self, tmp_path):
         instance = self.fixture_file(tmp_path, "fig2")
         assert main(["oracle", str(instance), "--state-limit", "2"]) == 3
