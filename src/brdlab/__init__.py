@@ -4,7 +4,6 @@ from .core import (
     Game,
     GameError,
     InvalidProfileError,
-    LoadMap,
     Profile,
     SocialCostKind,
     UnsupportedModelError,
@@ -18,7 +17,6 @@ from .engine import (
     Move,
     StateBudgetExceeded,
     StepBudgetExceeded,
-    TiePolicy,
     Trace,
     check_iip,
     reachable_by_rule,
@@ -64,7 +62,6 @@ from .rules import (
 from .scheduling import (
     SchedStateVector,
     SchedulingGame,
-    claim_bound_active_machines,
     l_star,
     max_active_machines,
     s_opt_choose,

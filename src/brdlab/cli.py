@@ -86,10 +86,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     game, p0 = _load_instance(args.instance)
-    if args.jobs < 1:
-        raise CliError("--jobs must be at least 1", EXIT_INVALID)
-    # the traversal is deterministic and memoized; job counts above one are
-    # accepted for interface stability and produce byte-identical output
     try:
         reach = reachable_ne(game, p0, state_limit=args.state_limit)
     except StateBudgetExceeded as exc:
@@ -230,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="enumerate reachable equilibria")
     p.add_argument("instance")
     p.add_argument("--state-limit", type=int, default=5_000_000)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_oracle)
 

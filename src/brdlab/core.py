@@ -67,20 +67,6 @@ class Profile:
 
 
 @dataclass(frozen=True)
-class LoadMap:
-    """Per-resource utilization: user count and total user weight."""
-
-    counts: Mapping[ResourceId, int]
-    weights: Mapping[ResourceId, Fraction]
-
-    def count(self, resource: ResourceId) -> int:
-        return self.counts.get(resource, 0)
-
-    def weight(self, resource: ResourceId) -> Fraction:
-        return self.weights.get(resource, ZERO)
-
-
-@dataclass(frozen=True)
 class PlayerClass:
     """A maximal set of interchangeable players (same weight, same space)."""
 
@@ -189,16 +175,6 @@ class Game(ABC):
                 )
 
     # -- loads and costs ----------------------------------------------------
-
-    def load_map(self, profile: Profile) -> LoadMap:
-        counts: dict[ResourceId, int] = {}
-        weights: dict[ResourceId, Fraction] = {}
-        for player in self.players:
-            w = self._weights[player - 1]
-            for e in self.strategy_of(profile, player):
-                counts[e] = counts.get(e, 0) + 1
-                weights[e] = weights.get(e, ZERO) + w
-        return LoadMap(counts, weights)
 
     def _full_loads(
         self, profile: Profile
@@ -322,9 +298,9 @@ class Game(ABC):
         if not self.is_unweighted:
             raise UnsupportedModelError("potential is defined for unit weights only")
         self.validate_profile(profile)
-        loads = self.load_map(profile)
+        counts, _ = self._full_loads(profile)
         total = ZERO
-        for e, count in loads.counts.items():
+        for e, count in counts.items():
             for k in range(1, count + 1):
                 total += self._unit_resource_cost(e, k)
         return total

@@ -15,6 +15,11 @@ best-response ties (the "breaking ties arbitrarily" in the move, not the
 rule) is what `reachable_by_rule` explores to compute the full set of
 equilibria a rule can reach.  `rule_successors` is the one definition of a
 rule's moves; runs and searches all go through it.
+
+`parent_search` is the one depth-first reachability search with parent
+links, and `replay_links` the one witness replay over those links: both
+`reachable_by_rule` here and `oracle.reachable_ne` run on them, over the
+rule's moves and over every best-response move respectively.
 """
 
 from __future__ import annotations
@@ -59,15 +64,6 @@ class ScriptError(EngineError):
 class BrTie(Enum):
     LEX_SMALLEST = "lex-smallest"
     BRANCH_ALL = "branch-all"
-
-
-@dataclass(frozen=True)
-class TiePolicy:
-    br_tie: BrTie = BrTie.LEX_SMALLEST
-
-
-DETERMINISTIC = TiePolicy()
-NE_SET_POLICY = TiePolicy(br_tie=BrTie.BRANCH_ALL)
 
 
 def profile_digest(profile: Profile) -> str:
@@ -258,14 +254,11 @@ def run_brd(
     game: Game,
     p0: Profile,
     rule: DeviatorRule,
-    policy: TiePolicy = DETERMINISTIC,
     max_steps: int = 10_000,
 ) -> Trace:
     """Run best-response dynamics from `p0` under `rule` until a Nash
     equilibrium; errors on step exhaustion or (for weighted games, which sit
     outside the potential guarantee) on a revisited profile."""
-    if policy.br_tie is not BrTie.LEX_SMALLEST:
-        raise EngineError("run_brd needs the deterministic tie policy")
     if not rule.accepts(game):
         raise EngineError(f"rule {rule.name} does not accept this game class")
     game.validate_profile(p0)
@@ -343,7 +336,64 @@ def run_scripted(
     return Trace(p0, tuple(moves), profile, game.is_nash(profile))
 
 
-# -- rule-reachable equilibria ----------------------------------------------------
+# -- reachability search ----------------------------------------------------------
+
+
+Choices = tuple[int, ...]
+# how a search first reached a state: (parent, mover's position, new index)
+Link = tuple[Choices, int, int]
+Parents = dict[Choices, Link | None]
+
+
+def parent_search(
+    root: Choices,
+    successors: Callable[[Choices], Sequence[tuple[int, int, Choices]]],
+    state_limit: int,
+) -> tuple[Parents, tuple[Choices, ...]]:
+    """Depth-first search from `root`; `successors(state)` lists the
+    (position, strategy index, child) moves out of a state.  Returns the
+    parent link of every visited state (None at the root) and the sorted
+    terminals, the states without moves.  The last pushed state is expanded
+    first and a state's first discovery sets its link, so visit counts and
+    witnesses are deterministic.  Raises StateBudgetExceeded rather than
+    visit more than `state_limit` states."""
+    parents: Parents = {root: None}
+    terminals: list[Choices] = []
+    stack = [root]
+    while stack:
+        state = stack.pop()
+        moves = successors(state)
+        if not moves:
+            terminals.append(state)
+        for pos, idx, child in moves:
+            if child in parents:
+                continue
+            if len(parents) >= state_limit:
+                raise StateBudgetExceeded(f"search exceeded the {state_limit}-state budget")
+            parents[child] = (state, pos, idx)
+            stack.append(child)
+    return parents, tuple(sorted(terminals))
+
+
+def replay_links(
+    game: Game,
+    initial: Profile,
+    parents: Parents,
+    state: Choices,
+    mover: Callable[[Profile, Link], PlayerId],
+) -> Trace:
+    """The best-response sequence from `initial` to the visited `state`,
+    rebuilt from the parent links; `mover(profile, link)` names the player
+    who makes the linked move in the current `profile`."""
+    chain: list[Link] = []
+    while (link := parents[state]) is not None:
+        chain.append(link)
+        state = link[0]
+    profile, moves = initial, []
+    for step, link in enumerate(reversed(chain)):
+        profile, move = _apply_move(game, profile, mover(profile, link), link[2], step)
+        moves.append(move)
+    return Trace(initial, tuple(moves), profile, game.is_nash(profile))
 
 
 @dataclass
@@ -352,38 +402,25 @@ class RuleReach:
 
     terminals: tuple[Profile, ...]
     visited: int
-    _parents: dict[tuple[int, ...], tuple[tuple[int, ...], PlayerId, int] | None] = field(
-        repr=False, default_factory=dict
-    )
+    initial: Profile
+    _parents: Parents = field(repr=False)
 
     def witness(self, game: Game, terminal: Profile) -> Trace:
-        chain: list[tuple[tuple[int, ...], PlayerId, int]] = []
-        cursor = terminal.choices
-        while True:
-            link = self._parents[cursor]
-            if link is None:
-                break
-            parent, player, idx = link
-            chain.append((parent, player, idx))
-            cursor = parent
-        chain.reverse()
-        profile = Profile(cursor)
-        moves = []
-        for step, (parent, player, idx) in enumerate(chain):
-            profile, move = _apply_move(game, Profile(parent), player, idx, step)
-            moves.append(move)
-        return Trace(Profile(cursor), tuple(moves), terminal, True)
+        # the rule search runs over raw profiles: the mover is the position's owner
+        return replay_links(
+            game, self.initial, self._parents, terminal.choices, lambda _, link: link[1] + 1
+        )
 
 
 def reachable_by_rule(
     game: Game,
     p0: Profile,
     rule: DeviatorRule,
-    policy: TiePolicy = NE_SET_POLICY,
     state_limit: int = 200_000,
 ) -> RuleReach:
     """Exact set of equilibria reachable when `rule` picks deviators and the
-    stated tie policy governs branching.  Requires a stateless rule."""
+    chosen player may move to any of her tied best responses.  Requires a
+    stateless rule."""
     if not rule.is_stateless:
         raise EngineError(
             f"rule {rule.name} carries run state; enumerate via run_brd instead"
@@ -392,30 +429,13 @@ def reachable_by_rule(
         raise EngineError(f"rule {rule.name} does not accept this game class")
     game.validate_profile(p0)
     rule.reset(game)
-    parents: dict[tuple[int, ...], tuple[tuple[int, ...], PlayerId, int] | None] = {
-        p0.choices: None
-    }
-    terminals: list[Profile] = []
-    stack = [p0.choices]
-    while stack:
-        choices = stack.pop()
-        profile = Profile(choices)
-        successors = rule_successors(game, profile, rule, policy.br_tie)
-        if not successors:
-            terminals.append(profile)
-            continue
-        for player, idx, child_profile in successors:
-            child = child_profile.choices
-            if child in parents:
-                continue
-            if len(parents) >= state_limit:
-                raise StateBudgetExceeded(
-                    f"rule reachability exceeded {state_limit} states"
-                )
-            parents[child] = (choices, player, idx)
-            stack.append(child)
-    uniq = sorted({t.choices for t in terminals})
-    return RuleReach(tuple(Profile(c) for c in uniq), len(parents), parents)
+
+    def successors(choices: Choices) -> list[tuple[int, int, Choices]]:
+        moves = rule_successors(game, Profile(choices), rule, BrTie.BRANCH_ALL)
+        return [(player - 1, idx, child.choices) for player, idx, child in moves]
+
+    parents, terminals = parent_search(p0.choices, successors, state_limit)
+    return RuleReach(tuple(map(Profile, terminals)), len(parents), p0, parents)
 
 
 # -- independence of irrelevant players --------------------------------------------

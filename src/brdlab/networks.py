@@ -459,17 +459,18 @@ class NetworkFormationGame(Game):
             raise NetworkError(f"no path for player {player}")
         # expand every path that is tight at each hop
         paths: list[Strategy] = []
-
-        def walk(node: NodeId, acc: tuple[ResourceId, ...], remaining: Fraction) -> None:
+        stack: list[tuple[NodeId, Strategy, Fraction]] = [
+            (spec.source, (), dist[spec.target] - dist[spec.source])
+        ]
+        while stack:
+            node, acc, remaining = stack.pop()
             if node == spec.target and remaining == 0:
                 paths.append(acc)
-                return
+                continue
             for e in self.network.out_edges(node):
                 m = marginal(e)
                 if e.head in dist and dist[node] + m == dist[e.head] and m <= remaining:
-                    walk(e.head, acc + (e.id,), remaining - m)
-
-        walk(spec.source, (), dist[spec.target] - dist[spec.source])
+                    stack.append((e.head, acc + (e.id,), remaining - m))
         return tuple(sorted(paths))
 
     def state_vector(self, profile: Profile, player: PlayerId) -> NfgStateVector:

@@ -7,6 +7,8 @@ and quotiented by player equivalence classes (players with identical weight
 and strategy space are interchangeable: permuting them maps legal
 best-response sequences to legal ones and preserves social cost), which is
 what makes instances with many clone players enumerable at desk scale.
+The search and the witness replay are the engine's `parent_search` and
+`replay_links`, the same ones `engine.reachable_by_rule` runs on.
 
 `game_inefficiency` answers every initial profile of a game from one
 memoized best-response graph: the best and worst equilibrium cost reachable
@@ -23,24 +25,26 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
-from .core import Cost, Game, Profile
+from .core import Cost, Game, PlayerId, Profile
 from .engine import (
     BrTie,
+    Choices,
     CycleDetected,
     DeviatorRule,
     EngineError,
-    Move,
+    Link,
+    Parents,
     StateBudgetExceeded,
     Trace,
-    _apply_move,
+    parent_search,
     reachable_by_rule,
+    replay_links,
     rule_successors,
     run_brd,
 )
 
 DEFAULT_STATE_LIMIT = 5_000_000
 
-Choices = tuple[int, ...]
 Node = TypeVar("Node", bound=Hashable)
 Extremes = tuple[Cost, Cost]
 
@@ -88,6 +92,17 @@ class _Quotient:
                     moves.append((pos, target, self.canonical(tuple(child))))
         return moves
 
+    @cached_property
+    def _class_of(self) -> dict[int, tuple[int, ...]]:
+        return {pos: cls.positions for cls in self.classes for pos in cls.positions}
+
+    def mover(self, profile: Profile, link: Link) -> PlayerId:
+        """Who makes the canonical move `link` in the raw `profile`: the
+        lowest-id member of the mover's class currently on the strategy
+        the move leaves."""
+        parent, pos, _ = link
+        return 1 + min(p for p in self._class_of[pos] if profile.choices[p] == parent[pos])
+
 
 @dataclass(frozen=True)
 class SearchStats:
@@ -105,7 +120,7 @@ class ReachableSet:
     ne_profiles: tuple[Profile, ...]
     stats: SearchStats
     _quotient: _Quotient
-    _parents: dict[Choices, tuple[Choices, int, int] | None]
+    _parents: Parents
 
     @cached_property
     def _ranked(self) -> tuple[tuple[Cost, Choices], ...]:
@@ -133,74 +148,28 @@ class ReachableSet:
 
     def witness(self, target: Profile) -> Trace:
         """A best-response sequence from the initial profile to `target`,
-        materialized from the traversal parent links."""
-        game = self.game
+        replayed in raw player space from the search's parent links."""
         key = self._quotient.canonical(target.choices)
-        if key not in self._parents and key != self._quotient.canonical(
-            self.initial.choices
-        ):
+        if key not in self._parents:
             raise KeyError("target was not visited")
-        chain: list[tuple[Choices, int, int]] = []
-        cursor = key
-        while True:
-            link = self._parents[cursor]
-            if link is None:
-                break
-            parent, pos, idx = link
-            chain.append((parent, pos, idx))
-            cursor = parent
-        chain.reverse()
-        # replay in real player space: the canonical move (class member at
-        # `pos` leaving strategy `from_idx`) is performed by the lowest-id
-        # player of that class currently on `from_idx`
-        pos_class = {}
-        for cls in self._quotient.classes:
-            for p in cls.positions:
-                pos_class[p] = cls.positions
-        profile = self.initial
-        moves: list[Move] = []
-        for step, (parent, pos, idx) in enumerate(chain):
-            from_idx = parent[pos]
-            candidates = [
-                p for p in pos_class[pos] if profile.choices[p] == from_idx
-            ]
-            player = min(candidates) + 1
-            profile, move = _apply_move(game, profile, player, idx, step)
-            moves.append(move)
-        assert self._quotient.canonical(profile.choices) == key
-        return Trace(self.initial, tuple(moves), profile, game.is_nash(profile))
+        trace = replay_links(self.game, self.initial, self._parents, key, self._quotient.mover)
+        assert self._quotient.canonical(trace.terminal.choices) == key
+        return trace
 
 
 def reachable_ne(
     game: Game, p0: Profile, state_limit: int = DEFAULT_STATE_LIMIT
 ) -> ReachableSet:
-    """Exact NE(p0) by memoized depth-first traversal over the quotient of
-    the reachable profile space."""
+    """Exact NE(p0) by memoized depth-first search over the quotient of the
+    reachable profile space."""
     game.validate_profile(p0)
     quotient = _Quotient(game)
     root = quotient.canonical(p0.choices)
-    parents: dict[Choices, tuple[Choices, int, int] | None] = {root: None}
-    ne_keys: list[Choices] = []
-    stack = [root]
-    while stack:
-        choices = stack.pop()
-        moves = quotient.successors(choices)
-        if not moves:
-            ne_keys.append(choices)
-        for pos, idx, ckey in moves:
-            if ckey in parents:
-                continue
-            if len(parents) >= state_limit:
-                raise StateBudgetExceeded(
-                    f"oracle exceeded the {state_limit}-state budget"
-                )
-            parents[ckey] = (choices, pos, idx)
-            stack.append(ckey)
-    ne_profiles = tuple(Profile(c) for c in sorted(set(ne_keys)))
+    parents, ne_keys = parent_search(root, quotient.successors, state_limit)
     return ReachableSet(
         game=game,
         initial=p0,
-        ne_profiles=ne_profiles,
+        ne_profiles=tuple(map(Profile, ne_keys)),
         stats=SearchStats(visited=len(parents), state_limit=state_limit),
         _quotient=quotient,
         _parents=parents,

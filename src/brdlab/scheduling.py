@@ -7,8 +7,8 @@ a job on a machine with load L pays c(L) = L + B/L, so congestion both hurts
 (load) and helps (smaller activation share).
 
 The structural theory for the conflicting model lives here too: the optimal
-per-load cost l*, the stay-active criterion for a machine, the analytic count
-of active machines in a best reachable equilibrium, and the machine-choosing
+per-load cost l*, the stay-active criterion for a machine, the count of
+active machines in a best reachable equilibrium, and the machine-choosing
 optimal deviator step.
 """
 
@@ -93,8 +93,8 @@ class SchedulingGame(Game):
         return self.strategy_of(profile, player)[0]
 
     def loads(self, profile: Profile) -> tuple[Fraction, ...]:
-        load_map = self.load_map(profile)
-        return tuple(load_map.weight(m) for m in range(1, self.machine_count + 1))
+        _, weights = self._full_loads(profile)
+        return tuple(weights.get(m, ZERO) for m in range(1, self.machine_count + 1))
 
     def job_cost_at_load(self, load: Fraction) -> Fraction:
         """c(x) = x + B/x in the conflicting model, x itself otherwise."""
@@ -171,30 +171,6 @@ def stays_active(
         return True
     lj = loads[j - 1]
     return Fraction(n - lj, m - j) > b / (lj + 1)
-
-
-def claim_bound_active_machines(game: SchedulingGame, profile: Profile) -> int:
-    """Per-machine survivability count from the stay-active criterion, with
-    high machines (load >= l*) always counted since their load never drops
-    below l*.
-
-    This per-machine analysis brackets but does not always equal the active
-    count of the best reachable equilibrium: around the threshold the
-    criterion can miss machines rescued by intermediate overloading, and
-    individually survivable machines need not all survive together.  Use
-    `max_active_machines` for the exact value.
-    """
-    if not game.is_conflicting:
-        raise UnsupportedModelError("active-machine analysis needs the conflicting model")
-    assert game.activation_cost is not None
-    loads = sorted(l for l in game.loads(profile) if l > 0)
-    n = game.n
-    star = l_star(game.activation_cost)
-    count = 0
-    for j in range(1, len(loads) + 1):
-        if loads[j - 1] >= star or stays_active(loads, j, n, game.activation_cost):
-            count += 1
-    return count
 
 
 def max_active_machines(

@@ -8,14 +8,12 @@ from fractions import Fraction as F
 import pytest
 
 from brdlab.engine import (
-    BrTie,
     EngineError,
     LowestIdRule,
     RuleViolation,
     ScriptError,
     StateBudgetExceeded,
     StepBudgetExceeded,
-    TiePolicy,
     check_iip,
     reachable_by_rule,
     run_brd,
@@ -91,11 +89,6 @@ class TestRunBrd:
         with pytest.raises(RuleViolation):
             run_brd(game, p0, Mute())
 
-    def test_needs_deterministic_policy(self):
-        game, p0 = crowd_game()
-        with pytest.raises(EngineError):
-            run_brd(game, p0, LowestIdRule(), policy=TiePolicy(br_tie=BrTie.BRANCH_ALL))
-
 
 class TestRunScripted:
     def test_forced_non_best_response_rejected(self):
@@ -135,11 +128,13 @@ class TestReachableByRule:
         rr = reachable_by_rule(game, p0, LowestIdRule())
         costs = sorted(game.social_cost(t) for t in rr.terminals)
         assert costs == [2, 4]
-        # the deterministic policy keeps only the lex-smallest branch
-        one = reachable_by_rule(
-            game, p0, LowestIdRule(), policy=TiePolicy(BrTie.LEX_SMALLEST)
-        )
-        assert [game.social_cost(t) for t in one.terminals] == [2]
+        for terminal in rr.terminals:
+            witness = rr.witness(game, terminal)
+            verify_trace(game, witness)
+            assert witness.initial == p0 and witness.terminal == terminal
+        # a run keeps only the lex-smallest branch
+        run = run_brd(game, p0, LowestIdRule())
+        assert game.social_cost(run.terminal) == 2
 
     def test_stateful_rule_rejected(self):
         game, p0 = crowd_game()

@@ -223,6 +223,17 @@ class TestBrPath:
         p = game.profile_from_strategies([(2,)])
         assert game.br_path(p, 1) == ((1,),)
 
+    def test_path_longer_than_the_recursion_limit(self):
+        # two parallel edges, then a series chain: 1501 edges in all
+        m = 1500
+        edges = [Edge(1, 0, 1, F(1)), Edge(2, 0, 1, F(2))]
+        edges += [Edge(i, i - 2, i - 1, F(1)) for i in range(3, m + 2)]
+        game = NetworkFormationGame(Network(tuple(edges), source=0, sink=m), [PlayerSpec(0, m)])
+        tail = tuple(range(3, m + 2))
+        p = game.profile_from_strategies([(2,) + tail])
+        assert game.br_path(p, 1) == ((1,) + tail,)
+        assert [game.strategy_space(1)[k] for k in game.best_response(p, 1)] == [(1,) + tail]
+
 
 def _random_multi_target_game(rng: random.Random) -> NetworkFormationGame:
     """Small layered digraph with random player terminals (possibly

@@ -235,14 +235,6 @@ class TestCli:
         doc = json.loads(instance.read_text())
         assert len(doc["players"]) == 4
 
-    def test_oracle_jobs_do_not_change_output(self, tmp_path):
-        instance = self.fixture_file(tmp_path, "fig2")
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        assert main(["oracle", str(instance), "--jobs", "1", "--out", str(a)]) == 0
-        assert main(["oracle", str(instance), "--jobs", "4", "--out", str(b)]) == 0
-        assert a.read_text() == b.read_text()
-        assert main(["oracle", str(instance), "--jobs", "0"]) == 2
-
     def test_deterministic_bytes(self, tmp_path):
         a = self.fixture_file(tmp_path, "fig4")
         b_dir = tmp_path / "b"
