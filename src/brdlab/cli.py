@@ -9,58 +9,48 @@ trace).  Invalid input exits 2, exhausted budgets exit 3, success exits 0.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from . import fixtures as fx
-from .core import GameError
-from .engine import (
-    CycleDetected,
-    StateBudgetExceeded,
-    StepBudgetExceeded,
-    run_brd,
-)
-from .networks import PathCapExceeded
+from .engine import CycleDetected, StateBudgetExceeded, StepBudgetExceeded, run_brd
+from .networks import NetworkFormationGame
 from .oracle import reachable_ne, rule_inefficiency
 from .rules import make_rule
 from .serde import (
-    FormatError,
     ReplayError,
     dumps,
     fmt_rational,
     instance_from_doc,
     instance_to_doc,
+    parse_rational,
     report_to_doc,
     trace_from_doc,
     trace_to_doc,
     verify_trace,
 )
-from .sppdp import SppError, dp_proper_intervals, dp_single_source, from_network_game, replay
+from .sppdp import dp_proper_intervals, dp_single_source, from_network_game, replay
 
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_BUDGET = 3
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int) -> None:
-        super().__init__(message)
-        self.code = code
+class CliError(ValueError):
+    """Invalid command-line input."""
+
+
+def _read_json(path: str, what: str) -> Any:
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError, RecursionError) as exc:
+        raise CliError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def _load_instance(path: str):
-    import json
-
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:
-        raise CliError(f"cannot read instance {path}: {exc}", EXIT_INVALID) from exc
-    try:
-        return instance_from_doc(doc)
-    except (FormatError, GameError) as exc:
-        raise CliError(f"bad instance {path}: {exc}", EXIT_INVALID) from exc
+    return instance_from_doc(_read_json(path, "instance"))
 
 
 def _emit(doc: dict[str, Any], out: str | None) -> None:
@@ -73,23 +63,15 @@ def _emit(doc: dict[str, Any], out: str | None) -> None:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     game, p0 = _load_instance(args.instance)
-    try:
-        rule = make_rule(args.rule, seed=args.seed)
-        trace = run_brd(game, p0, rule, max_steps=args.max_steps)
-    except (StepBudgetExceeded, CycleDetected) as exc:
-        raise CliError(str(exc), EXIT_BUDGET) from exc
-    except GameError as exc:
-        raise CliError(str(exc), EXIT_INVALID) from exc
+    rule = make_rule(args.rule, seed=args.seed)
+    trace = run_brd(game, p0, rule, max_steps=args.max_steps)
     _emit(trace_to_doc(game, trace), args.out)
     return EXIT_OK
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     game, p0 = _load_instance(args.instance)
-    try:
-        reach = reachable_ne(game, p0, state_limit=args.state_limit)
-    except StateBudgetExceeded as exc:
-        raise CliError(str(exc), EXIT_BUDGET) from exc
+    reach = reachable_ne(game, p0, state_limit=args.state_limit)
     best_profile, best_cost = reach.best()
     doc = {
         "ne_count": len(reach.ne_profiles),
@@ -104,34 +86,24 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 def _cmd_ineff(args: argparse.Namespace) -> int:
     game, p0 = _load_instance(args.instance)
-    try:
-        rule = make_rule(args.rule, seed=args.seed)
-        report = rule_inefficiency(
-            game, p0, rule, game_id=args.instance, state_limit=args.state_limit
-        )
-    except StateBudgetExceeded as exc:
-        raise CliError(str(exc), EXIT_BUDGET) from exc
-    except GameError as exc:
-        raise CliError(str(exc), EXIT_INVALID) from exc
+    rule = make_rule(args.rule, seed=args.seed)
+    report = rule_inefficiency(
+        game, p0, rule, game_id=args.instance, state_limit=args.state_limit
+    )
     _emit(report_to_doc(game, report), args.out)
     return EXIT_OK
 
 
 def _cmd_dp(args: argparse.Namespace) -> int:
     game, p0 = _load_instance(args.instance)
-    from .networks import NetworkFormationGame
-
     if not isinstance(game, NetworkFormationGame):
-        raise CliError("dp needs a network formation instance", EXIT_INVALID)
-    try:
-        instance = from_network_game(game, p0)
-        if args.mode == "single-source":
-            table = dp_single_source(instance)
-        else:
-            table = dp_proper_intervals(instance)
-        trace = replay(instance, table)
-    except SppError as exc:
-        raise CliError(str(exc), EXIT_INVALID) from exc
+        raise CliError("dp needs a network formation instance")
+    instance = from_network_game(game, p0)
+    if args.mode == "single-source":
+        table = dp_single_source(instance)
+    else:
+        table = dp_proper_intervals(instance)
+    trace = replay(instance, table)
     terminal_cost = game.social_cost(trace.terminal)
     doc = {
         "mode": table.mode,
@@ -165,45 +137,32 @@ _FIXTURES: dict[str, Callable[..., fx.FixtureSpec]] = {
 
 def _parse_param(raw: str) -> tuple[str, Any]:
     if "=" not in raw:
-        raise CliError(f"parameters look like key=value, got {raw!r}", EXIT_INVALID)
+        raise CliError(f"parameters look like key=value, got {raw!r}")
     key, value = raw.split("=", 1)
     if "," in value:
-        return key, tuple(Fraction(x) for x in value.split(","))
+        return key, tuple(parse_rational(x) for x in value.split(","))
     try:
         return key, int(value)
     except ValueError:
-        pass
-    try:
-        return key, Fraction(value)
-    except ValueError:
-        raise CliError(f"cannot parse parameter value {value!r}", EXIT_INVALID) from None
+        return key, parse_rational(value)
 
 
 def _cmd_fixture(args: argparse.Namespace) -> int:
     if args.name not in _FIXTURES:
-        raise CliError(
-            f"unknown fixture {args.name!r}; known: {', '.join(sorted(_FIXTURES))}",
-            EXIT_INVALID,
-        )
+        raise CliError(f"unknown fixture {args.name!r}; known: {', '.join(sorted(_FIXTURES))}")
     params = dict(_parse_param(p) for p in args.params)
     try:
         fixture = _FIXTURES[args.name](**params)
-    except (fx.FixtureError, GameError, PathCapExceeded, TypeError) as exc:
-        raise CliError(f"fixture {args.name}: {exc}", EXIT_INVALID) from exc
+    except TypeError as exc:  # a parameter the fixture does not take
+        raise CliError(f"fixture {args.name}: {exc}") from exc
     _emit(instance_to_doc(fixture.game, fixture.initial), args.out)
     return EXIT_OK
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    import json
-
     game, _ = _load_instance(args.instance)
-    try:
-        doc = json.loads(Path(args.trace).read_text())
-        trace = trace_from_doc(game, doc)
-        verify_trace(game, trace)
-    except (OSError, ValueError, FormatError, GameError) as exc:
-        raise CliError(f"bad trace {args.trace}: {exc}", EXIT_INVALID) from exc
+    trace = trace_from_doc(game, _read_json(args.trace, "trace"))
+    verify_trace(game, trace)
     sys.stdout.write(f"ok: {len(trace.moves)} moves replay-verified\n")
     return EXIT_OK
 
@@ -262,11 +221,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (StepBudgetExceeded, StateBudgetExceeded, CycleDetected) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return exc.code
+        return EXIT_BUDGET
     except ReplayError as exc:
         sys.stderr.write(f"replay failed: {exc}\n")
+        return EXIT_INVALID
+    # FormatError, GameError (the engine's, the networks' and the DPs'
+    # errors too) and FixtureError are ValueErrors
+    except (OSError, ValueError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID
 
 

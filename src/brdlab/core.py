@@ -27,6 +27,10 @@ Cost = Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+# the largest strategy space a game materializes: network games list their
+# paths and scheduling games their machines up front
+STRATEGY_CAP = 10_000
+
 
 class SocialCostKind(Enum):
     SUM = "sum"
@@ -77,8 +81,8 @@ class Game(ABC):
     """Abstract congestion game over a fixed player list 1..n.
 
     Subclasses fix the resource model by implementing `_cost_against`:
-    the cost a player incurs by playing `strategy` against the loads of
-    everyone else (`counts`/`weights` exclude the player herself).
+    the cost a player incurs by playing `strategy` against the weighted
+    loads of everyone else (the loads exclude the player herself).
     """
 
     def __init__(
@@ -139,11 +143,6 @@ class Game(ABC):
     def strategy_of(self, profile: Profile, player: PlayerId) -> Strategy:
         return self.strategy_space(player)[profile.choice(self, player)]
 
-    def profile_from_indices(self, indices: Sequence[int]) -> Profile:
-        p = Profile(tuple(indices))
-        self.validate_profile(p)
-        return p
-
     def profile_from_strategies(
         self, assignment: Mapping[PlayerId, Strategy] | Iterable[Strategy]
     ) -> Profile:
@@ -176,56 +175,46 @@ class Game(ABC):
 
     # -- loads and costs ----------------------------------------------------
 
-    def _full_loads(
-        self, profile: Profile
-    ) -> tuple[dict[ResourceId, int], dict[ResourceId, Fraction]]:
-        counts: dict[ResourceId, int] = {}
-        weights: dict[ResourceId, Fraction] = {}
-        for other in self.players:
-            w = self._weights[other - 1]
-            for e in self.strategy_of(profile, other):
-                counts[e] = counts.get(e, 0) + 1
-                weights[e] = weights.get(e, ZERO) + w
-        return counts, weights
+    def _full_loads(self, profile: Profile) -> dict[ResourceId, Fraction]:
+        """Weighted load of every used resource."""
+        loads: dict[ResourceId, Fraction] = {}
+        for space, w, idx in zip(self._spaces, self._weights, profile.choices, strict=True):
+            for e in space[idx]:
+                loads[e] = loads.get(e, ZERO) + w
+        return loads
 
     def _without(
-        self,
-        full: tuple[dict[ResourceId, int], dict[ResourceId, Fraction]],
-        profile: Profile,
-        player: PlayerId,
-    ) -> tuple[dict[ResourceId, int], dict[ResourceId, Fraction]]:
-        counts = dict(full[0])
-        weights = dict(full[1])
-        w = self._weights[player - 1]
-        for e in self.strategy_of(profile, player):
-            counts[e] -= 1
-            weights[e] -= w
-        return counts, weights
+        self, full: Mapping[ResourceId, Fraction], profile: Profile, player: PlayerId
+    ) -> dict[ResourceId, Fraction]:
+        loads = dict(full)
+        pos = player - 1
+        w = self._weights[pos]
+        for e in self._spaces[pos][profile.choices[pos]]:
+            loads[e] -= w
+        return loads
 
-    def _loads_excluding(
-        self, profile: Profile, player: PlayerId
-    ) -> tuple[dict[ResourceId, int], dict[ResourceId, Fraction]]:
+    def _loads_excluding(self, profile: Profile, player: PlayerId) -> dict[ResourceId, Fraction]:
         return self._without(self._full_loads(profile), profile, player)
 
     @abstractmethod
     def _cost_against(
-        self,
-        player: PlayerId,
-        strategy: Strategy,
-        counts: Mapping[ResourceId, int],
-        weights: Mapping[ResourceId, Fraction],
+        self, player: PlayerId, strategy: Strategy, loads: Mapping[ResourceId, Fraction]
     ) -> Fraction:
-        """Cost of `strategy` for `player` given everyone else's loads."""
+        """Cost of `strategy` for `player` given everyone else's weighted loads."""
 
     def player_cost(self, profile: Profile, player: PlayerId) -> Cost:
         self.validate_profile(profile)
         self.position_of(player)
-        counts, weights = self._loads_excluding(profile, player)
-        return self._cost_against(player, self.strategy_of(profile, player), counts, weights)
+        loads = self._loads_excluding(profile, player)
+        return self._cost_against(player, self.strategy_of(profile, player), loads)
 
     def social_cost(self, profile: Profile) -> Cost:
         self.validate_profile(profile)
-        costs = [self.player_cost(profile, i) for i in self.players]
+        full = self._full_loads(profile)
+        costs = [
+            self._cost_against(i, self.strategy_of(profile, i), self._without(full, profile, i))
+            for i in self.players
+        ]
         if self._kind is SocialCostKind.SUM:
             return sum(costs, ZERO)
         return max(costs)
@@ -240,19 +229,16 @@ class Game(ABC):
         current strategy) is returned.
         """
         self.validate_profile(profile)
-        counts, weights = self._loads_excluding(profile, player)
-        return self._br_against(player, counts, weights)[0]
+        self.position_of(player)
+        return self._br_against(player, self._loads_excluding(profile, player))[0]
 
     def _br_against(
-        self,
-        player: PlayerId,
-        counts: Mapping[ResourceId, int],
-        weights: Mapping[ResourceId, Fraction],
+        self, player: PlayerId, loads: Mapping[ResourceId, Fraction]
     ) -> tuple[tuple[int, ...], Fraction]:
         best: Fraction | None = None
         winners: list[int] = []
         for idx, strategy in enumerate(self.strategy_space(player)):
-            c = self._cost_against(player, strategy, counts, weights)
+            c = self._cost_against(player, strategy, loads)
             if best is None or c < best:
                 best = c
                 winners = [idx]
@@ -263,8 +249,8 @@ class Game(ABC):
 
     def is_suboptimal(self, profile: Profile, player: PlayerId) -> bool:
         """Strict-improvement semantics: an indifferent player never moves."""
-        counts, weights = self._loads_excluding(profile, player)
-        br, _ = self._br_against(player, counts, weights)
+        self.position_of(player)
+        br, _ = self._br_against(player, self._loads_excluding(profile, player))
         return profile.choice(self, player) not in br
 
     def suboptimal_players(self, profile: Profile) -> tuple[PlayerId, ...]:
@@ -272,8 +258,7 @@ class Game(ABC):
         full = self._full_loads(profile)
         out = []
         for player in self.players:
-            counts, weights = self._without(full, profile, player)
-            br, _ = self._br_against(player, counts, weights)
+            br, _ = self._br_against(player, self._without(full, profile, player))
             if profile.choice(self, player) not in br:
                 out.append(player)
         return tuple(out)
@@ -298,10 +283,10 @@ class Game(ABC):
         if not self.is_unweighted:
             raise UnsupportedModelError("potential is defined for unit weights only")
         self.validate_profile(profile)
-        counts, _ = self._full_loads(profile)
         total = ZERO
-        for e, count in counts.items():
-            for k in range(1, count + 1):
+        for e, load in self._full_loads(profile).items():
+            # unit weights: the load is the number of users
+            for k in range(1, int(load) + 1):
                 total += self._unit_resource_cost(e, k)
         return total
 

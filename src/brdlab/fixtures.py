@@ -45,11 +45,11 @@ class FixtureSpec:
     reconstructed: bool = False
     scripts: dict[str, tuple[ScriptMove, ...]] = field(default_factory=dict)
 
-    def run_script(self, key: str, cleanup: bool = True, max_steps: int = 20_000) -> Trace:
-        rule = LowestIdRule() if cleanup else None
+    def run_script(self, key: str) -> Trace:
+        """The scripted moves, then lowest-id dynamics to an equilibrium."""
         return run_scripted(
-            self.game, self.initial, self.scripts[key], continue_rule=rule,
-            max_steps=max_steps,
+            self.game, self.initial, self.scripts[key], continue_rule=LowestIdRule(),
+            max_steps=20_000,
         )
 
 

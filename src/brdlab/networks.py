@@ -22,6 +22,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
 from .core import (
+    STRATEGY_CAP,
     Game,
     GameError,
     PlayerId,
@@ -81,12 +82,6 @@ class Network:
         if self.sink is not None:
             out.add(self.sink)
         return tuple(sorted(out))
-
-    def edge(self, edge_id: ResourceId) -> Edge:
-        for e in self.edges:
-            if e.id == edge_id:
-                return e
-        raise NetworkError(f"no edge with id {edge_id}")
 
     def out_edges(self, node: NodeId) -> tuple[Edge, ...]:
         return tuple(sorted((e for e in self.edges if e.tail == node), key=lambda e: e.id))
@@ -303,11 +298,8 @@ def classify(net: Network) -> Topology:
 
 # -- paths --------------------------------------------------------------------
 
-DEFAULT_PATH_CAP = 10_000
-
-
 def enumerate_paths(
-    net: Network, s: NodeId, t: NodeId, cap: int = DEFAULT_PATH_CAP
+    net: Network, s: NodeId, t: NodeId, cap: int = STRATEGY_CAP
 ) -> tuple[Strategy, ...]:
     """All simple directed s-t paths as edge-id tuples, in lexicographic
     order of the edge-id sequence.  Raises PathCapExceeded beyond `cap`."""
@@ -384,7 +376,6 @@ class NetworkFormationGame(Game):
         self,
         network: Network,
         players: Sequence[PlayerSpec],
-        path_cap: int = DEFAULT_PATH_CAP,
     ) -> None:
         self.network = network
         self.specs = tuple(players)
@@ -398,7 +389,7 @@ class NetworkFormationGame(Game):
                 )
         self._edge_cost = {e.id: e.cost for e in network.edges}
         spaces = [
-            enumerate_paths(network, p.source, p.target, cap=path_cap) for p in self.specs
+            enumerate_paths(network, p.source, p.target) for p in self.specs
         ]
         used = {e for space in spaces for path in space for e in path}
         unused = {e.id for e in network.edges} - used
@@ -414,11 +405,11 @@ class NetworkFormationGame(Game):
     def path_cost(self, path: Strategy) -> Fraction:
         return sum((self._edge_cost[e] for e in path), ZERO)
 
-    def _cost_against(self, player, strategy, counts, weights):
+    def _cost_against(self, player, strategy, loads):
         w = self.weight(player)
         total = ZERO
         for e in strategy:
-            total += w * self._edge_cost[e] / (weights.get(e, ZERO) + w)
+            total += w * self._edge_cost[e] / (loads.get(e, ZERO) + w)
         return total
 
     def _unit_resource_cost(self, resource: ResourceId, multiplicity: int) -> Fraction:
@@ -435,12 +426,12 @@ class NetworkFormationGame(Game):
         excluded).  Must agree with `best_response`; the test suite
         cross-checks the two on every enumerable game."""
         self.validate_profile(profile)
-        counts, weights = self._loads_excluding(profile, player)
-        w = self.weight(player)
         spec = self.specs[self.position_of(player)]
+        loads = self._loads_excluding(profile, player)
+        w = self.weight(player)
 
         def marginal(e: Edge) -> Fraction:
-            return w * e.cost / (weights.get(e.id, ZERO) + w)
+            return w * e.cost / (loads.get(e.id, ZERO) + w)
 
         dist: dict[NodeId, Fraction] = {spec.source: ZERO}
         done: set[NodeId] = set()
@@ -476,12 +467,12 @@ class NetworkFormationGame(Game):
     def state_vector(self, profile: Profile, player: PlayerId) -> NfgStateVector:
         """Four local fields (five when weighted); the best-response fields
         use the lexicographically smallest tied path."""
-        counts, weights = self._loads_excluding(profile, player)
-        br, br_cost = self._br_against(player, counts, weights)
-        br_strategy = self.strategy_space(player)[min(br)]
         current = self.strategy_of(profile, player)
+        loads = self._loads_excluding(profile, player)
+        br, br_cost = self._br_against(player, loads)
+        br_strategy = self.strategy_space(player)[min(br)]
         return NfgStateVector(
-            current_cost=self._cost_against(player, current, counts, weights),
+            current_cost=self._cost_against(player, current, loads),
             current_path_cost=self.path_cost(current),
             br_cost=br_cost,
             br_path_cost=self.path_cost(br_strategy),

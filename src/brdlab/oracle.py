@@ -20,6 +20,7 @@ never reported as results.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -82,8 +83,7 @@ class _Quotient:
                 if idx in seen:
                     continue
                 seen.add(idx)
-                counts, weights = game._without(full, profile, pos + 1)
-                br, _ = game._br_against(pos + 1, counts, weights)
+                br, _ = game._br_against(pos + 1, game._without(full, profile, pos + 1))
                 if idx in br:
                     continue
                 for target in br:
@@ -265,24 +265,15 @@ def rule_inefficiency(
 
 def all_profiles(game: Game, cap: int = 100_000) -> Iterator[Profile]:
     """Every profile of a tiny game, guarded by a count cap."""
+    sizes = [len(game.strategy_space(i)) for i in game.players]
     total = 1
-    for i in game.players:
-        total *= len(game.strategy_space(i))
+    for size in sizes:
+        total *= size
         if total > cap:
             raise StateBudgetExceeded(
                 f"profile enumeration exceeds the {cap}-profile guard"
             )
-    sizes = [len(game.strategy_space(i)) for i in game.players]
-    indices = [0] * len(sizes)
-    while True:
-        yield Profile(tuple(indices))
-        for k in range(len(sizes) - 1, -1, -1):
-            indices[k] += 1
-            if indices[k] < sizes[k]:
-                break
-            indices[k] = 0
-        else:
-            return
+    yield from map(Profile, itertools.product(*map(range, sizes)))
 
 
 def _widen(have: Extremes | None, value: Extremes | None) -> Extremes | None:
@@ -381,7 +372,6 @@ def game_inefficiency(
     rule: DeviatorRule,
     profile_source: Iterable[Profile] | None = None,
     state_limit: int = DEFAULT_STATE_LIMIT,
-    profile_cap: int = 100_000,
 ) -> Fraction:
     """Worst-case rule inefficiency over the supplied initial profiles, or
     over every profile of a tiny game when no source is given.
@@ -394,7 +384,7 @@ def game_inefficiency(
     rule move is checked to be an oracle move and every rule terminal an
     oracle equilibrium, so NE_S(p0) lies within NE(p0) for every start.
     """
-    profiles = profile_source if profile_source is not None else all_profiles(game, profile_cap)
+    profiles = profile_source if profile_source is not None else all_profiles(game)
     if not rule.accepts(game):
         raise EngineError(f"rule {rule.name} does not accept this game class")
     rule.reset(game)

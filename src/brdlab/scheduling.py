@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import (
+    STRATEGY_CAP,
     Game,
     GameError,
     PlayerId,
@@ -66,6 +67,8 @@ class SchedulingGame(Game):
     ) -> None:
         if machine_count < 1:
             raise SchedulingError("need at least one machine")
+        if machine_count > STRATEGY_CAP:
+            raise SchedulingError(f"more than {STRATEGY_CAP} machines")
         lengths = [Fraction(x) for x in job_lengths]
         if not lengths:
             raise SchedulingError("need at least one job")
@@ -93,8 +96,8 @@ class SchedulingGame(Game):
         return self.strategy_of(profile, player)[0]
 
     def loads(self, profile: Profile) -> tuple[Fraction, ...]:
-        _, weights = self._full_loads(profile)
-        return tuple(weights.get(m, ZERO) for m in range(1, self.machine_count + 1))
+        loads = self._full_loads(profile)
+        return tuple(loads.get(m, ZERO) for m in range(1, self.machine_count + 1))
 
     def job_cost_at_load(self, load: Fraction) -> Fraction:
         """c(x) = x + B/x in the conflicting model, x itself otherwise."""
@@ -104,9 +107,8 @@ class SchedulingGame(Game):
             return load
         return load + self.activation_cost / load
 
-    def _cost_against(self, player, strategy, counts, weights):
-        machine = strategy[0]
-        load = weights.get(machine, ZERO) + self.weight(player)
+    def _cost_against(self, player, strategy, loads):
+        load = loads.get(strategy[0], ZERO) + self.weight(player)
         return self.job_cost_at_load(load)
 
     def _unit_resource_cost(self, resource: ResourceId, multiplicity: int) -> Fraction:

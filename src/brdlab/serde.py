@@ -27,6 +27,10 @@ def parse_rational(value: Any) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        # no exponents: "1e999999999" would have Fraction build an integer
+        # of a billion digits
+        if "e" in value.lower():
+            raise FormatError(f"bad rational {value!r}: exponents are not accepted")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -38,10 +42,36 @@ def fmt_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _check_fields(doc: Mapping[str, Any], allowed: set[str], where: str) -> None:
+def _fields(doc: Any, allowed: set[str], where: str) -> Mapping[str, Any]:
+    """`doc` itself, once it is a JSON object without unknown fields."""
+    if not isinstance(doc, Mapping):
+        raise FormatError(f"{where} must be a JSON object")
     unknown = set(doc) - allowed
     if unknown:
         raise FormatError(f"unknown fields in {where}: {sorted(unknown)}")
+    return doc
+
+
+_REQUIRED = object()
+
+
+def _get(
+    doc: Mapping[str, Any],
+    key: str,
+    kind: type | tuple[type, ...],
+    where: str,
+    default: Any = _REQUIRED,
+) -> Any:
+    """doc[key], which must be of type `kind`; a missing key gives
+    `default` when there is one."""
+    if key not in doc:
+        if default is _REQUIRED:
+            raise FormatError(f"{where} needs the field {key!r}")
+        return default
+    value = doc[key]
+    if not isinstance(value, kind):
+        raise FormatError(f"field {key!r} of {where} has the wrong JSON type")
+    return value
 
 
 # -- instances --------------------------------------------------------------------
@@ -112,59 +142,69 @@ def decode_strategy(game: Game, raw: Any) -> Strategy:
 
 
 def instance_from_doc(doc: Mapping[str, Any]) -> tuple[Game, Profile]:
-    _check_fields(dict(doc), {"model", "graph", "machines", "B", "players", "initial"},
-                  "instance")
+    _fields(doc, {"model", "graph", "machines", "B", "players", "initial"}, "instance")
     model = doc.get("model")
+    players = _get(doc, "players", list, "instance", [])
     if model in ("nfg", "weighted-nfg"):
-        graph = doc.get("graph")
-        if not isinstance(graph, Mapping):
-            raise FormatError("network models need a graph")
-        _check_fields(dict(graph), {"nodes", "source", "sink", "edges"}, "graph")
+        graph = _get(doc, "graph", object, "a network instance")
+        _fields(graph, {"nodes", "source", "sink", "edges"}, "graph")
         edges = []
-        for e in graph.get("edges", ()):
-            _check_fields(dict(e), {"id", "tail", "head", "cost"}, "edge")
-            edges.append(Edge(e["id"], e["tail"], e["head"], parse_rational(e["cost"])))
-        net = Network(tuple(edges), source=graph.get("source"), sink=graph.get("sink"))
+        for e in _get(graph, "edges", list, "graph", []):
+            _fields(e, {"id", "tail", "head", "cost"}, "edge")
+            edges.append(Edge(
+                _get(e, "id", int, "edge"),
+                _get(e, "tail", int, "edge"),
+                _get(e, "head", int, "edge"),
+                parse_rational(_get(e, "cost", object, "edge")),
+            ))
+        terminal = (int, type(None))
+        net = Network(
+            tuple(edges),
+            source=_get(graph, "source", terminal, "graph", None),
+            sink=_get(graph, "sink", terminal, "graph", None),
+        )
         specs = []
-        for p in doc.get("players", ()):
-            _check_fields(dict(p), {"source", "target", "weight"}, "player")
-            specs.append(
-                PlayerSpec(p["source"], p["target"], parse_rational(p.get("weight", 1)))
-            )
+        for p in players:
+            _fields(p, {"source", "target", "weight"}, "player")
+            specs.append(PlayerSpec(
+                _get(p, "source", int, "player"),
+                _get(p, "target", int, "player"),
+                parse_rational(p.get("weight", 1)),
+            ))
         game: Game = NetworkFormationGame(net, specs)
         if model == "nfg" and not game.is_unweighted:
             raise FormatError("model 'nfg' requires unit weights")
     elif model in ("sched", "coco"):
-        machines = doc.get("machines")
-        if not isinstance(machines, int):
-            raise FormatError("scheduling models need a machine count")
-        lengths = []
-        for p in doc.get("players", ()):
-            _check_fields(dict(p), {"length"}, "player")
-            lengths.append(parse_rational(p.get("length", 1)))
-        activation = parse_rational(doc["B"]) if model == "coco" else None
-        if model == "coco" and "B" not in doc:
-            raise FormatError("conflicting model needs B")
+        machines = _get(doc, "machines", int, "a scheduling instance")
+        lengths = [
+            parse_rational(_fields(p, {"length"}, "player").get("length", 1)) for p in players
+        ]
+        activation = None
+        if model == "coco":
+            activation = parse_rational(_get(doc, "B", object, "a coco instance"))
         game = SchedulingGame(machines, lengths, activation_cost=activation)
     else:
         raise FormatError(f"unknown model {model!r}")
-    raw_initial = doc.get("initial")
-    if not isinstance(raw_initial, Mapping):
-        raise FormatError("instance needs an initial profile")
+    return game, _profile_of(game, _get(doc, "initial", object, "instance"), "initial profile")
+
+
+def _profile_of(game: Game, raw: Any, where: str) -> Profile:
+    """The profile a {"player id": strategy} object assigns."""
+    if not isinstance(raw, Mapping):
+        raise FormatError(f"{where} must be a JSON object")
     assignment = {}
-    for key, raw in raw_initial.items():
+    for key, strategy in raw.items():
         try:
             player = int(key)
         except ValueError:
-            raise FormatError(f"bad player id {key!r}") from None
-        assignment[player] = decode_strategy(game, raw)
+            raise FormatError(f"bad player id {key!r} in {where}") from None
+        assignment[player] = decode_strategy(game, strategy)
     if set(assignment) != set(game.players):
-        raise FormatError("initial profile must assign exactly the players 1..n")
+        raise FormatError(f"{where} must assign exactly the players 1..n")
     try:
-        profile = game.profile_from_strategies(assignment)
+        return game.profile_from_strategies(assignment)
     except InvalidProfileError as exc:
         raise FormatError(str(exc)) from exc
-    return game, profile
 
 
 # -- traces ------------------------------------------------------------------------
@@ -197,32 +237,24 @@ def trace_to_doc(game: Game, trace: Trace) -> dict[str, Any]:
 
 
 def trace_from_doc(game: Game, doc: Mapping[str, Any]) -> Trace:
-    _check_fields(dict(doc), {"initial", "moves", "terminal", "terminal_is_ne"}, "trace")
-
-    def profile_of(raw: Mapping[str, Any]) -> Profile:
-        assignment = {int(k): decode_strategy(game, v) for k, v in raw.items()}
-        return game.profile_from_strategies(assignment)
-
-    initial = profile_of(doc["initial"])
+    _fields(doc, {"initial", "moves", "terminal", "terminal_is_ne"}, "trace")
+    initial = _profile_of(game, _get(doc, "initial", object, "trace"), "trace initial profile")
     moves = []
-    for m in doc.get("moves", ()):
-        _check_fields(
-            dict(m),
-            {"step", "player", "old", "new", "cost_before", "cost_after", "profile"},
-            "move",
-        )
+    for m in _get(doc, "moves", list, "trace", []):
+        _fields(m, {"step", "player", "old", "new", "cost_before", "cost_after", "profile"},
+                "move")
         moves.append(
             Move(
-                step=m["step"],
-                player=m["player"],
-                old_strategy=decode_strategy(game, m["old"]),
-                new_strategy=decode_strategy(game, m["new"]),
-                cost_before=parse_rational(m["cost_before"]),
-                cost_after=parse_rational(m["cost_after"]),
-                profile_digest=m["profile"],
+                step=_get(m, "step", int, "move"),
+                player=_get(m, "player", int, "move"),
+                old_strategy=decode_strategy(game, _get(m, "old", object, "move")),
+                new_strategy=decode_strategy(game, _get(m, "new", object, "move")),
+                cost_before=parse_rational(_get(m, "cost_before", object, "move")),
+                cost_after=parse_rational(_get(m, "cost_after", object, "move")),
+                profile_digest=_get(m, "profile", str, "move"),
             )
         )
-    terminal = profile_of(doc["terminal"])
+    terminal = _profile_of(game, _get(doc, "terminal", object, "trace"), "trace terminal profile")
     return Trace(initial, tuple(moves), terminal, bool(doc.get("terminal_is_ne")))
 
 

@@ -4,18 +4,20 @@ An SPP instance is a chain of parallel-edge segments with interval players:
 player i walks segments s_i+1 .. t_i and her strategy picks one edge per
 segment.  Because a deviation fixes the edge every later mover uses in each
 segment it touches, the first few migrations determine the equilibrium, and
-the best reachable equilibrium decomposes over sub-chains:
+the best reachable equilibrium decomposes over sub-chains.  One program
+fills opt[(s, t)], the best cost of the sub-chain of segments s+1 .. t, by
+trying every first mover there; the two public programs differ only in the
+sub-chains they pass it, shorter ones first:
 
-* single source: one pass over network suffixes, O(n*m) values;
-* proper intervals (sources and targets sorted consistently): one pass over
-  sub-chains by increasing length with a four-way case split on how the
-  first mover's interval meets the sub-chain.
+* single source: the m suffixes (s, m), O(n*m) values;
+* proper intervals (sources and targets sorted consistently): every
+  sub-chain, by increasing length.
 
-Each DP returns its value table together with a forced deviator skeleton;
-`replay` executes the skeleton through the engine (validating that every
-forced move is a legal strict-improvement best response) and finishes with
-cleanup moves, so the claimed optimum can be checked against the realized
-equilibrium exactly.
+Both key `opt` and `first_mover` by (s, t).  Each DP returns its value table
+together with a forced deviator skeleton; `replay` executes the skeleton
+through the engine (validating that every forced move is a legal
+strict-improvement best response) and finishes with cleanup moves, so the
+claimed optimum can be checked against the realized equilibrium exactly.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .core import GameError, PlayerId, Profile, ResourceId, Strategy
+from .core import ZERO, GameError, PlayerId, Profile, ResourceId, Strategy
 from .engine import ScriptMove, Trace, _apply_move, run_scripted
 from .networks import Edge, Network, NetworkFormationGame, PlayerSpec
 
@@ -52,6 +54,8 @@ class SppInstance:
     players: tuple[SppPlayer, ...]
 
     def __post_init__(self) -> None:
+        if not self.segments:
+            raise SppError("a chain needs at least one segment")
         ids = [e.id for seg in self.segments for e in seg]
         if len(ids) != len(set(ids)):
             raise SppError("edge ids must be unique across segments")
@@ -78,12 +82,6 @@ class SppInstance:
     def covers(self, player_pos: int, segment: int) -> bool:
         p = self.players[player_pos]
         return p.source < segment <= p.target
-
-    def segment_of(self, edge_id: ResourceId) -> int:
-        for seg, edges in enumerate(self.segments, start=1):
-            if any(e.id == edge_id for e in edges):
-                return seg
-        raise SppError(f"unknown edge {edge_id}")
 
     def to_game(self) -> tuple[NetworkFormationGame, Profile]:
         edges = tuple(
@@ -197,11 +195,12 @@ def _segment_picks(
     return pick, pick_cost, tuple(movable)
 
 
-def _frozen_cost(instance: SppInstance, first_seg: int, last_seg: int) -> Fraction:
-    """Total cost of the initially utilized edges in segments
-    first_seg..last_seg: what the sub-chain costs if nobody covering it ever
-    migrates."""
-    counts = _initial_counts(instance)
+def _frozen_cost(
+    instance: SppInstance, counts: Mapping[ResourceId, int], first_seg: int, last_seg: int
+) -> Fraction:
+    """Total cost of the initially utilized edges (`counts` are the initial
+    ones) in segments first_seg..last_seg: what the sub-chain costs if
+    nobody covering it ever migrates."""
     total = Fraction(0)
     for seg in range(first_seg, last_seg + 1):
         for e in instance.segments[seg - 1]:
@@ -214,9 +213,10 @@ def _frozen_cost(instance: SppInstance, first_seg: int, last_seg: int) -> Fracti
 class DpTable:
     """Computed optimum values, first movers, and the deviator skeleton.
 
-    `opt` is keyed by suffix length for the single-source program and by
-    (s, t) sub-chain for the proper-interval program; `skeleton` lists the
-    forced (player id, full strategy) moves realizing `optimum`.
+    `opt` and `first_mover` are keyed by the (s, t) sub-chain of segments
+    s+1 .. t in both modes; the single-source program fills only the
+    suffixes (s, m).  `skeleton` lists the forced (player id, full
+    strategy) moves realizing `optimum`.
     """
 
     mode: str
@@ -226,152 +226,105 @@ class DpTable:
     skeleton: tuple[ScriptMove, ...]
 
 
-def _strategy_for(
-    instance: SppInstance,
-    pos: int,
-    resolved: dict[int, ResourceId],
-    pick: Mapping[tuple[int, int], ResourceId],
-) -> Strategy:
-    p = instance.players[pos]
-    return tuple(
-        resolved.get(seg, pick[(pos, seg)]) for seg in range(p.source + 1, p.target + 1)
-    )
-
-
 def dp_single_source(instance: SppInstance) -> DpTable:
     """Best reachable equilibrium cost when all players share the source.
 
-    opt[j] solves the game induced by the last j segments: the first mover
-    there must have her target inside that suffix; her deviation sets her
-    best-response edges through her target and leaves a shorter suffix.
+    The sub-chain program restricted to the suffixes (s, m): the first mover
+    of a suffix has her target inside it, and her deviation leaves a
+    shorter suffix, so the program stays O(n*m).
     """
     if any(p.source != 0 for p in instance.players):
         raise SppError("single-source program needs every source at vertex 0")
     m = instance.m
-    pick, pick_cost, movable = _segment_picks(instance)
-    opt: dict[int, Fraction] = {0: Fraction(0)}
-    first: dict[int, int | None] = {}
-    for j in range(1, m + 1):
-        start = m - j + 1  # first segment of the suffix
-        best: tuple[Fraction, int] | None = None
-        for pos, p in enumerate(instance.players):
-            if p.target < start or not movable[pos]:
-                continue
-            prefix = sum(
-                (pick_cost[(pos, seg)] for seg in range(start, p.target + 1)),
-                Fraction(0),
-            )
-            value = prefix + opt[m - p.target]
-            if best is None or (value, pos) < best:
-                best = (value, pos)
-        if best is None:
-            # nobody covering the suffix can migrate: it keeps its initial edges
-            opt[j] = _frozen_cost(instance, start, m)
-            first[j] = None
-        else:
-            opt[j] = best[0]
-            first[j] = best[1]
-    resolved: dict[int, ResourceId] = {}
-    skeleton: list[ScriptMove] = []
-    j = m
-    while j > 0:
-        pos = first[j]
-        if pos is None:
-            break
-        strategy = _strategy_for(instance, pos, resolved, pick)
-        p = instance.players[pos]
-        for seg in range(p.source + 1, p.target + 1):
-            resolved.setdefault(seg, pick[(pos, seg)])
-        skeleton.append((pos + 1, strategy))
-        j = m - p.target
-    return DpTable("single-source", opt[m], opt, first, tuple(skeleton))
+    return _sub_chain_program(
+        instance, "single-source", [(s, m) for s in range(m - 1, -1, -1)]
+    )
 
 
 def dp_proper_intervals(instance: SppInstance) -> DpTable:
-    """Best reachable equilibrium cost for proper-interval players.
-
-    opt[(s, t)] solves the sub-chain of segments s+1 .. t.  The first mover
-    i there either covers the whole sub-chain, hangs off one end, or sits
-    strictly inside; in each case her pick costs combine with optima of
-    strictly shorter sub-chains, which proper intervals make independent.
-    """
+    """Best reachable equilibrium cost for proper-interval players: the
+    sub-chain program over every sub-chain, by increasing length."""
     if not is_proper_intervals(instance):
         raise SppError("instance does not have proper intervals")
     m = instance.m
+    return _sub_chain_program(
+        instance,
+        "proper-intervals",
+        [(s, s + length) for length in range(1, m + 1) for s in range(m - length + 1)],
+    )
+
+
+def _sub_chain_program(
+    instance: SppInstance, mode: str, sub_chains: Iterable[tuple[int, int]]
+) -> DpTable:
+    """opt[(s, t)] solves the sub-chain of segments s+1 .. t, for each of
+    `sub_chains`, shorter ones first, ending with (0, m).
+
+    The first mover i there pays her picks inside the sub-chain; what she
+    leaves uncovered on either side is a strictly shorter sub-chain, which
+    proper intervals make independent of her.  The skeleton is the
+    pre-order walk of the first movers, left sub-chain before right.
+    """
+    m = instance.m
     pick, pick_cost, movable = _segment_picks(instance)
-    opt: dict[tuple[int, int], Fraction] = {(j, j): Fraction(0) for j in range(m + 1)}
+    counts = _initial_counts(instance)
+    opt: dict[tuple[int, int], Fraction] = {}
     first: dict[tuple[int, int], int | None] = {}
-
-    def c_range(pos: int, a: int, b: int) -> Fraction:
-        p = instance.players[pos]
-        lo = max(a, p.source) + 1
-        hi = min(b, p.target)
-        return sum((pick_cost[(pos, seg)] for seg in range(lo, hi + 1)), Fraction(0))
-
-    for length in range(1, m + 1):
-        for s in range(0, m - length + 1):
-            t = s + length
-            best: tuple[Fraction, int] | None = None
-            for pos, p in enumerate(instance.players):
-                if p.source >= t or p.target <= s or not movable[pos]:
-                    continue
-                if p.source <= s and p.target >= t:
-                    value = c_range(pos, s, t)
-                elif p.source <= s:
-                    value = c_range(pos, s, p.target) + opt[(p.target, t)]
-                elif p.target >= t:
-                    value = opt[(s, p.source)] + c_range(pos, p.source, t)
-                else:
-                    value = (
-                        opt[(s, p.source)]
-                        + c_range(pos, p.source, p.target)
-                        + opt[(p.target, t)]
-                    )
-                if best is None or (value, pos) < best:
-                    best = (value, pos)
-            if best is None:
-                opt[(s, t)] = _frozen_cost(instance, s + 1, t)
-                first[(s, t)] = None
-            else:
-                opt[(s, t)] = best[0]
-                first[(s, t)] = best[1]
+    for s, t in sub_chains:
+        best: tuple[Fraction, int] | None = None
+        for pos, p in enumerate(instance.players):
+            if p.source >= t or p.target <= s or not movable[pos]:
+                continue
+            value = sum(
+                (pick_cost[(pos, seg)]
+                 for seg in range(max(s, p.source) + 1, min(t, p.target) + 1)),
+                Fraction(0),
+            )
+            if p.source > s:
+                value += opt[(s, p.source)]
+            if p.target < t:
+                value += opt[(p.target, t)]
+            if best is None or (value, pos) < best:
+                best = (value, pos)
+        if best is None:
+            # nobody covering the sub-chain can migrate: it keeps its initial edges
+            opt[(s, t)] = _frozen_cost(instance, counts, s + 1, t)
+            first[(s, t)] = None
+        else:
+            opt[(s, t)], first[(s, t)] = best
 
     resolved: dict[int, ResourceId] = {}
     skeleton: list[ScriptMove] = []
-
-    def emit(s: int, t: int) -> None:
-        if t <= s:
-            return
+    pending = [(0, m)]
+    while pending:
+        s, t = pending.pop()
         pos = first[(s, t)]
         if pos is None:
-            return
+            continue
         p = instance.players[pos]
-        strategy = _strategy_for(instance, pos, resolved, pick)
-        for seg in range(p.source + 1, p.target + 1):
+        segs = range(p.source + 1, p.target + 1)
+        skeleton.append((pos + 1, tuple(resolved.get(seg, pick[(pos, seg)]) for seg in segs)))
+        for seg in segs:
             resolved.setdefault(seg, pick[(pos, seg)])
-        skeleton.append((pos + 1, strategy))
-        if p.source <= s and p.target >= t:
-            return
-        if p.source <= s:
-            emit(p.target, t)
-        elif p.target >= t:
-            emit(s, p.source)
-        else:
-            emit(s, p.source)
-            emit(p.target, t)
-
-    emit(0, m)
-    return DpTable("proper-intervals", opt[(0, m)], opt, first, tuple(skeleton))
+        # the right sub-chain goes on the stack first, so the left one is walked first
+        if p.target < t:
+            pending.append((p.target, t))
+        if p.source > s:
+            pending.append((s, p.source))
+    return DpTable(mode, opt[(0, m)], opt, first, tuple(skeleton))
 
 
-def replay(instance: SppInstance, table: DpTable, max_steps: int = 10_000) -> Trace:
+_REPLAY_STEPS = 10_000
+
+
+def replay(instance: SppInstance, table: DpTable) -> Trace:
     """Execute the skeleton through the engine, then let every remaining
     suboptimal player flock, breaking best-response ties toward the
     resolved edge of each segment (and toward her current edge elsewhere,
     so untouched sub-chains stay put).  Callers assert the terminal's
     social cost against `table.optimum`."""
     game, p0 = instance.to_game()
-    head = run_scripted(game, p0, table.skeleton, max_steps=max_steps)
+    head = run_scripted(game, p0, table.skeleton)
     resolved: dict[int, ResourceId] = {}
     for player, strategy in table.skeleton:
         p = instance.players[player - 1]
@@ -380,7 +333,7 @@ def replay(instance: SppInstance, table: DpTable, max_steps: int = 10_000) -> Tr
     profile = head.terminal
     moves = list(head.moves)
     step = len(moves)
-    while step < max_steps:
+    while step < _REPLAY_STEPS:
         suboptimal = game.suboptimal_players(profile)
         if not suboptimal:
             break
@@ -391,7 +344,7 @@ def replay(instance: SppInstance, table: DpTable, max_steps: int = 10_000) -> Tr
         moves.append(move)
         step += 1
     else:
-        raise SppError(f"cleanup did not settle within {max_steps} steps")
+        raise SppError(f"cleanup did not settle within {_REPLAY_STEPS} steps")
     return Trace(p0, tuple(moves), profile, game.is_nash(profile))
 
 
@@ -405,7 +358,7 @@ def _flock_strategy(
     """The player's best response at the live profile, one segment at a
     time, preferring the resolved edge among marginal ties, then her
     current edge, then the cheapest."""
-    counts, weights = game._loads_excluding(profile, player)
+    loads = game._loads_excluding(profile, player)
     p = instance.players[player - 1]
     current = dict(
         zip(range(p.source + 1, p.target + 1), game.strategy_of(profile, player))
@@ -414,13 +367,13 @@ def _flock_strategy(
     for seg in range(p.source + 1, p.target + 1):
         best_marginal = None
         for e in instance.segments[seg - 1]:
-            marginal = e.cost / (counts.get(e.id, 0) + 1)
+            marginal = e.cost / (loads.get(e.id, ZERO) + 1)
             if best_marginal is None or marginal < best_marginal:
                 best_marginal = marginal
         argmin = [
             e
             for e in instance.segments[seg - 1]
-            if e.cost / (counts.get(e.id, 0) + 1) == best_marginal
+            if e.cost / (loads.get(e.id, ZERO) + 1) == best_marginal
         ]
         ids = {e.id for e in argmin}
         if resolved.get(seg) in ids:

@@ -45,6 +45,15 @@ class TestPlayerCost:
         with pytest.raises(InvalidProfileError):
             game.player_cost(p, 5)
 
+    @pytest.mark.parametrize("player", [0, -1, 5, 99])
+    def test_player_id_checked_before_indexing(self, player):
+        game = two_edge_game(n=2)
+        p = game.profile_from_strategies([(1,), (2,)])
+        for method in (game.best_response, game.is_suboptimal, game.br_path,
+                       game.state_vector, game.canonical_br_pick):
+            with pytest.raises(InvalidProfileError):
+                method(p, player)
+
     def test_profile_outside_space(self):
         game = two_edge_game()
         with pytest.raises(InvalidProfileError):

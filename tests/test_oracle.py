@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from brdlab.core import Profile
 from brdlab.engine import CycleDetected, LowestIdRule, StateBudgetExceeded
 from brdlab.fixtures import fig2_maxcost, fig6_weighted_partition, fig7_weighted_local_pair
 from brdlab.networks import NetworkFormationGame, PlayerSpec
@@ -201,6 +202,24 @@ class TestGameInefficiency:
         fx = fig2_maxcost()
         with pytest.raises(StateBudgetExceeded):
             list(all_profiles(fx.game, cap=10))
+
+    def test_enumeration_order(self):
+        game = NetworkFormationGame(parallel_network([1, 2, 3]), [PlayerSpec(0, 1)] * 2)
+        choices = [p.choices for p in all_profiles(game)]
+        assert choices == [(a, b) for a in range(3) for b in range(3)]
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="equivalent starts are deduped for local rules, but the engine's "
+        "lowest-id tie-break among the rule's choice set is not equivariant",
+    )
+    def test_max_cost_starts_are_not_interchangeable(self):
+        # costs 4, 2, 2: from (1, 0, 0) max-cost can end at alpha 2, from the
+        # equivalent (0, 0, 1) only at alpha 1, and only the latter is searched
+        game = NetworkFormationGame(parallel_network([4, 2, 2]), [PlayerSpec(0, 1)] * 3)
+        assert rule_inefficiency(game, Profile((1, 0, 0)), max_cost()).alpha == 2
+        assert rule_inefficiency(game, Profile((0, 0, 1)), max_cost()).alpha == 1
+        assert game_inefficiency(game, max_cost()) == 2
 
 
 class TestReachableExtremes:

@@ -228,3 +228,14 @@ class TestCostShape:
                 for idx in br:
                     target = game.strategy_space(job)[idx][0]
                     assert target in allowed | empties
+
+
+class TestMachineGuard:
+    def test_machine_count_shares_the_strategy_cap(self):
+        from brdlab.core import STRATEGY_CAP
+
+        assert SchedulingGame(STRATEGY_CAP, [1, 1]).machine_count == STRATEGY_CAP
+        with pytest.raises(SchedulingError):
+            SchedulingGame(STRATEGY_CAP + 1, [1, 1])
+        with pytest.raises(SchedulingError):
+            SchedulingGame(1_000_000_000, [1])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -72,6 +73,10 @@ class TestSingleSource:
             inst = random_single_source_instance(rng, tie_heavy=rng.random() < 0.4)
             check_instance(inst, dp_single_source(inst))
 
+    def test_rejects_an_empty_chain(self):
+        with pytest.raises(SppError):
+            SppInstance((), ())
+
     def test_rejects_other_sources(self):
         inst = SppInstance(
             ((SppEdge(1, F(1)),), (SppEdge(2, F(1)),)),
@@ -136,6 +141,41 @@ class TestProperIntervals:
         for _ in range(60):
             inst = random_single_source_instance(rng)
             assert dp_proper_intervals(inst).optimum == dp_single_source(inst).optimum
+
+    def test_single_source_table_is_the_suffix_part(self):
+        # on a single-source instance the proper-interval program reaches
+        # the suffixes with the same values and first movers, and so walks
+        # the same skeleton
+        rng = random.Random(61)
+        for _ in range(60):
+            inst = random_single_source_instance(rng, tie_heavy=rng.random() < 0.5)
+            single = dp_single_source(inst)
+            proper = dp_proper_intervals(inst)
+            suffixes = {(s, inst.m) for s in range(inst.m)}
+            assert set(single.opt) == set(single.first_mover) == suffixes
+            assert single.opt == {k: proper.opt[k] for k in suffixes}
+            assert single.first_mover == {k: proper.first_mover[k] for k in suffixes}
+            assert single.skeleton == proper.skeleton
+
+    def test_skeleton_walk_deeper_than_the_recursion_limit(self):
+        # 80 segments, one player per segment on the dear edge: the first
+        # movers nest one sub-chain per segment
+        m = 80
+        segments = tuple((SppEdge(2 * j + 1, F(1)), SppEdge(2 * j + 2, F(2))) for j in range(m))
+        inst = SppInstance(
+            segments, tuple(SppPlayer(j, j + 1, (2 * j + 2,)) for j in range(m))
+        )
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 40)
+        try:
+            table = dp_proper_intervals(inst)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert table.optimum == m
+        assert table.skeleton == tuple((j + 1, (2 * j + 1,)) for j in range(m))
 
     def test_rejects_improper(self):
         inst = SppInstance(
