@@ -10,9 +10,11 @@ what makes instances with many clone players enumerable at desk scale.
 The search and the witness replay are the engine's `parent_search` and
 `replay_links`, the same ones `engine.reachable_by_rule` runs on.
 
-`game_inefficiency` answers every initial profile of a game from one
-memoized best-response graph: the best and worst equilibrium cost reachable
-from each state is a min/max dynamic program over that graph.
+`rule_inefficiency` and `game_inefficiency` share one per-start routine:
+it searches the oracle's moves and the rule's (or replays a stateful rule's
+run), checks every rule move against the oracle's, and asserts the
+1 <= alpha <= worst/best envelope.  The moves are memoized per game, so
+`game_inefficiency` expands each state once however many starts reach it.
 
 Budgets are hard: exceeding the state limit raises; partial searches are
 never reported as results.
@@ -24,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Hashable, Iterable, Iterator, TypeVar
+from typing import Iterable, Iterator
 
 from .core import Cost, Game, PlayerId, Profile
 from .engine import (
@@ -35,19 +37,16 @@ from .engine import (
     EngineError,
     Link,
     Parents,
+    RuleReach,
     StateBudgetExceeded,
     Trace,
     parent_search,
-    reachable_by_rule,
     replay_links,
     rule_successors,
     run_brd,
 )
 
 DEFAULT_STATE_LIMIT = 5_000_000
-
-Node = TypeVar("Node", bound=Hashable)
-Extremes = tuple[Cost, Cost]
 
 
 class _Quotient:
@@ -140,9 +139,6 @@ class ReachableSet:
         cost, choices = self._ranked[0]
         return Profile(choices), cost
 
-    def worst_cost(self) -> Cost:
-        return self._ranked[-1][0]
-
     def contains(self, profile: Profile) -> bool:
         return self._quotient.canonical(profile.choices) in self._ne_keys
 
@@ -166,14 +162,8 @@ def reachable_ne(
     quotient = _Quotient(game)
     root = quotient.canonical(p0.choices)
     parents, ne_keys = parent_search(root, quotient.successors, state_limit)
-    return ReachableSet(
-        game=game,
-        initial=p0,
-        ne_profiles=tuple(map(Profile, ne_keys)),
-        stats=SearchStats(visited=len(parents), state_limit=state_limit),
-        _quotient=quotient,
-        _parents=parents,
-    )
+    return ReachableSet(game, p0, tuple(map(Profile, ne_keys)),
+                        SearchStats(len(parents), state_limit), quotient, parents)
 
 
 def best_reachable(
@@ -210,7 +200,108 @@ class InefficiencyReport:
     rule_visited: int
 
 
-_OUTSIDE_NE = "rule reached an equilibrium outside NE(p0)"
+SearchMove = tuple[int, int, Choices]
+
+
+@dataclass
+class _Start:
+    """The searches from one start profile: the oracle's over canonical
+    profiles, and the rule's over raw ones (one run for a stateful rule)."""
+
+    parents: Parents
+    ne_keys: tuple[Choices, ...]
+    rule_links: Parents
+    rule_terminals: tuple[Choices, ...]
+    alpha: Fraction
+
+
+class _Searches:
+    """One game's best-response moves, memoized across start profiles: the
+    oracle's for each canonical profile, and a stateless rule's for each raw
+    profile (the engine's lowest-id tie-break need not commute with
+    relabeling interchangeable players).  Every rule move is checked to be
+    an oracle move and every rule terminal an oracle sink, which puts
+    NE_S(p0) within NE(p0).  `state_limit` bounds each search and the
+    states each memo holds."""
+
+    def __init__(self, game: Game, rule: DeviatorRule, state_limit: int) -> None:
+        self.game = game
+        self.rule = rule
+        self.state_limit = state_limit
+        self.quotient = _Quotient(game)
+        # canonical state -> (its oracle moves, their canonical children)
+        self._oracle: dict[Choices, tuple[list[SearchMove], frozenset[Choices]]] = {}
+        self._rule: dict[Choices, list[SearchMove]] = {}
+        self.ne_cost: dict[Choices, Cost] = {}
+
+    def _grow(self, memo: dict) -> None:
+        if len(memo) >= self.state_limit:
+            raise StateBudgetExceeded(f"search exceeded the {self.state_limit}-state budget")
+
+    def _expand(self, key: Choices) -> tuple[list[SearchMove], frozenset[Choices]]:
+        entry = self._oracle.get(key)
+        if entry is None:
+            self._grow(self._oracle)
+            moves = self.quotient.successors(key)
+            if not moves:
+                self.ne_cost[key] = self.game.social_cost(Profile(key))
+            entry = self._oracle[key] = (moves, frozenset(child for _, _, child in moves))
+        return entry
+
+    def oracle_moves(self, key: Choices) -> list[SearchMove]:
+        return self._expand(key)[0]
+
+    def rule_moves(self, choices: Choices) -> list[SearchMove]:
+        moves = self._rule.get(choices)
+        if moves is None:
+            self._grow(self._rule)
+            found = rule_successors(self.game, Profile(choices), self.rule, BrTie.BRANCH_ALL)
+            moves = self._rule[choices] = [(p - 1, idx, child.choices) for p, idx, child in found]
+            self._check(choices, [child for _, _, child in moves])
+        return moves
+
+    def _check(self, choices: Choices, children: list[Choices]) -> None:
+        """Each raw child of `choices` must be the child of an oracle move,
+        and a state without children an oracle sink."""
+        canonical = self.quotient.canonical
+        kids = self._expand(canonical(choices))[1]
+        if (kids and not children) or any(canonical(child) not in kids for child in children):
+            raise AssertionError("rule reached an equilibrium outside NE(p0)")
+
+    def cost(self, choices: Choices) -> Cost:
+        """Social cost of an equilibrium the oracle has searched."""
+        return self.ne_cost[self.quotient.canonical(choices)]
+
+    def start(self, p0: Profile) -> _Start:
+        """Search the oracle's and the rule's moves from the valid `p0`;
+        asserts the 1 <= alpha <= (worst/best over NE(p0)) envelope."""
+        game, rule = self.game, self.rule
+        root = self.quotient.canonical(p0.choices)
+        parents, ne_keys = parent_search(root, self.oracle_moves, self.state_limit)
+        if rule.is_stateless:
+            if not rule.accepts(game):
+                raise EngineError(f"rule {rule.name} does not accept this game class")
+            rule.reset(game)
+            links, terminals = parent_search(p0.choices, self.rule_moves, self.state_limit)
+        else:  # one run, linked and checked move by move
+            links, profile = {p0.choices: None}, p0
+            for move in run_brd(game, p0, rule).moves:
+                idx = game.strategy_space(move.player).index(move.new_strategy)
+                child = profile.with_choice(game, move.player, idx)
+                self._check(profile.choices, [child.choices])
+                links[child.choices] = (profile.choices, move.player - 1, idx)
+                profile = child
+            self._check(profile.choices, [])
+            terminals = (profile.choices,)
+        if not ne_keys or not terminals:
+            raise CycleDetected("a best-response cycle reaches no equilibrium")
+        ne_costs = [self.ne_cost[key] for key in ne_keys]
+        best = min(ne_costs)
+        alpha = max(map(self.cost, terminals)) / best
+        envelope = max(ne_costs) / best
+        if not 1 <= alpha <= envelope:
+            raise AssertionError(f"inefficiency {alpha} outside [1, {envelope}]")
+        return _Start(parents, ne_keys, links, terminals, alpha)
 
 
 def rule_inefficiency(
@@ -221,45 +312,31 @@ def rule_inefficiency(
     state_limit: int = DEFAULT_STATE_LIMIT,
 ) -> InefficiencyReport:
     """alpha = worst SC over NE_S(p0) divided by SC of the best equilibrium
-    in NE(p0); asserts the containment NE_S(p0) within NE(p0) and the
-    1 <= alpha <= (worst/best over NE(p0)) envelope on every report."""
-    reach = reachable_ne(game, p0, state_limit)
-    best_profile, best_cost = reach.best()
-    if rule.is_stateless:
-        rr = reachable_by_rule(game, p0, rule, state_limit=state_limit)
-        rule_terminals = rr.terminals
-        rule_visited = rr.visited
-        witness_of = rr.witness
-    else:
-        trace = run_brd(game, p0, rule)
-        rule_terminals = (trace.terminal,)
-        rule_visited = len(trace.moves) + 1
-
-        def witness_of(g: Game, terminal: Profile) -> Trace:
-            return trace
-
-    for terminal in rule_terminals:
-        if not reach.contains(terminal):
-            raise AssertionError(_OUTSIDE_NE)
-    rule_costs = [(game.social_cost(t), t) for t in rule_terminals]
-    worst_cost, worst_terminal = max(rule_costs, key=lambda x: (x[0], x[1].choices))
-    alpha = worst_cost / best_cost
-    envelope = reach.worst_cost() / best_cost
-    if not 1 <= alpha <= envelope:
-        raise AssertionError(f"inefficiency {alpha} outside [1, {envelope}]")
+    in NE(p0), from the checked searches `game_inefficiency` runs per
+    start; `state_limit` bounds each of its searches."""
+    game.validate_profile(p0)
+    searches = _Searches(game, rule, state_limit)
+    start = searches.start(p0)
+    ne_costs = sorted((searches.ne_cost[key], key) for key in start.ne_keys)
+    rule_costs = sorted((searches.cost(t), t) for t in start.rule_terminals)
+    reach = ReachableSet(game, p0, tuple(map(Profile, start.ne_keys)),
+                         SearchStats(len(start.parents), state_limit), searches.quotient,
+                         start.parents)
+    rule_reach = RuleReach(tuple(map(Profile, start.rule_terminals)), len(start.rule_links),
+                           p0, start.rule_links)
     return InefficiencyReport(
         game_id=game_id,
         rule_id=rule.name,
         initial=p0,
-        worst_rule_cost=worst_cost,
-        best_cost=best_cost,
-        alpha=alpha,
-        ne_costs=reach.social_costs,
-        rule_ne_costs=tuple(sorted(cost for cost, _ in rule_costs)),
-        rule_witness=witness_of(game, worst_terminal),
-        optimal_witness=reach.witness(best_profile),
+        worst_rule_cost=rule_costs[-1][0],
+        best_cost=ne_costs[0][0],
+        alpha=start.alpha,
+        ne_costs=tuple(cost for cost, _ in ne_costs),
+        rule_ne_costs=tuple(cost for cost, _ in rule_costs),
+        rule_witness=rule_reach.witness(game, Profile(rule_costs[-1][1])),
+        optimal_witness=reach.witness(Profile(ne_costs[0][1])),
         oracle_visited=reach.stats.visited,
-        rule_visited=rule_visited,
+        rule_visited=rule_reach.visited,
     )
 
 
@@ -276,97 +353,6 @@ def all_profiles(game: Game, cap: int = 100_000) -> Iterator[Profile]:
     yield from map(Profile, itertools.product(*map(range, sizes)))
 
 
-def _widen(have: Extremes | None, value: Extremes | None) -> Extremes | None:
-    if have is None or value is None:
-        return value if have is None else have
-    return min(have[0], value[0]), max(have[1], value[1])
-
-
-def reachable_extremes(
-    root: Node,
-    successors: Callable[[Node], Iterable[Node]],
-    terminal_cost: Callable[[Node], Cost],
-    solved: dict[Node, Extremes | None],
-    state_limit: int = DEFAULT_STATE_LIMIT,
-) -> Extremes:
-    """(min, max) of `terminal_cost` over the terminals reachable from
-    `root`, a terminal being a node without successors.
-
-    `solved` memoizes the answer of every node the search has finished, and
-    callers share it across roots, so each node is expanded once.  The
-    search is an iterative Tarjan: the nodes of one strongly connected
-    component share one answer, which keeps it exact on cyclic graphs.
-    Raises StateBudgetExceeded rather than let `solved` and the nodes in
-    progress exceed `state_limit`, and CycleDetected when `root` reaches no
-    terminal (`solved` holds None for such nodes).
-    """
-    if root not in solved:
-        _solve(root, successors, terminal_cost, solved, state_limit)
-    extremes = solved[root]
-    if extremes is None:
-        raise CycleDetected("a best-response cycle reaches no equilibrium")
-    return extremes
-
-
-def _solve(
-    root: Node,
-    successors: Callable[[Node], Iterable[Node]],
-    terminal_cost: Callable[[Node], Cost],
-    solved: dict[Node, Extremes | None],
-    state_limit: int,
-) -> None:
-    """Fill `solved` for every node reachable from `root`."""
-    index: dict[Node, int] = {}
-    low: dict[Node, int] = {}
-    # the extremes over a node's own terminal and its finished successors
-    partial: dict[Node, Extremes | None] = {}
-    component: list[Node] = []
-    frames: list[tuple[Node, Iterator[Node]]] = []
-
-    def enter(node: Node) -> None:
-        if len(solved) + len(component) >= state_limit:
-            raise StateBudgetExceeded(f"search exceeded the {state_limit}-state budget")
-        index[node] = low[node] = len(index)
-        component.append(node)
-        kids = tuple(successors(node))
-        if kids:
-            partial[node] = None
-        else:
-            cost = terminal_cost(node)
-            partial[node] = (cost, cost)
-        frames.append((node, iter(kids)))
-
-    enter(root)
-    while frames:
-        node, kids = frames[-1]
-        for kid in kids:
-            if kid in solved:
-                partial[node] = _widen(partial[node], solved[kid])
-            elif kid in index:  # on the component stack: same component
-                low[node] = min(low[node], index[kid])
-            else:
-                enter(kid)
-                break
-        else:
-            frames.pop()
-            if low[node] == index[node]:
-                members: list[Node] = []
-                value: Extremes | None = None
-                member = None
-                while member != node:
-                    member = component.pop()
-                    members.append(member)
-                    value = _widen(value, partial[member])
-                for member in members:
-                    solved[member] = value
-            if frames:
-                parent = frames[-1][0]
-                if node in solved:
-                    partial[parent] = _widen(partial[parent], solved[node])
-                else:
-                    low[parent] = min(low[parent], low[node])
-
-
 def game_inefficiency(
     game: Game,
     rule: DeviatorRule,
@@ -376,53 +362,14 @@ def game_inefficiency(
     """Worst-case rule inefficiency over the supplied initial profiles, or
     over every profile of a tiny game when no source is given.
 
-    Every start is answered from one memoized best-response graph per call:
-    the oracle's over canonical profiles, and a stateless rule's over raw
-    profiles (the engine's lowest-id tie-break need not commute with
-    relabeling interchangeable players).  A stateful rule gets one run per
-    start.  `state_limit` bounds the distinct states of each graph.  Every
-    rule move is checked to be an oracle move and every rule terminal an
-    oracle equilibrium, so NE_S(p0) lies within NE(p0) for every start.
+    Each start runs the searches of `rule_inefficiency`, over moves memoized
+    once per call: the oracle's for each canonical profile, a stateless
+    rule's for each raw profile.  A stateful rule gets one run per start.
+    `state_limit` bounds the distinct states each memo holds, summed over
+    all starts.
     """
     profiles = profile_source if profile_source is not None else all_profiles(game)
-    if not rule.accepts(game):
-        raise EngineError(f"rule {rule.name} does not accept this game class")
-    rule.reset(game)
-    quotient = _Quotient(game)
-    oracle_children: dict[Choices, frozenset[Choices]] = {}
-    oracle_solved: dict[Choices, Extremes | None] = {}
-    rule_solved: dict[Choices, Extremes | None] = {}
-
-    def children(key: Choices) -> frozenset[Choices]:
-        kids = oracle_children.get(key)
-        if kids is None:
-            kids = frozenset(child for _, _, child in quotient.successors(key))
-            oracle_children[key] = kids
-        return kids
-
-    def checked_step(key: Choices, child: Choices) -> Choices:
-        child_key = quotient.canonical(child)
-        if child_key not in children(key):
-            raise AssertionError(_OUTSIDE_NE)
-        return child_key
-
-    def check_terminal(key: Choices) -> None:
-        if children(key):
-            raise AssertionError(_OUTSIDE_NE)
-
-    def rule_children(choices: Choices) -> list[Choices]:
-        key = quotient.canonical(choices)
-        moves = rule_successors(game, Profile(choices), rule, BrTie.BRANCH_ALL)
-        if not moves:
-            check_terminal(key)
-        kids = [child.choices for _, _, child in moves]
-        for kid in kids:
-            checked_step(key, kid)
-        return kids
-
-    def rule_terminal_cost(choices: Choices) -> Cost:
-        return oracle_solved[quotient.canonical(choices)][0]
-
+    searches = _Searches(game, rule, state_limit)
     # vector-based rules are equivariant under interchangeable-player
     # relabelings, so equivalent initial profiles yield the same alpha
     dedupe = rule.is_local
@@ -430,31 +377,12 @@ def game_inefficiency(
     worst: Fraction | None = None
     for p0 in profiles:
         game.validate_profile(p0)
-        root = quotient.canonical(p0.choices)
         if dedupe:
+            root = searches.quotient.canonical(p0.choices)
             if root in seen_keys:
                 continue
             seen_keys.add(root)
-        best_cost, worst_ne = reachable_extremes(
-            root, children, lambda key: game.social_cost(Profile(key)), oracle_solved, state_limit
-        )
-        if rule.is_stateless:
-            _, worst_cost = reachable_extremes(
-                p0.choices, rule_children, rule_terminal_cost, rule_solved, state_limit
-            )
-        else:
-            trace = run_brd(game, p0, rule)
-            key, profile = root, p0
-            for move in trace.moves:
-                idx = game.strategy_space(move.player).index(move.new_strategy)
-                profile = profile.with_choice(game, move.player, idx)
-                key = checked_step(key, profile.choices)
-            check_terminal(key)
-            worst_cost = oracle_solved[key][0]
-        alpha = worst_cost / best_cost
-        envelope = worst_ne / best_cost
-        if not 1 <= alpha <= envelope:
-            raise AssertionError(f"inefficiency {alpha} outside [1, {envelope}]")
+        alpha = searches.start(p0).alpha
         worst = alpha if worst is None else max(worst, alpha)
     if worst is None:
         raise ValueError("profile source was empty")

@@ -255,7 +255,7 @@ def trace_from_doc(game: Game, doc: Mapping[str, Any]) -> Trace:
             )
         )
     terminal = _profile_of(game, _get(doc, "terminal", object, "trace"), "trace terminal profile")
-    return Trace(initial, tuple(moves), terminal, bool(doc.get("terminal_is_ne")))
+    return Trace(initial, tuple(moves), terminal, _get(doc, "terminal_is_ne", bool, "trace"))
 
 
 class ReplayError(ValueError):
@@ -263,12 +263,15 @@ class ReplayError(ValueError):
 
 
 def verify_trace(game: Game, trace: Trace) -> None:
-    """Re-verify every move: the deviator was suboptimal, moved to a member
-    of her best-response set with the recorded strict cost drop, and the
-    terminal matches (including its equilibrium flag)."""
+    """Re-verify every move: move i carries step i, the deviator was
+    suboptimal, moved to a member of her best-response set with the
+    recorded strict cost drop, and the terminal matches (including its
+    equilibrium flag)."""
     profile = trace.initial
     game.validate_profile(profile)
-    for m in trace.moves:
+    for i, m in enumerate(trace.moves):
+        if m.step != i:
+            raise ReplayError(f"move {i} carries step {m.step}")
         if not game.is_suboptimal(profile, m.player):
             raise ReplayError(f"step {m.step}: player {m.player} was not suboptimal")
         if game.strategy_of(profile, m.player) != m.old_strategy:

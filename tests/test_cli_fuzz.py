@@ -3,8 +3,8 @@
 Every document, however broken, must end in exit code 0, 2 or 3: no
 exception may escape `cli.main`.  The documents are small fixture instances
 and their traces with a few fields deleted, replaced by hostile JSON values
-or added; the explicit examples are inputs that once escaped as tracebacks
-or never finished.
+or added; the explicit examples are inputs that once escaped as tracebacks,
+never finished or passed `check`.
 """
 
 from __future__ import annotations
@@ -21,7 +21,13 @@ from hypothesis import strategies as st
 
 from brdlab.cli import main
 from brdlab.engine import LowestIdRule, run_brd
-from brdlab.fixtures import fig2_maxcost, fig4_minpath_exp, fig7_weighted_local_pair
+from brdlab.fixtures import (
+    fig2_maxcost,
+    fig3_minpath_chain,
+    fig4_minpath_exp,
+    fig7_weighted_local_pair,
+)
+from brdlab.rules import max_cost, min_path
 from brdlab.scheduling import SchedulingGame
 from brdlab.serde import instance_to_doc, trace_to_doc
 
@@ -145,7 +151,21 @@ def _move(trace, **fields):
     return edited(trace, "moves", 0, value={**trace["moves"][0], **fields})
 
 
-# inputs that escaped as tracebacks or never finished; each must exit 2
+def _traced(fixture, rule):
+    """The instance and trace documents of one run of `rule` on `fixture`."""
+    trace = run_brd(fixture.game, fixture.initial, rule)
+    return instance_to_doc(fixture.game, fixture.initial), trace_to_doc(fixture.game, trace)
+
+
+FIG2, FIG2_TRACE = _traced(fig2_maxcost(), max_cost())
+FIG3, FIG3_TRACE = _traced(fig3_minpath_chain(), min_path())
+FIG3_SAME_STEPS = edited(
+    FIG3_TRACE, "moves", value=[{**m, "step": 7} for m in FIG3_TRACE["moves"]]
+)
+
+
+# inputs that escaped as tracebacks, never finished or passed `check`; each
+# must exit 2
 REPRODUCED = [
     ("oracle", edited(NFG, "graph", "edges", 0, "cost"), None),
     ("run", edited(NFG, "graph", "edges", 0, "cost"), None),
@@ -163,6 +183,10 @@ REPRODUCED = [
     ("oracle", edited(SCHED, "players", 0, "length", value="1e999999"), None),
     ("run", edited(SCHED, "machines", value=10**9), None),
     ("oracle", edited(COCO, "machines", value=10**9), None),
+    ("check", FIG2, edited(FIG2_TRACE, "terminal_is_ne", value="false")),
+    ("check", FIG2, edited(FIG2_TRACE, "terminal_is_ne", value="no")),
+    ("check", FIG2, edited(FIG2_TRACE, "terminal_is_ne", value=[0])),
+    ("check", FIG3, FIG3_SAME_STEPS),
 ]
 
 

@@ -15,6 +15,7 @@ from brdlab.engine import (
     StateBudgetExceeded,
     StepBudgetExceeded,
     check_iip,
+    parent_search,
     reachable_by_rule,
     run_brd,
     run_scripted,
@@ -145,6 +146,42 @@ class TestReachableByRule:
         game, p0 = crowd_game()
         with pytest.raises(StateBudgetExceeded):
             reachable_by_rule(game, p0, LowestIdRule(), state_limit=1)
+
+
+def search_graph(graph):
+    """`parent_search` moves over a plain graph {node: [successor, ...]}."""
+    return lambda node: [(0, 0, kid) for kid in graph[node]]
+
+
+class TestParentSearch:
+    def test_agrees_with_plain_reachability_on_random_cyclic_graphs(self):
+        rng = random.Random(41)
+        for _ in range(200):
+            nodes = range(rng.randint(1, 12))
+            graph = {v: [w for w in nodes if rng.random() < 0.2] for v in nodes}
+            for v in nodes:
+                if rng.random() < 0.3:
+                    graph[v] = []
+            for root in nodes:
+                seen, stack = {root}, [root]
+                while stack:
+                    for w in graph[stack.pop()]:
+                        if w not in seen:
+                            seen.add(w)
+                            stack.append(w)
+                parents, terminals = parent_search(root, search_graph(graph), 100)
+                assert set(parents) == seen
+                # empty where the root reaches only closed cycles
+                assert terminals == tuple(sorted(v for v in seen if not graph[v]))
+                for node, link in parents.items():
+                    assert (link is None) == (node == root)
+                    assert link is None or node in graph[link[0]]
+
+    def test_state_limit(self):
+        graph = {"a": "b", "b": "cx", "c": "ad", "d": "y", "x": "", "y": ""}
+        assert len(parent_search("a", search_graph(graph), 6)[0]) == 6
+        with pytest.raises(StateBudgetExceeded):
+            parent_search("a", search_graph(graph), 5)
 
 
 class TestStatefulRules:

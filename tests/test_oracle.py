@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from brdlab.core import Profile
-from brdlab.engine import CycleDetected, LowestIdRule, StateBudgetExceeded
+from brdlab.engine import LowestIdRule, StateBudgetExceeded, reachable_by_rule, run_brd
 from brdlab.fixtures import fig2_maxcost, fig6_weighted_partition, fig7_weighted_local_pair
 from brdlab.networks import NetworkFormationGame, PlayerSpec
 from brdlab.oracle import (
@@ -16,7 +16,6 @@ from brdlab.oracle import (
     best_reachable,
     game_inefficiency,
     optimal_sequence,
-    reachable_extremes,
     reachable_ne,
     rule_inefficiency,
 )
@@ -126,7 +125,7 @@ class TestRuleInefficiency:
             p0 = random_profile(rng, game)
             reach = reachable_ne(game, p0, state_limit=100_000)
             report = rule_inefficiency(game, p0, max_cost())
-            assert 1 <= report.alpha
+            assert report.alpha == reference_alpha(game, max_cost(), p0)
             assert set(report.rule_ne_costs) <= set(reach.social_costs)
             verify_trace(game, report.rule_witness)
             verify_trace(game, report.optimal_witness)
@@ -148,9 +147,22 @@ class TestRuleInefficiency:
 RULE_FACTORIES = [min_path, max_cost, LowestIdRule, round_robin]
 
 
+def reference_alpha(game, rule, p0):
+    """alpha from the public searches, outside the inefficiency code: NE(p0)
+    from `reachable_ne`, NE_S(p0) from `reachable_by_rule`, or from one run
+    for a rule that carries run state."""
+    reach = reachable_ne(game, p0)
+    if rule.is_stateless:
+        terminals = reachable_by_rule(game, p0, rule).terminals
+    else:
+        terminals = (run_brd(game, p0, rule).terminal,)
+    assert all(reach.contains(t) for t in terminals)
+    return max(map(game.social_cost, terminals)) / reach.best()[1]
+
+
 def per_start_alpha(game, factory, starts):
-    """The reference: one full report, with its own searches, per start."""
-    return max(rule_inefficiency(game, p0, factory()).alpha for p0 in starts)
+    """The reference: its own searches, with a fresh rule, per start."""
+    return max(reference_alpha(game, factory(), p0) for p0 in starts)
 
 
 class TestGameInefficiency:
@@ -180,6 +192,11 @@ class TestGameInefficiency:
         fx = fig2_maxcost()
         with pytest.raises(StateBudgetExceeded):
             game_inefficiency(fx.game, max_cost(), state_limit=3)
+        # the limit counts the states of all starts together: no start's own
+        # search visits more than 12 states, the rule's memo ends at 29
+        with pytest.raises(StateBudgetExceeded):
+            game_inefficiency(fx.game, max_cost(), state_limit=28)
+        assert game_inefficiency(fx.game, max_cost(), state_limit=29) == 5
 
     def test_single_profile_source_reduces(self):
         fx = fig2_maxcost()
@@ -221,57 +238,3 @@ class TestGameInefficiency:
         assert rule_inefficiency(game, Profile((0, 0, 1)), max_cost()).alpha == 1
         assert game_inefficiency(game, max_cost()) == 2
 
-
-class TestReachableExtremes:
-    # a -> b -> c -> a is one component, left through b -> x and c -> d -> y;
-    # e reaches that component and its own terminal z
-    GRAPH = {
-        "a": "b", "b": "cx", "c": "ad", "d": "y", "e": "az", "x": "", "y": "", "z": "",
-    }
-    COST = {"x": F(5), "y": F(2), "z": F(9)}
-
-    def test_cycle_shares_one_answer(self):
-        solved = {}
-        extremes = reachable_extremes("a", self.GRAPH.__getitem__, self.COST.__getitem__, solved)
-        assert extremes == (2, 5)
-        assert solved["a"] == solved["b"] == solved["c"] == (2, 5)
-        assert solved["d"] == (2, 2)
-        expanded = []
-
-        def successors(node):
-            expanded.append(node)
-            return self.GRAPH[node]
-
-        assert reachable_extremes("e", successors, self.COST.__getitem__, solved) == (2, 9)
-        assert expanded == ["e", "z"]  # the solved component is not searched again
-
-    def test_agrees_with_plain_reachability_on_random_cyclic_graphs(self):
-        rng = random.Random(41)
-        for _ in range(200):
-            nodes = range(rng.randint(1, 12))
-            graph = {v: [w for w in nodes if rng.random() < 0.2] for v in nodes}
-            for v in nodes:
-                if rng.random() < 0.3:
-                    graph[v] = []
-            cost = {v: F(rng.randint(1, 20)) for v in nodes}
-            solved = {}
-            for root in rng.sample(list(nodes), len(nodes)):
-                seen, stack = {root}, [root]
-                while stack:
-                    for w in graph[stack.pop()]:
-                        if w not in seen:
-                            seen.add(w)
-                            stack.append(w)
-                terminals = [cost[v] for v in seen if not graph[v]]
-                if not terminals:
-                    with pytest.raises(CycleDetected):
-                        reachable_extremes(root, graph.__getitem__, cost.__getitem__, solved)
-                    continue
-                expected = (min(terminals), max(terminals))
-                assert reachable_extremes(
-                    root, graph.__getitem__, cost.__getitem__, solved
-                ) == expected
-
-    def test_state_limit(self):
-        with pytest.raises(StateBudgetExceeded):
-            reachable_extremes("a", self.GRAPH.__getitem__, self.COST.__getitem__, {}, 3)

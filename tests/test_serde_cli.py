@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import random
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 
 import pytest
@@ -242,3 +245,108 @@ class TestCli:
         b = b_dir / "fig4.json"
         assert main(["fixture", "fig4", "--out", str(b)]) == 0
         assert a.read_text() == b.read_text()
+
+
+# sha256 of `brdlab oracle` and `brdlab ineff --rule <rule>` JSON on the fixtures
+# at default parameters, without the report's `game` field (the instance path);
+# None where the command exits non-zero
+GOLDEN = {
+    "fig2": {
+        "oracle": (0, "c2e35b39077c5582a1f6a3cc04d9826054ec6a937d7ffd700d91cbb2e176dab1"),
+        "max-cost": (0, "0e5923357ac873a81770a629dc52797329dcf03cdbbe1544cc94fd4e90043815"),
+        "max-improvement": (0, "086bb889beef22894a4063c3a2afc9197156c9fd51f844abad37be230a9e4f1a"),
+        "round-robin": (0, "5179076af000d20c80c6bea58ef757562d13aae36ad8bd8b977fa2ba00749d77"),
+        "min-path": (0, "fb8e6b66a7f5170c3a7d4bf387f4dd1bc23ba63ea8b17073298765016e7c352a"),
+    },
+    "fig3": {
+        "oracle": (0, "bfc7148efcbead9d7b8b675b58da34e3c4c2ff746ff56245119b7346549f455d"),
+        "max-cost": (0, "2aa5ccfe7b142f82969154717cb63b28085dea7ec9761b1d7bb681e2f4a3876e"),
+        "max-improvement": (0, "17f28a25744bdab53b3ad9f1822dad76d7fc5556829da4be4883bcd311bcf4bb"),
+        "round-robin": (0, "ddc021292c58dca468feb13b302b90b9e036e1e039136a346018b353c5ec3e90"),
+        "min-path": (0, "e4987f3c4773087f89ebb451d875239ab4e4a80ce64200cc66fef5dcf2f9b2f2"),
+    },
+    "fig4": {
+        "oracle": (0, "221fe80ee2353c7ef93d8460c1c67975fb948633789970617e958d46772fd51f"),
+        "max-cost": (0, "b5e25bea5dc0c902c0247a794c57a62962c96a3e84630ab22a45b809bc9952d1"),
+        "max-improvement": (0, "2b7ab64adf6970a634e67a4e0fc5d3db548eead4b1f23f6091d838fefbef0753"),
+        "round-robin": (0, "3f65a5672e53e8cce47712570b62f24939f2e23afe1fbb8ab5da9e9033f1745c"),
+        "min-path": (0, "44de1a25046127debcf2b1e242bd7ea2970ef5659cd3e7ea4748c8090ed1f7ab"),
+    },
+    "fig5a": {
+        "oracle": (0, "8225da15b934d6a56ef37978d06fa43b5f5d0f1e9fdd80d0c690b78d26abb8d8"),
+        "max-cost": (0, "a2d234a4101774c64365199a7236d0c94814fcdf32963e9666c12743b7a6a590"),
+        "max-improvement": (0, "e15f7e3f65524cc2785f1119c570baebcf3b52775bcf68df3371c1c8666ba588"),
+        "round-robin": (0, "1a6f071182649eb92a9da3cc7afbe02ef23da1f0ed80d9d6283dcc73177e82f3"),
+        "min-path": (0, "6d98a685b1f3b1a5ae3e6b320441198748174d5cdd7a65bb7e6d4704eb5c990b"),
+    },
+    "fig5b": {
+        "oracle": (0, "df86d053d87e7e03e8ddcd4c194b9206fdbee226fa50aa199c0f4e712def67c8"),
+        "max-cost": (0, "a91623c57568c586c9a262a761873369a4bf1e0e6c650b5c4ec9904a074459ae"),
+        "max-improvement": (0, "77ba2886ba5e950178581a2dbfdb3fe34b80e5c02473a9f6adccd440a319a0bc"),
+        "round-robin": (0, "1c8605770f8707ac5be35509d109308a83b2d6b473f08b633ba67763722d245c"),
+        "min-path": (0, "17b1aadc263128e719511d6d4e894e459c2ad89ebf1ac1be8504555ea58287ff"),
+    },
+    "fig6": {
+        "oracle": (0, "e27e7172e82db620a2d783f9daf72eb6a435448fd981a69ec2a77d50bbb1f679"),
+        "max-cost": (0, "d3a41bc26bfc4cfa238d85ac25540fdd5fa82d9091b3724d485234c86e3abccc"),
+        "max-improvement": (0, "15ab45f7fe9acf89984f2587844b70c678e8cd4cccb892bbe1411de4b4f9055d"),
+        "round-robin": (0, "a5285fe4a4f94accc8a274003e948600758bc1a5c79ee4effd2d74efca6d9bcf"),
+        "min-path": (0, "40f8bdf57670bb9b0e4b6d6e695050c19b5400eaeaa942b089b83a85ca5487a8"),
+    },
+    "fig7a": {
+        "oracle": (0, "2b42d8e262d35c0274b04831dac51077fb2c149a41a46bb0596226fd8c666127"),
+        "max-cost": (0, "afaa4a78a6a498e1f6a9c4f5616a93ecb2f319849a20b41a92c0b86ce04876f2"),
+        "max-improvement": (0, "1e171a558c5c3177573e63c7dd088c639466adacb48bd7599c53a5fdfc2bdff7"),
+        "round-robin": (0, "4a8ec231322ba8914e79193a385e3fc30bc11df33e50f168c788dba4314b26fb"),
+        "min-path": (0, "f0be581ba8874b57216a40a8fa2b229c9af60cc757fd158f7c7d675f1e7c5d3e"),
+    },
+    "fig7b": {
+        "oracle": (0, "01bcfd26bcb89f8407bd8e7afbc6a2ff990fab8bee4786e291ab87b46e2fcd07"),
+        "max-cost": (0, "fc9a260b3f420f54e32500b3f01cc898cfa8ee482a728e16923bf2e251e0cf05"),
+        "max-improvement": (0, "14c29c48337d29d51541910f359af01aa4b4734a8f954429e9af9fd84c227eba"),
+        "round-robin": (0, "1075f518ce8069de34d4515e71f0d7d91ec9b1d40dc5ebe4ad6faa7f151ca8aa"),
+        "min-path": (0, "fe6f1ed1dc84bffef82a8f95c794351162a0161b48b7bd52c19f2740e350be73"),
+    },
+    "fig9b": {
+        "oracle": (0, "4e3a3d06b00e165d6de6b4d8034b2d3660bf05135cdd9e99443ce720e2e8458c"),
+        "max-cost": (0, "493fb659e0179b51220423e0f483e97006c96eed847083244637b57308f92844"),
+        "max-improvement": (0, "0477518bd9d4d762d50b671b69cde00045d3872d3c96c9f053764f07ad80c751"),
+        "round-robin": (0, "2a29f1266a6ef5044e6f34b7b4762c618ffe97b0c29d362f08ad9fb5fb4e8d79"),
+        "min-path": (2, None),
+    },
+}
+
+
+def _golden_run(argv, out):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = main([*argv, "--out", str(out)])
+    if code != 0:
+        return code, None
+    text = out.read_text()
+    doc = json.loads(text)
+    assert dumps(doc) == text
+    doc.pop("game", None)
+    return code, hashlib.sha256(dumps(doc).encode()).hexdigest()
+
+
+class TestGoldenCli:
+    def test_oracle_and_ineff_outputs(self, tmp_path):
+        got = {}
+        for name, expected in GOLDEN.items():
+            instance = tmp_path / f"{name}.json"
+            assert main(["fixture", name, "--out", str(instance)]) == 0
+            got[name] = {}
+            for command in expected:
+                if command == "oracle":
+                    argv = ["oracle", str(instance)]
+                else:
+                    argv = ["ineff", str(instance), "--rule", command]
+                out = tmp_path / f"{name}.{command}.json"
+                got[name][command] = _golden_run(argv, out)
+        assert got == GOLDEN
+
+    def test_ineff_budget_exit_3(self, tmp_path, capsys):
+        instance = tmp_path / "fig2.json"
+        assert main(["fixture", "fig2", "--out", str(instance)]) == 0
+        argv = ["ineff", str(instance), "--rule", "max-cost", "--state-limit", "2"]
+        assert main(argv) == 3
