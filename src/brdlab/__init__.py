@@ -1,6 +1,7 @@
 """Best-response dynamics laboratory for congestion games."""
 
 from .core import (
+    Evaluation,
     Game,
     GameError,
     InvalidProfileError,
@@ -9,7 +10,6 @@ from .core import (
     UnsupportedModelError,
 )
 from .engine import (
-    BrTie,
     CycleDetected,
     DeviatorRule,
     LocalRule,

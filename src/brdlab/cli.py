@@ -26,6 +26,7 @@ from .serde import (
     instance_from_doc,
     instance_to_doc,
     parse_rational,
+    profile_to_doc,
     report_to_doc,
     trace_from_doc,
     trace_to_doc,
@@ -77,7 +78,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         "ne_count": len(reach.ne_profiles),
         "ne_costs": [fmt_rational(c) for c in reach.social_costs],
         "best_cost": fmt_rational(best_cost),
-        "best_profile": instance_to_doc(game, best_profile)["initial"],
+        "best_profile": profile_to_doc(game, best_profile),
         "visited": reach.stats.visited,
     }
     _emit(doc, args.out)

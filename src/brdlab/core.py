@@ -9,6 +9,11 @@ floating point would corrupt.
 Strategy profiles are immutable and hashable; every operation here is a pure
 function of (game, profile), so games and profiles can be shared freely
 across concurrent evaluations.
+
+Every cost and best-response reader answers from one `Evaluation` of the
+profile: its weighted load map, built once, and per (player class,
+strategy) a lazily computed `Cell` holding the cost of every strategy
+against everyone else's loads.
 """
 
 from __future__ import annotations
@@ -17,7 +22,8 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 PlayerId = int
 ResourceId = int
@@ -65,9 +71,7 @@ class Profile:
 
     def with_choice(self, game: "Game", player: PlayerId, index: int) -> "Profile":
         pos = game.position_of(player)
-        c = list(self.choices)
-        c[pos] = index
-        return Profile(tuple(c))
+        return Profile(self.choices[:pos] + (index,) + self.choices[pos + 1:])
 
 
 @dataclass(frozen=True)
@@ -77,6 +81,52 @@ class PlayerClass:
     positions: tuple[int, ...]
 
 
+class Cell(NamedTuple):
+    """One position's view of a profile: the cost of each of its strategies
+    against everyone else's loads, its best responses and their cost."""
+
+    costs: tuple[Cost, ...]
+    br: tuple[int, ...]
+    br_cost: Cost
+
+
+class Evaluation:
+    """One profile's weighted load map, and each position's `Cell` on first
+    request.  A cell depends only on the position's class and strategy, so
+    clones on one strategy share it.  Nothing outlives the profile."""
+
+    def __init__(self, game: "Game", profile: Profile) -> None:
+        self.game = game
+        self.profile = profile
+        self.loads = game._full_loads(profile)
+        self._cells: dict[tuple[int, int], Cell] = {}
+
+    def others(self, pos: int) -> dict[ResourceId, Fraction]:
+        """Everyone else's weighted loads: the full map without `pos`."""
+        loads = dict(self.loads)
+        w, space = self.game._weights[pos], self.game._spaces[pos]
+        for e in space[self.profile.choices[pos]]:
+            loads[e] -= w
+        return loads
+
+    def cell(self, pos: int) -> Cell:
+        key = (self.game._class_ids[pos], self.profile.choices[pos])
+        cell = self._cells.get(key)
+        if cell is None:
+            cell = self._cells[key] = self.game._br_against(pos + 1, self.others(pos))
+        return cell
+
+    def cost(self, pos: int) -> Cost:
+        return self.cell(pos).costs[self.profile.choices[pos]]
+
+    def cost_to(self, pos: int, idx: int) -> Cost:
+        """The position's cost once it has moved to strategy `idx`."""
+        return self.cell(pos).costs[idx]
+
+    def is_suboptimal(self, pos: int) -> bool:
+        return self.profile.choices[pos] not in self.cell(pos).br
+
+
 class Game(ABC):
     """Abstract congestion game over a fixed player list 1..n.
 
@@ -84,6 +134,9 @@ class Game(ABC):
     the cost a player incurs by playing `strategy` against the weighted
     loads of everyone else (the loads exclude the player herself).
     """
+
+    # what `evaluate` builds; a game may add projections of its own
+    _evaluation_type: type[Evaluation] = Evaluation
 
     def __init__(
         self,
@@ -109,7 +162,6 @@ class Game(ABC):
         )
         self._weights = tuple(Fraction(w) for w in weights)
         self._kind = social_cost_kind
-        self._classes: tuple[PlayerClass, ...] | None = None
 
     # -- structure ---------------------------------------------------------
 
@@ -136,7 +188,7 @@ class Game(ABC):
     def weight(self, player: PlayerId) -> Fraction:
         return self._weights[self.position_of(player)]
 
-    @property
+    @cached_property
     def is_unweighted(self) -> bool:
         return all(w == 1 for w in self._weights)
 
@@ -166,9 +218,8 @@ class Game(ABC):
     def validate_profile(self, profile: Profile) -> None:
         if len(profile.choices) != self.n:
             raise InvalidProfileError("profile length does not match player count")
-        for player in self.players:
-            idx = profile.choices[player - 1]
-            if not 0 <= idx < len(self.strategy_space(player)):
+        for player, (idx, space) in enumerate(zip(profile.choices, self._spaces), start=1):
+            if not 0 <= idx < len(space):
                 raise InvalidProfileError(
                     f"player {player} holds strategy index {idx} outside her space"
                 )
@@ -183,92 +234,59 @@ class Game(ABC):
                 loads[e] = loads.get(e, ZERO) + w
         return loads
 
-    def _without(
-        self, full: Mapping[ResourceId, Fraction], profile: Profile, player: PlayerId
-    ) -> dict[ResourceId, Fraction]:
-        loads = dict(full)
-        pos = player - 1
-        w = self._weights[pos]
-        for e in self._spaces[pos][profile.choices[pos]]:
-            loads[e] -= w
-        return loads
-
-    def _loads_excluding(self, profile: Profile, player: PlayerId) -> dict[ResourceId, Fraction]:
-        return self._without(self._full_loads(profile), profile, player)
-
     @abstractmethod
     def _cost_against(
         self, player: PlayerId, strategy: Strategy, loads: Mapping[ResourceId, Fraction]
     ) -> Fraction:
         """Cost of `strategy` for `player` given everyone else's weighted loads."""
 
-    def player_cost(self, profile: Profile, player: PlayerId) -> Cost:
-        self.validate_profile(profile)
-        self.position_of(player)
-        loads = self._loads_excluding(profile, player)
-        return self._cost_against(player, self.strategy_of(profile, player), loads)
+    def _br_against(self, player: PlayerId, loads: Mapping[ResourceId, Fraction]) -> Cell:
+        """The player's cell against everyone else's `loads`; the best
+        responses are every strategy attaining the minimum, the player's
+        current one included."""
+        costs = tuple(self._cost_against(player, s, loads) for s in self.strategy_space(player))
+        best = min(costs)
+        return Cell(costs, tuple(i for i, c in enumerate(costs) if c == best), best)
 
-    def social_cost(self, profile: Profile) -> Cost:
-        self.validate_profile(profile)
-        full = self._full_loads(profile)
-        costs = [
-            self._cost_against(i, self.strategy_of(profile, i), self._without(full, profile, i))
-            for i in self.players
-        ]
+    def evaluate(self, at: "Profile | Evaluation") -> Evaluation:
+        """The evaluation every cost and best-response reader goes through;
+        an evaluation passes through unchanged, so readers take either."""
+        if isinstance(at, Evaluation):
+            return at
+        self.validate_profile(at)
+        return self._evaluation_type(self, at)
+
+    def player_cost(self, at: Profile | Evaluation, player: PlayerId) -> Cost:
+        return self.evaluate(at).cost(self.position_of(player))
+
+    def social_cost(self, at: Profile | Evaluation) -> Cost:
+        ev = self.evaluate(at)
+        costs = [ev.cost(pos) for pos in range(self.n)]
         if self._kind is SocialCostKind.SUM:
             return sum(costs, ZERO)
         return max(costs)
 
     # -- best responses -----------------------------------------------------
 
-    def best_response(self, profile: Profile, player: PlayerId) -> tuple[int, ...]:
-        """All strategy indices attaining the player's minimum cost.
+    def best_response(self, at: Profile | Evaluation, player: PlayerId) -> tuple[int, ...]:
+        """All strategy indices attaining the player's minimum cost, her
+        current one included."""
+        return self.evaluate(at).cell(self.position_of(player)).br
 
-        Each candidate is evaluated with the player removed from her current
-        strategy first, so the full argmin set (including possibly her
-        current strategy) is returned.
-        """
-        self.validate_profile(profile)
-        self.position_of(player)
-        return self._br_against(player, self._loads_excluding(profile, player))[0]
-
-    def _br_against(
-        self, player: PlayerId, loads: Mapping[ResourceId, Fraction]
-    ) -> tuple[tuple[int, ...], Fraction]:
-        best: Fraction | None = None
-        winners: list[int] = []
-        for idx, strategy in enumerate(self.strategy_space(player)):
-            c = self._cost_against(player, strategy, loads)
-            if best is None or c < best:
-                best = c
-                winners = [idx]
-            elif c == best:
-                winners.append(idx)
-        assert best is not None
-        return tuple(winners), best
-
-    def is_suboptimal(self, profile: Profile, player: PlayerId) -> bool:
+    def is_suboptimal(self, at: Profile | Evaluation, player: PlayerId) -> bool:
         """Strict-improvement semantics: an indifferent player never moves."""
-        self.position_of(player)
-        br, _ = self._br_against(player, self._loads_excluding(profile, player))
-        return profile.choice(self, player) not in br
+        return self.evaluate(at).is_suboptimal(self.position_of(player))
 
-    def suboptimal_players(self, profile: Profile) -> tuple[PlayerId, ...]:
-        self.validate_profile(profile)
-        full = self._full_loads(profile)
-        out = []
-        for player in self.players:
-            br, _ = self._br_against(player, self._without(full, profile, player))
-            if profile.choice(self, player) not in br:
-                out.append(player)
-        return tuple(out)
+    def suboptimal_players(self, at: Profile | Evaluation) -> tuple[PlayerId, ...]:
+        ev = self.evaluate(at)
+        return tuple(pos + 1 for pos in range(self.n) if ev.is_suboptimal(pos))
 
-    def is_nash(self, profile: Profile) -> bool:
-        return not self.suboptimal_players(profile)
+    def is_nash(self, at: Profile | Evaluation) -> bool:
+        return not self.suboptimal_players(at)
 
-    def canonical_br_pick(self, profile: Profile, player: PlayerId) -> int:
+    def canonical_br_pick(self, at: Profile | Evaluation, player: PlayerId) -> int:
         """Deterministic member of the best-response set (lowest index)."""
-        return min(self.best_response(profile, player))
+        return min(self.evaluate(at).cell(self.position_of(player)).br)
 
     # -- potential ----------------------------------------------------------
 
@@ -299,12 +317,16 @@ class Game(ABC):
         best-response sequences to legal ones and preserves social cost,
         which lets searches quotient the profile space.
         """
-        if self._classes is None:
-            by_sig: dict[tuple, list[int]] = {}
-            for pos in range(self.n):
-                sig = (self._weights[pos], self._spaces[pos])
-                by_sig.setdefault(sig, []).append(pos)
-            self._classes = tuple(
-                PlayerClass(tuple(group)) for group in by_sig.values()
-            )
-        return self._classes
+        groups: dict[int, list[int]] = {}
+        for pos, first in enumerate(self._class_ids):
+            groups.setdefault(first, []).append(pos)
+        return tuple(PlayerClass(tuple(group)) for group in groups.values())
+
+    @cached_property
+    def _class_ids(self) -> tuple[int, ...]:
+        """Each position's class, named by its first position."""
+        first: dict[tuple, int] = {}
+        return tuple(
+            first.setdefault((w, space), pos)
+            for pos, (w, space) in enumerate(zip(self._weights, self._spaces))
+        )

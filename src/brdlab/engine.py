@@ -26,13 +26,12 @@ from __future__ import annotations
 
 import hashlib
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
-from .core import Cost, Game, GameError, PlayerId, Profile, Strategy
-from .networks import NetworkFormationGame, NfgStateVector
-from .scheduling import SchedStateVector, SchedulingGame
+from .core import Cost, Evaluation, Game, GameError, PlayerId, Profile, Strategy
+from .networks import NfgStateVector
+from .scheduling import SchedStateVector
 
 StateVector = NfgStateVector | SchedStateVector
 
@@ -59,11 +58,6 @@ class RuleViolation(EngineError):
 
 class ScriptError(EngineError):
     """A forced move is not a legal strict-improvement best response."""
-
-
-class BrTie(Enum):
-    LEX_SMALLEST = "lex-smallest"
-    BRANCH_ALL = "branch-all"
 
 
 def profile_digest(profile: Profile) -> str:
@@ -93,16 +87,14 @@ class Trace:
         return tuple(m.player for m in self.moves)
 
 
-def state_vector(game: Game, profile: Profile, player: PlayerId) -> StateVector:
-    if isinstance(game, (NetworkFormationGame, SchedulingGame)):
-        return game.state_vector(profile, player)
-    raise EngineError(f"no state-vector definition for {type(game).__name__}")
+def state_vector(game: Game, at: Profile | Evaluation, player: PlayerId) -> StateVector:
+    return game.state_vector(at, player)
 
 
-def state_vectors(
-    game: Game, profile: Profile, players: Sequence[PlayerId]
-) -> dict[PlayerId, StateVector]:
-    return {i: state_vector(game, profile, i) for i in players}
+def state_vectors(game: Game, at: Profile | Evaluation,
+                  players: Sequence[PlayerId]) -> dict[PlayerId, StateVector]:
+    ev = game.evaluate(at)
+    return {i: game.state_vector(ev, i) for i in players}
 
 
 # -- rules ---------------------------------------------------------------------
@@ -158,9 +150,8 @@ class LocalRule(DeviatorRule):
         return self._accepts(game) if self._accepts else True
 
     def choose(self, game, profile, suboptimal, vectors):
-        key = self._key_builder(game)
-        best = max(key(vectors[i]) for i in suboptimal)
-        return tuple(i for i in suboptimal if key(vectors[i]) == best)
+        chosen = self.vector_chooser(game)([vectors[i] for i in suboptimal])
+        return tuple(suboptimal[k] for k in chosen)
 
     def vector_chooser(
         self, game: Game | None = None
@@ -169,8 +160,9 @@ class LocalRule(DeviatorRule):
         key = self._key_builder(game)
 
         def choose(vectors: Sequence[StateVector]) -> tuple[int, ...]:
-            best = max(key(v) for v in vectors)
-            return tuple(i for i, v in enumerate(vectors) if key(v) == best)
+            keys = [key(v) for v in vectors]
+            best = max(keys)
+            return tuple(i for i, k in enumerate(keys) if k == best)
 
         return choose
 
@@ -204,44 +196,46 @@ RuleMove = tuple[PlayerId, int, Profile]
 
 
 def rule_successors(
-    game: Game, profile: Profile, rule: DeviatorRule, br_tie: BrTie
+    ev: Evaluation, rule: DeviatorRule, branch_all: bool = False
 ) -> tuple[RuleMove, ...]:
-    """The moves `rule` allows out of `profile`, as (player, strategy index,
-    resulting profile); empty exactly when `profile` is an equilibrium.
+    """The moves `rule` allows out of the evaluated profile, as (player,
+    strategy index, resulting profile); empty exactly at an equilibrium.
 
     The lowest-id member of the rule's choice set moves, to the canonical
-    best response or, under `BrTie.BRANCH_ALL`, to every best response.
+    best response or, with `branch_all`, to every best response.
     """
-    suboptimal = game.suboptimal_players(profile)
+    game, profile = ev.game, ev.profile
+    suboptimal = game.suboptimal_players(ev)
     if not suboptimal:
         return ()
-    vectors = state_vectors(game, profile, suboptimal)
+    vectors = state_vectors(game, ev, suboptimal)
     choice = tuple(rule.choose(game, profile, suboptimal, vectors))
     _check_rule_output(choice, suboptimal, rule)
     player = min(choice)
-    if br_tie is BrTie.BRANCH_ALL:
-        targets = game.best_response(profile, player)
+    if branch_all:
+        targets = game.best_response(ev, player)
     else:
-        targets = (game.canonical_br_pick(profile, player),)
+        targets = (game.canonical_br_pick(ev, player),)
     return tuple((player, idx, profile.with_choice(game, player, idx)) for idx in targets)
 
 
 def _apply_move(
-    game: Game, profile: Profile, player: PlayerId, new_index: int, step: int
+    ev: Evaluation, player: PlayerId, new_index: int, step: int
 ) -> tuple[Profile, Move]:
-    cost_before = game.player_cost(profile, player)
-    old_strategy = game.strategy_of(profile, player)
-    after = profile.with_choice(game, player, new_index)
-    cost_after = game.player_cost(after, player)
+    """Move `player` to strategy `new_index`; a move leaves everyone else's
+    loads as they were, so the evaluation gives both of her costs."""
+    game, profile = ev.game, ev.profile
+    cost_before, cost_after = game.player_cost(ev, player), ev.cost_to(player - 1, new_index)
     if cost_after >= cost_before:
         raise ScriptError(
             f"move of player {player} does not strictly improve "
             f"({cost_before} -> {cost_after})"
         )
+    after = profile.with_choice(game, player, new_index)
     move = Move(
         step=step,
         player=player,
-        old_strategy=old_strategy,
+        old_strategy=game.strategy_of(profile, player),
         new_strategy=game.strategy_of(after, player),
         cost_before=cost_before,
         cost_after=cost_after,
@@ -267,11 +261,12 @@ def run_brd(
     moves: list[Move] = []
     seen: set[tuple[int, ...]] = {p0.choices} if not game.is_unweighted else set()
     for step in range(max_steps):
-        successors = rule_successors(game, profile, rule, BrTie.LEX_SMALLEST)
+        ev = game.evaluate(profile)
+        successors = rule_successors(ev, rule)
         if not successors:
             return Trace(p0, tuple(moves), profile, True)
         ((player, new_index, _),) = successors
-        profile, move = _apply_move(game, profile, player, new_index, step)
+        profile, move = _apply_move(ev, player, new_index, step)
         moves.append(move)
         if not game.is_unweighted:
             if profile.choices in seen:
@@ -304,10 +299,11 @@ def run_scripted(
     moves: list[Move] = []
     step = 0
     for player, forced in script:
+        ev = game.evaluate(profile)
         if forced is None:
-            if not game.is_suboptimal(profile, player):
+            if not game.is_suboptimal(ev, player):
                 raise ScriptError(f"scripted player {player} is not suboptimal")
-            idx = game.canonical_br_pick(profile, player)
+            idx = game.canonical_br_pick(ev, player)
         else:
             space = game.strategy_space(player)
             try:
@@ -316,22 +312,18 @@ def run_scripted(
                 raise ScriptError(
                     f"scripted strategy {forced} outside player {player}'s space"
                 ) from None
-            if idx not in game.best_response(profile, player):
+            if idx not in game.best_response(ev, player):
                 raise ScriptError(
                     f"scripted strategy {forced} is not a best response of {player}"
                 )
-            if not game.is_suboptimal(profile, player):
+            if not game.is_suboptimal(ev, player):
                 continue
-        profile, move = _apply_move(game, profile, player, idx, step)
+        profile, move = _apply_move(ev, player, idx, step)
         moves.append(move)
         step += 1
     if continue_rule is not None:
         tail = run_brd(game, profile, continue_rule, max_steps=max_steps)
-        shifted = tuple(
-            Move(step + m.step, m.player, m.old_strategy, m.new_strategy,
-                 m.cost_before, m.cost_after, m.profile_digest)
-            for m in tail.moves
-        )
+        shifted = tuple(replace(m, step=step + m.step) for m in tail.moves)
         return Trace(p0, tuple(moves) + shifted, tail.terminal, tail.terminal_is_ne)
     return Trace(p0, tuple(moves), profile, game.is_nash(profile))
 
@@ -391,7 +383,7 @@ def replay_links(
         state = link[0]
     profile, moves = initial, []
     for step, link in enumerate(reversed(chain)):
-        profile, move = _apply_move(game, profile, mover(profile, link), link[2], step)
+        profile, move = _apply_move(game.evaluate(profile), mover(profile, link), link[2], step)
         moves.append(move)
     return Trace(initial, tuple(moves), profile, game.is_nash(profile))
 
@@ -431,7 +423,7 @@ def reachable_by_rule(
     rule.reset(game)
 
     def successors(choices: Choices) -> list[tuple[int, int, Choices]]:
-        moves = rule_successors(game, Profile(choices), rule, BrTie.BRANCH_ALL)
+        moves = rule_successors(game.evaluate(Profile(choices)), rule, branch_all=True)
         return [(player - 1, idx, child.choices) for player, idx, child in moves]
 
     parents, terminals = parent_search(p0.choices, successors, state_limit)

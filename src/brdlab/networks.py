@@ -19,10 +19,12 @@ import heapq
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
 from .core import (
     STRATEGY_CAP,
+    Evaluation,
     Game,
     GameError,
     PlayerId,
@@ -83,11 +85,20 @@ class Network:
             out.add(self.sink)
         return tuple(sorted(out))
 
+    @cached_property
+    def _incidence(self) -> dict[tuple[str, NodeId], tuple[Edge, ...]]:
+        """("out", v) and ("in", v) to v's out- and in-edges, by edge id."""
+        index: dict[tuple[str, NodeId], list[Edge]] = {}
+        for e in sorted(self.edges, key=lambda e: e.id):
+            index.setdefault(("out", e.tail), []).append(e)
+            index.setdefault(("in", e.head), []).append(e)
+        return {key: tuple(edges) for key, edges in index.items()}
+
     def out_edges(self, node: NodeId) -> tuple[Edge, ...]:
-        return tuple(sorted((e for e in self.edges if e.tail == node), key=lambda e: e.id))
+        return self._incidence.get(("out", node), ())
 
     def in_edges(self, node: NodeId) -> tuple[Edge, ...]:
-        return tuple(sorted((e for e in self.edges if e.head == node), key=lambda e: e.id))
+        return self._incidence.get(("in", node), ())
 
     def _require_terminals(self) -> tuple[NodeId, NodeId]:
         if self.source is None or self.sink is None:
@@ -124,11 +135,8 @@ def compose_series(g1: Network, g2: Network) -> Network:
     s2, t2 = g2._require_terminals()
     mapping = dict(_fresh_nodes(g1, g2))
     mapping[s2] = t1
-    edges2 = _relabel(g2, mapping)
-    clash = {e.id for e in g1.edges} & {e.id for e in edges2}
-    if clash:
-        raise NetworkError(f"edge ids clash in composition: {sorted(clash)}")
-    return Network(g1.edges + edges2, source=s1, sink=mapping.get(t2, t2))
+    # a shared edge id fails Network's duplicate-id check
+    return Network(g1.edges + _relabel(g2, mapping), source=s1, sink=mapping.get(t2, t2))
 
 
 def compose_parallel(g1: Network, g2: Network) -> Network:
@@ -138,11 +146,7 @@ def compose_parallel(g1: Network, g2: Network) -> Network:
     mapping = dict(_fresh_nodes(g1, g2))
     mapping[s2] = s1
     mapping[t2] = t1
-    edges2 = _relabel(g2, mapping)
-    clash = {e.id for e in g1.edges} & {e.id for e in edges2}
-    if clash:
-        raise NetworkError(f"edge ids clash in composition: {sorted(clash)}")
-    return Network(g1.edges + edges2, source=s1, sink=t1)
+    return Network(g1.edges + _relabel(g2, mapping), source=s1, sink=t1)
 
 
 def extend_with_edge(g: Network, edge_id: ResourceId, cost: Fraction | int | str, side: str) -> Network:
@@ -406,7 +410,7 @@ class NetworkFormationGame(Game):
         return sum((self._edge_cost[e] for e in path), ZERO)
 
     def _cost_against(self, player, strategy, loads):
-        w = self.weight(player)
+        w = self._weights[player - 1]
         total = ZERO
         for e in strategy:
             total += w * self._edge_cost[e] / (loads.get(e, ZERO) + w)
@@ -425,10 +429,10 @@ class NetworkFormationGame(Game):
         share weights (the player's cost of joining each edge, herself
         excluded).  Must agree with `best_response`; the test suite
         cross-checks the two on every enumerable game."""
-        self.validate_profile(profile)
-        spec = self.specs[self.position_of(player)]
-        loads = self._loads_excluding(profile, player)
-        w = self.weight(player)
+        pos = self.position_of(player)
+        spec = self.specs[pos]
+        loads = self.evaluate(profile).others(pos)
+        w = self._weights[pos]
 
         def marginal(e: Edge) -> Fraction:
             return w * e.cost / (loads.get(e.id, ZERO) + w)
@@ -464,17 +468,17 @@ class NetworkFormationGame(Game):
                     stack.append((e.head, acc + (e.id,), remaining - m))
         return tuple(sorted(paths))
 
-    def state_vector(self, profile: Profile, player: PlayerId) -> NfgStateVector:
+    def state_vector(self, at: Profile | Evaluation, player: PlayerId) -> NfgStateVector:
         """Four local fields (five when weighted); the best-response fields
         use the lexicographically smallest tied path."""
-        current = self.strategy_of(profile, player)
-        loads = self._loads_excluding(profile, player)
-        br, br_cost = self._br_against(player, loads)
-        br_strategy = self.strategy_space(player)[min(br)]
+        ev = self.evaluate(at)
+        pos = self.position_of(player)
+        space, idx = self._spaces[pos], ev.profile.choices[pos]
+        cell = ev.cell(pos)
         return NfgStateVector(
-            current_cost=self._cost_against(player, current, loads),
-            current_path_cost=self.path_cost(current),
-            br_cost=br_cost,
-            br_path_cost=self.path_cost(br_strategy),
-            weight=None if self.is_unweighted else self.weight(player),
+            current_cost=cell.costs[idx],
+            current_path_cost=self.path_cost(space[idx]),
+            br_cost=cell.br_cost,
+            br_path_cost=self.path_cost(space[min(cell.br)]),
+            weight=None if self.is_unweighted else self._weights[pos],
         )

@@ -28,9 +28,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .core import Cost, Game, PlayerId, Profile
+from .core import Cost, Evaluation, Game, PlayerId, Profile
 from .engine import (
-    BrTie,
     Choices,
     CycleDetected,
     DeviatorRule,
@@ -53,7 +52,6 @@ class _Quotient:
     """Canonical encodings of profiles modulo interchangeable players."""
 
     def __init__(self, game: Game) -> None:
-        self.game = game
         self.classes = game.player_classes()
 
     def canonical(self, choices: Choices) -> Choices:
@@ -66,14 +64,12 @@ class _Quotient:
                 out[pos] = value
         return tuple(out)
 
-    def successors(self, choices: Choices) -> list[tuple[int, int, Choices]]:
-        """Every oracle move out of the canonical profile `choices`, as
+    def successors(self, ev: Evaluation) -> list[tuple[int, int, Choices]]:
+        """Every oracle move out of the evaluated canonical profile, as
         (position, strategy index, canonical child): one representative
         mover per (class, strategy) whose holder is suboptimal, to each of
         her best responses.  Empty exactly at equilibria."""
-        game = self.game
-        profile = Profile(choices)
-        full = game._full_loads(profile)
+        choices = ev.profile.choices
         moves = []
         for cls in self.classes:
             seen: set[int] = set()
@@ -82,7 +78,7 @@ class _Quotient:
                 if idx in seen:
                     continue
                 seen.add(idx)
-                br, _ = game._br_against(pos + 1, game._without(full, profile, pos + 1))
+                br = ev.cell(pos).br
                 if idx in br:
                     continue
                 for target in br:
@@ -161,7 +157,9 @@ def reachable_ne(
     game.validate_profile(p0)
     quotient = _Quotient(game)
     root = quotient.canonical(p0.choices)
-    parents, ne_keys = parent_search(root, quotient.successors, state_limit)
+    parents, ne_keys = parent_search(
+        root, lambda choices: quotient.successors(game.evaluate(Profile(choices))), state_limit
+    )
     return ReachableSet(game, p0, tuple(map(Profile, ne_keys)),
                         SearchStats(len(parents), state_limit), quotient, parents)
 
@@ -242,9 +240,10 @@ class _Searches:
         entry = self._oracle.get(key)
         if entry is None:
             self._grow(self._oracle)
-            moves = self.quotient.successors(key)
+            ev = self.game.evaluate(Profile(key))
+            moves = self.quotient.successors(ev)
             if not moves:
-                self.ne_cost[key] = self.game.social_cost(Profile(key))
+                self.ne_cost[key] = self.game.social_cost(ev)
             entry = self._oracle[key] = (moves, frozenset(child for _, _, child in moves))
         return entry
 
@@ -255,7 +254,8 @@ class _Searches:
         moves = self._rule.get(choices)
         if moves is None:
             self._grow(self._rule)
-            found = rule_successors(self.game, Profile(choices), self.rule, BrTie.BRANCH_ALL)
+            found = rule_successors(self.game.evaluate(Profile(choices)), self.rule,
+                                    branch_all=True)
             moves = self._rule[choices] = [(p - 1, idx, child.choices) for p, idx, child in found]
             self._check(choices, [child for _, _, child in moves])
         return moves

@@ -17,10 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .core import (
     STRATEGY_CAP,
+    Evaluation,
     Game,
     GameError,
     PlayerId,
@@ -52,12 +54,21 @@ class SchedStateVector:
         return tuple(sorted(self.loads))
 
 
+class SchedEvaluation(Evaluation):
+    @cached_property
+    def machine_loads(self) -> tuple[Fraction, ...]:
+        """Load of each machine 1..m, built once per profile."""
+        return tuple(self.loads.get(m, ZERO) for m in range(1, self.game.machine_count + 1))
+
+
 class SchedulingGame(Game):
     """Identical machines 1..m; strategy of a job is a single machine.
 
     `activation_cost` switches on the conflicting-congestion model, which
     requires unit job lengths.  Social cost is always the makespan.
     """
+
+    _evaluation_type = SchedEvaluation
 
     def __init__(
         self,
@@ -95,9 +106,8 @@ class SchedulingGame(Game):
     def machine_of(self, profile: Profile, player: PlayerId) -> MachineId:
         return self.strategy_of(profile, player)[0]
 
-    def loads(self, profile: Profile) -> tuple[Fraction, ...]:
-        loads = self._full_loads(profile)
-        return tuple(loads.get(m, ZERO) for m in range(1, self.machine_count + 1))
+    def loads(self, at: Profile | Evaluation) -> tuple[Fraction, ...]:
+        return self.evaluate(at).machine_loads
 
     def job_cost_at_load(self, load: Fraction) -> Fraction:
         """c(x) = x + B/x in the conflicting model, x itself otherwise."""
@@ -108,13 +118,14 @@ class SchedulingGame(Game):
         return load + self.activation_cost / load
 
     def _cost_against(self, player, strategy, loads):
-        load = loads.get(strategy[0], ZERO) + self.weight(player)
-        return self.job_cost_at_load(load)
+        # job_cost_at_load without its guard: a job's own length makes the load positive
+        load = loads.get(strategy[0], ZERO) + self._weights[player - 1]
+        return load if self.activation_cost is None else load + self.activation_cost / load
 
     def _unit_resource_cost(self, resource: ResourceId, multiplicity: int) -> Fraction:
         return self.job_cost_at_load(Fraction(multiplicity))
 
-    def canonical_br_pick(self, profile: Profile, player: PlayerId) -> int:
+    def canonical_br_pick(self, at: Profile | Evaluation, player: PlayerId) -> int:
         """Deterministic best-response target.
 
         Conflicting model: prefer the least loaded tied target (joining a
@@ -122,17 +133,20 @@ class SchedulingGame(Game):
         highest index, the convention that keeps the load-sorted relabeling
         fixed along the dynamics.  Linear model: lowest machine index.
         """
-        br = self.best_response(profile, player)
+        ev = self.evaluate(at)
+        br = ev.cell(self.position_of(player)).br
         if not self.is_conflicting:
             return min(br)
-        loads = self.loads(profile)
+        loads = ev.machine_loads
         return min(br, key=lambda idx: (loads[idx], -idx))
 
-    def state_vector(self, profile: Profile, player: PlayerId) -> SchedStateVector:
+    def state_vector(self, at: Profile | Evaluation, player: PlayerId) -> SchedStateVector:
+        ev = self.evaluate(at)
+        pos = self.position_of(player)
         return SchedStateVector(
-            length=self.weight(player),
-            machine=self.machine_of(profile, player),
-            loads=self.loads(profile),
+            length=self._weights[pos],
+            machine=self._spaces[pos][ev.profile.choices[pos]][0],
+            loads=ev.machine_loads,
         )
 
 

@@ -23,8 +23,13 @@ class FormatError(ValueError):
     pass
 
 
+def _is_int(value: Any) -> bool:
+    # JSON true/false decode to bools, which Python counts as ints
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_rational(value: Any) -> Fraction:
-    if isinstance(value, int):
+    if _is_int(value):
         return Fraction(value)
     if isinstance(value, str):
         # no exponents: "1e999999999" would have Fraction build an integer
@@ -62,14 +67,14 @@ def _get(
     where: str,
     default: Any = _REQUIRED,
 ) -> Any:
-    """doc[key], which must be of type `kind`; a missing key gives
-    `default` when there is one."""
+    """doc[key], which must be of type `kind` (a bool only where `kind` is
+    bool or object); a missing key gives `default` when there is one."""
     if key not in doc:
         if default is _REQUIRED:
             raise FormatError(f"{where} needs the field {key!r}")
         return default
     value = doc[key]
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind not in (bool, object)):
         raise FormatError(f"field {key!r} of {where} has the wrong JSON type")
     return value
 
@@ -118,11 +123,12 @@ def instance_to_doc(game: Game, initial: Profile) -> dict[str, Any]:
             doc["B"] = fmt_rational(game.activation_cost)
     else:
         raise FormatError(f"cannot serialize {type(game).__name__}")
-    doc["initial"] = {
-        str(i): encode_strategy(game, game.strategy_of(initial, i))
-        for i in game.players
-    }
+    doc["initial"] = profile_to_doc(game, initial)
     return doc
+
+
+def profile_to_doc(game: Game, profile: Profile) -> dict[str, Any]:
+    return {str(i): encode_strategy(game, game.strategy_of(profile, i)) for i in game.players}
 
 
 def encode_strategy(game: Game, strategy: Strategy) -> Any:
@@ -133,10 +139,10 @@ def encode_strategy(game: Game, strategy: Strategy) -> Any:
 
 def decode_strategy(game: Game, raw: Any) -> Strategy:
     if isinstance(game, SchedulingGame):
-        if not isinstance(raw, int):
+        if not _is_int(raw):
             raise FormatError("scheduling strategies are machine indices")
         return (raw,)
-    if not isinstance(raw, list) or not all(isinstance(x, int) for x in raw):
+    if not isinstance(raw, list) or not all(map(_is_int, raw)):
         raise FormatError("network strategies are edge-id lists")
     return tuple(raw)
 
@@ -212,10 +218,7 @@ def _profile_of(game: Game, raw: Any, where: str) -> Profile:
 
 def trace_to_doc(game: Game, trace: Trace) -> dict[str, Any]:
     return {
-        "initial": {
-            str(i): encode_strategy(game, game.strategy_of(trace.initial, i))
-            for i in game.players
-        },
+        "initial": profile_to_doc(game, trace.initial),
         "moves": [
             {
                 "step": m.step,
@@ -228,10 +231,7 @@ def trace_to_doc(game: Game, trace: Trace) -> dict[str, Any]:
             }
             for m in trace.moves
         ],
-        "terminal": {
-            str(i): encode_strategy(game, game.strategy_of(trace.terminal, i))
-            for i in game.players
-        },
+        "terminal": profile_to_doc(game, trace.terminal),
         "terminal_is_ne": trace.terminal_is_ne,
     }
 
@@ -268,26 +268,27 @@ def verify_trace(game: Game, trace: Trace) -> None:
     recorded strict cost drop, and the terminal matches (including its
     equilibrium flag)."""
     profile = trace.initial
-    game.validate_profile(profile)
     for i, m in enumerate(trace.moves):
         if m.step != i:
             raise ReplayError(f"move {i} carries step {m.step}")
-        if not game.is_suboptimal(profile, m.player):
+        # one evaluation per move, of which only the mover's cell is read
+        ev = game.evaluate(profile)
+        if not game.is_suboptimal(ev, m.player):
             raise ReplayError(f"step {m.step}: player {m.player} was not suboptimal")
         if game.strategy_of(profile, m.player) != m.old_strategy:
             raise ReplayError(f"step {m.step}: recorded old strategy mismatch")
-        if game.player_cost(profile, m.player) != m.cost_before:
+        if game.player_cost(ev, m.player) != m.cost_before:
             raise ReplayError(f"step {m.step}: recorded pre-move cost mismatch")
         space = game.strategy_space(m.player)
         try:
             idx = space.index(m.new_strategy)
         except ValueError:
             raise ReplayError(f"step {m.step}: strategy outside the space") from None
-        if idx not in game.best_response(profile, m.player):
+        if idx not in game.best_response(ev, m.player):
             raise ReplayError(f"step {m.step}: move is not a best response")
-        profile = profile.with_choice(game, m.player, idx)
-        if game.player_cost(profile, m.player) != m.cost_after:
+        if ev.cost_to(m.player - 1, idx) != m.cost_after:
             raise ReplayError(f"step {m.step}: recorded post-move cost mismatch")
+        profile = profile.with_choice(game, m.player, idx)
         if m.cost_after >= m.cost_before:
             raise ReplayError(f"step {m.step}: move does not strictly improve")
         if profile_digest(profile) != m.profile_digest:

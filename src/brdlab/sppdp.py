@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .core import ZERO, GameError, PlayerId, Profile, ResourceId, Strategy
+from .core import Evaluation, GameError, PlayerId, Profile, ResourceId, Strategy
 from .engine import ScriptMove, Trace, _apply_move, run_scripted
 from .networks import Edge, Network, NetworkFormationGame, PlayerSpec
 
@@ -171,26 +171,18 @@ def _segment_picks(
     movable = []
     for pos, p in enumerate(instance.players):
         mine = set(p.initial)
+
+        def marginal(e: SppEdge) -> Fraction:
+            return e.cost / (counts.get(e.id, 0) - (e.id in mine) + 1)
+
         strict = False
-        for seg_offset, seg in enumerate(range(p.source + 1, p.target + 1)):
-            best_key = None
-            best_edge = None
-            current_marginal = None
-            for e in instance.segments[seg - 1]:
-                others = counts.get(e.id, 0) - (1 if e.id in mine else 0)
-                marginal = e.cost / (others + 1)
-                if e.id == p.initial[seg_offset]:
-                    current_marginal = marginal
-                key = (marginal, e.cost, e.id)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_edge = e
-            assert best_edge is not None and best_key is not None
-            assert current_marginal is not None
-            if best_key[0] < current_marginal:
-                strict = True
-            pick[(pos, seg)] = best_edge.id
-            pick_cost[(pos, seg)] = best_edge.cost
+        for seg, current in zip(range(p.source + 1, p.target + 1), p.initial):
+            block = instance.segments[seg - 1]
+            best = min(block, key=lambda e: (marginal(e), e.cost, e.id))
+            own = next(e for e in block if e.id == current)
+            strict = strict or marginal(best) < marginal(own)
+            pick[(pos, seg)] = best.id
+            pick_cost[(pos, seg)] = best.cost
         movable.append(strict)
     return pick, pick_cost, tuple(movable)
 
@@ -334,54 +326,45 @@ def replay(instance: SppInstance, table: DpTable) -> Trace:
     moves = list(head.moves)
     step = len(moves)
     while step < _REPLAY_STEPS:
-        suboptimal = game.suboptimal_players(profile)
+        ev = game.evaluate(profile)
+        suboptimal = game.suboptimal_players(ev)
         if not suboptimal:
-            break
+            return Trace(p0, tuple(moves), profile, True)
         player = suboptimal[0]
-        strategy = _flock_strategy(instance, game, profile, player, resolved)
+        strategy = _flock_strategy(instance, ev, player, resolved)
         idx = game.strategy_space(player).index(strategy)
-        profile, move = _apply_move(game, profile, player, idx, step)
+        profile, move = _apply_move(ev, player, idx, step)
         moves.append(move)
         step += 1
-    else:
-        raise SppError(f"cleanup did not settle within {_REPLAY_STEPS} steps")
-    return Trace(p0, tuple(moves), profile, game.is_nash(profile))
+    raise SppError(f"cleanup did not settle within {_REPLAY_STEPS} steps")
 
 
 def _flock_strategy(
     instance: SppInstance,
-    game,
-    profile: Profile,
+    ev: Evaluation,
     player: PlayerId,
     resolved: Mapping[int, ResourceId],
 ) -> Strategy:
-    """The player's best response at the live profile, one segment at a
-    time, preferring the resolved edge among marginal ties, then her
-    current edge, then the cheapest."""
-    loads = game._loads_excluding(profile, player)
-    p = instance.players[player - 1]
-    current = dict(
-        zip(range(p.source + 1, p.target + 1), game.strategy_of(profile, player))
-    )
+    """The player's best response at the evaluated profile, one segment at
+    a time, preferring the resolved edge among marginal ties, then her
+    current edge, then the cheapest.  A path's cost is the sum of its
+    segments' marginal shares, so her best paths combine per-segment ties
+    freely, and the edges her best paths use in a segment are its ties."""
+    game = ev.game
+    pos = player - 1
+    space = game.strategy_space(player)
+    best = [space[idx] for idx in ev.cell(pos).br]
+    current = space[ev.profile.choices[pos]]
+    p = instance.players[pos]
     out = []
-    for seg in range(p.source + 1, p.target + 1):
-        best_marginal = None
-        for e in instance.segments[seg - 1]:
-            marginal = e.cost / (loads.get(e.id, ZERO) + 1)
-            if best_marginal is None or marginal < best_marginal:
-                best_marginal = marginal
-        argmin = [
-            e
-            for e in instance.segments[seg - 1]
-            if e.cost / (loads.get(e.id, ZERO) + 1) == best_marginal
-        ]
-        ids = {e.id for e in argmin}
-        if resolved.get(seg) in ids:
+    for k, seg in enumerate(range(p.source + 1, p.target + 1)):
+        ties = {path[k] for path in best}
+        if resolved.get(seg) in ties:
             out.append(resolved[seg])
-        elif current[seg] in ids:
-            out.append(current[seg])
+        elif current[k] in ties:
+            out.append(current[k])
         else:
-            out.append(min(argmin, key=lambda e: (e.cost, e.id)).id)
+            out.append(min(ties, key=lambda e: (game.edge_cost(e), e)))
     return tuple(out)
 
 

@@ -133,3 +133,29 @@ def random_coco_game(
     game = SchedulingGame(m, [F(1)] * n, activation_cost=b)
     p0 = Profile(tuple(rng.randrange(m) for _ in range(n)))
     return game, p0
+
+
+def random_weighted_game(rng: random.Random) -> NetworkFormationGame:
+    """A weighted network formation game on parallel edges or a 2×2 chain
+    (the topologies weighted games admit), with weights drawn from a small
+    set so that some players are interchangeable."""
+    n = rng.randint(2, 4)
+    weights = [rng.choice((F(1), F(3, 2), F(2))) for _ in range(n)]
+    if rng.random() < 0.6:
+        net = parallel_network([rand_cost(rng) for _ in range(rng.randint(2, 4))])
+        target = 1
+    else:
+        edges = [Edge(i, 0, 1, rand_cost(rng)) for i in (1, 2)]
+        edges += [Edge(i, 1, 2, rand_cost(rng)) for i in (3, 4)]
+        net = Network(tuple(edges), source=0, sink=2)
+        target = 2
+    return NetworkFormationGame(net, [PlayerSpec(0, target, w) for w in weights])
+
+
+def random_linear_game(rng: random.Random) -> tuple[SchedulingGame, Profile]:
+    """Linear-model scheduling on 2-5 machines with up to 10 jobs, lengths
+    drawn from a small set so that equal jobs occur."""
+    m = rng.randint(2, 5)
+    lengths = [rng.choice((F(1), F(2), F(5, 2), F(7, 3))) for _ in range(rng.randint(2, 10))]
+    game = SchedulingGame(m, lengths)
+    return game, random_profile(rng, game)

@@ -187,6 +187,8 @@ REPRODUCED = [
     ("check", FIG2, edited(FIG2_TRACE, "terminal_is_ne", value="no")),
     ("check", FIG2, edited(FIG2_TRACE, "terminal_is_ne", value=[0])),
     ("check", FIG3, FIG3_SAME_STEPS),
+    ("check", FIG3, edited(FIG3_TRACE, "moves", 1, "step", value=True)),
+    ("oracle", edited(FIG2, "graph", "source", value=False), None),
 ]
 
 

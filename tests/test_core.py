@@ -10,7 +10,14 @@ import pytest
 from brdlab.core import InvalidProfileError, Profile, UnsupportedModelError
 from brdlab.networks import NetworkFormationGame, PlayerSpec
 from brdlab.scheduling import SchedulingGame
-from helpers import parallel_network, random_profile, random_symmetric_game
+from helpers import (
+    parallel_network,
+    random_coco_game,
+    random_linear_game,
+    random_profile,
+    random_symmetric_game,
+    random_weighted_game,
+)
 
 
 def two_edge_game(costs=("1", "2"), n=1):
@@ -180,3 +187,89 @@ class TestPlayerClasses:
         game = NetworkFormationGame(net, specs)
         groups = sorted(tuple(c.positions) for c in game.player_classes())
         assert groups == [(0, 2), (1,)]
+
+
+def evaluation_pool(seed: int, rounds: int = 25):
+    """(game, profile) pairs: symmetric and weighted network games, linear
+    and conflicting scheduling games."""
+    rng = random.Random(seed)
+    for _ in range(rounds):
+        for make in (random_symmetric_game, random_weighted_game):
+            game = make(rng)
+            yield game, random_profile(rng, game)
+        yield random_linear_game(rng)
+        yield random_coco_game(rng, max_n=12, max_m=4)
+
+
+def reference_costs(game, profile, player):
+    """The cost of each of the player's strategies against everyone else,
+    with the loads summed by hand from the other players' strategies."""
+    others = {}
+    for j in game.players:
+        if j != player:
+            for e in game.strategy_of(profile, j):
+                others[e] = others.get(e, 0) + game.weight(j)
+    w = game.weight(player)
+    costs = []
+    for strategy in game.strategy_space(player):
+        if isinstance(game, SchedulingGame):
+            load = others.get(strategy[0], 0) + w
+            b = game.activation_cost
+            costs.append(load if b is None else load + b / load)
+        else:
+            costs.append(sum(w * game.edge_cost(e) / (others.get(e, 0) + w) for e in strategy))
+    return costs
+
+
+class TestEvaluation:
+    def test_cells_match_a_from_scratch_reference(self):
+        for game, p in evaluation_pool(seed=61):
+            ev = game.evaluate(p)
+            sub = []
+            for player in game.players:
+                pos = player - 1
+                costs = reference_costs(game, p, player)
+                best = min(costs)
+                cell = ev.cell(pos)
+                assert ev.cost(pos) == costs[p.choices[pos]] == game.player_cost(p, player)
+                assert cell.br == tuple(i for i, c in enumerate(costs) if c == best)
+                assert cell.br_cost == best
+                if p.choices[pos] not in cell.br:
+                    sub.append(player)
+            assert game.suboptimal_players(ev) == game.suboptimal_players(p) == tuple(sub)
+            own = [reference_costs(game, p, i)[p.choices[i - 1]] for i in game.players]
+            expected = sum(own) if isinstance(game, NetworkFormationGame) else max(own)
+            assert game.social_cost(ev) == game.social_cost(p) == expected
+
+    def test_cost_to_is_the_cost_after_the_move(self):
+        for game, p in evaluation_pool(seed=62, rounds=15):
+            ev = game.evaluate(p)
+            for player in game.players:
+                for idx in range(len(game.strategy_space(player))):
+                    moved = p.with_choice(game, player, idx)
+                    assert ev.cost_to(player - 1, idx) == game.player_cost(moved, player)
+
+    def test_clones_on_one_strategy_share_one_cell(self):
+        shared = 0
+        for game, p in evaluation_pool(seed=63):
+            calls = []
+            br_against = game._br_against
+
+            def counted(player, loads, br_against=br_against, calls=calls):
+                calls.append(player)
+                return br_against(player, loads)
+
+            game._br_against = counted
+            ev = game.evaluate(p)
+            assert calls == []  # cells are computed on first request only
+            game.suboptimal_players(ev)
+            keys = {(game._class_ids[pos], idx) for pos, idx in enumerate(p.choices)}
+            assert len(calls) == len(keys)
+            for cls in game.player_classes():
+                for a in cls.positions:
+                    for b in cls.positions:
+                        if a < b and p.choices[a] == p.choices[b]:
+                            assert ev.cell(a) is ev.cell(b)
+                            shared += 1
+            assert len(calls) == len(keys)
+        assert shared > 50

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from brdlab.fixtures import fig3_minpath_chain
 from brdlab.networks import (
     Edge,
     Network,
@@ -25,7 +26,7 @@ from brdlab.networks import (
     single_edge,
     spp_segments,
 )
-from helpers import parallel_network, random_profile
+from helpers import parallel_network, random_profile, random_symmetric_game
 
 
 def parallel_block(first_id: int, costs) -> Network:
@@ -305,3 +306,17 @@ class TestStateVector:
                 v = game.state_vector(p, i)
                 assert v.br_cost <= v.current_cost
                 assert (v.br_cost == v.current_cost) == (not game.is_suboptimal(p, i))
+
+
+class TestIncidence:
+    def test_indexed_edges_match_a_scan(self):
+        rng = random.Random(11)
+        nets = [fig3_minpath_chain(m=4).game.network]
+        nets += [random_symmetric_game(rng).network for _ in range(20)]
+        for net in nets:
+            for v in net.nodes:
+                assert net.out_edges(v) == tuple(
+                    sorted((e for e in net.edges if e.tail == v), key=lambda e: e.id))
+                assert net.in_edges(v) == tuple(
+                    sorted((e for e in net.edges if e.head == v), key=lambda e: e.id))
+            assert net.out_edges(max(net.nodes) + 1) == net.in_edges(-1) == ()

@@ -14,8 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brdlab.cli import main
+from brdlab.core import Profile
 from brdlab.engine import LowestIdRule, run_brd
 from brdlab.fixtures import appB_coco, fig2_maxcost, fig3_minpath_chain
+from brdlab.rules import RULES
+from brdlab.scheduling import SchedulingGame
 from brdlab.serde import (
     FormatError,
     ReplayError,
@@ -350,3 +353,99 @@ class TestGoldenCli:
         assert main(["fixture", "fig2", "--out", str(instance)]) == 0
         argv = ["ineff", str(instance), "--rule", "max-cost", "--state-limit", "2"]
         assert main(argv) == 3
+
+
+def _run_instances():
+    """Fixed linear and conflicting scheduling instances with tied loads and
+    tied best responses, and fig2."""
+    fig2 = fig2_maxcost()
+    return {
+        "sched-a": (SchedulingGame(4, [3, 3, 2, 2, 2, 1, 1, 5, 4, 2, 1, 3]),
+                    Profile((0, 0, 0, 0, 1, 1, 0, 0, 2, 0, 3, 0))),
+        "sched-b": (SchedulingGame(3, ["7/2", "5/3", 2, "5/2", 1, "7/3", 3, "1/2", 2]),
+                    Profile((2, 2, 2, 2, 1, 2, 2, 0, 2))),
+        "coco-a": (SchedulingGame(5, [1] * 20, activation_cost=6),
+                   Profile((0,) * 3 + (1,) * 4 + (2,) * 5 + (3,) * 6 + (4,) * 2)),
+        "coco-b": (SchedulingGame(5, [1] * 17, activation_cost="13/2"),
+                   Profile((4,) * 6 + (3,) * 5 + (2, 2, 2, 1, 1, 0))),
+        "coco-c": (SchedulingGame(6, [1] * 18, activation_cost=16),
+                   Profile((0, 1, 1, 2, 2, 2, 3, 3, 3, 3, 4, 4, 4, 4, 4, 5, 5, 5))),
+        "fig2": (fig2.game, fig2.initial),
+    }
+
+
+# sha256 of `brdlab run --rule <rule> --seed 3 --out` on `_run_instances()`;
+# None where the rule does not accept the game (exit 2).  They pin the
+# engine's tie-breaks: the lowest id among the rule's choice set, the lowest
+# tied best response, and in the conflicting model the least loaded, highest
+# index tied machine.
+GOLDEN_RUN = {
+    "sched-a": {
+        "max-cost": (0, "e907c212a00ee1b6f9f98da13475b5c10067582f9c2074cfb84e5f040f85fcff"),
+        "min-path": (2, None),
+        "max-improvement": (0, "85a3c74bf5cab4b98cdd386e89cc0f21cfb38e2088921ffa92ef72a7f18cb60b"),
+        "longest-job": (0, "34570ed4731caf4129a82049858606a1edbae5fb5955cbaba33840181d458e3b"),
+        "round-robin": (0, "e907c212a00ee1b6f9f98da13475b5c10067582f9c2074cfb84e5f040f85fcff"),
+        "random": (0, "f6bd988164e1c829289c30986bfbf50154220708f5496c6d55f85c599f2b8bc9"),
+        "s-opt": (2, None),
+    },
+    "sched-b": {
+        "max-cost": (0, "9575d25ca88c83c6f07c3ee05c852e242a1f84d5fe48aa736961714432369898"),
+        "min-path": (2, None),
+        "max-improvement": (0, "9c29e6e135dec7a477fc093013eed62112ca3b1384c30e5756a9f8a2551d0df7"),
+        "longest-job": (0, "07178ffc55cf0f33619d054fcc0770e0a9786cdbb070ea2af0019bbd716fa112"),
+        "round-robin": (0, "fb9d0898759d6ba0bdf7801e0be40320e6d007dde8341b3403055195eea5d48a"),
+        "random": (0, "4c4ff072d0d2532f0ee91cc704824927d9787ef1fe4834f8e2ba8599c9b82601"),
+        "s-opt": (2, None),
+    },
+    "coco-a": {
+        "max-cost": (0, "70decff32abeff29cb597293ad1d536a18ba4a301ea69b1cbd39de58457fed83"),
+        "min-path": (2, None),
+        "max-improvement": (0, "70decff32abeff29cb597293ad1d536a18ba4a301ea69b1cbd39de58457fed83"),
+        "longest-job": (0, "c058f9b4b6f02124c819eebe446fe3efcf67e4d5158ad21a6a0985643369a352"),
+        "round-robin": (0, "c058f9b4b6f02124c819eebe446fe3efcf67e4d5158ad21a6a0985643369a352"),
+        "random": (0, "02f80aefb1451f815478d90aeea10a17fefed97bee34a44e6c4fecb896dd7f0c"),
+        "s-opt": (0, "4fc791d135ba1e79682c0071495a02023c51eea79c1c0e0ab206eb8ec5598d46"),
+    },
+    "coco-b": {
+        "max-cost": (0, "b9691ef40ea95c150b30112bbe141a88cf77eb4f26465ed60f1fe01bfc69512e"),
+        "min-path": (2, None),
+        "max-improvement": (0, "b9691ef40ea95c150b30112bbe141a88cf77eb4f26465ed60f1fe01bfc69512e"),
+        "longest-job": (0, "10e3f9174f96b237350f10a993793a0c7a3ca744784046330ece68a777b5ab05"),
+        "round-robin": (0, "10e3f9174f96b237350f10a993793a0c7a3ca744784046330ece68a777b5ab05"),
+        "random": (0, "483756f8b4d739e89aa2e76b771d1ba7aa6f8fda131f12d7a1c4e97ddc780a4e"),
+        "s-opt": (0, "e39729ae9c887bf053de8441f91faf0356466eb6ec1cf588ecd29831e5380b3b"),
+    },
+    "coco-c": {
+        "max-cost": (0, "407dd28b5f652b402b1c501e9953e8b383fd56a58e1b9eb646d203dec1effaf6"),
+        "min-path": (2, None),
+        "max-improvement": (0, "407dd28b5f652b402b1c501e9953e8b383fd56a58e1b9eb646d203dec1effaf6"),
+        "longest-job": (0, "407dd28b5f652b402b1c501e9953e8b383fd56a58e1b9eb646d203dec1effaf6"),
+        "round-robin": (0, "407dd28b5f652b402b1c501e9953e8b383fd56a58e1b9eb646d203dec1effaf6"),
+        "random": (0, "4fb54c4aab9adff68e3789cd00e478c5b250e183b099ad50ecbca8508203fe7f"),
+        "s-opt": (0, "5542e49e0a71dde7b9f18162a8e4939d160f326a5683a97952b163d437db3ee0"),
+    },
+    "fig2": {
+        "max-cost": (0, "faa152b6043a783a9240f4d2e080d6229da580b19ceb8f7b5bfa85e293ed8af9"),
+        "min-path": (0, "c156e10adf01465182976bca5d81ba844200a9377f3978a91de60a6e30a0c044"),
+        "max-improvement": (0, "faa152b6043a783a9240f4d2e080d6229da580b19ceb8f7b5bfa85e293ed8af9"),
+        "longest-job": (2, None),
+        "round-robin": (0, "faa152b6043a783a9240f4d2e080d6229da580b19ceb8f7b5bfa85e293ed8af9"),
+        "random": (0, "c9132c375836d9270943b68b352c4b9786f4183c1c23fb996e7fe62eb4117e09"),
+        "s-opt": (2, None),
+    },
+}
+
+
+class TestGoldenRun:
+    def test_run_outputs(self, tmp_path):
+        got = {}
+        for name, (game, p0) in _run_instances().items():
+            instance = tmp_path / f"{name}.json"
+            instance.write_text(dumps(instance_to_doc(game, p0)))
+            got[name] = {
+                rule: _golden_run(["run", str(instance), "--rule", rule, "--seed", "3"],
+                                  tmp_path / f"{name}.{rule}.json")
+                for rule in RULES
+            }
+        assert got == GOLDEN_RUN
