@@ -18,6 +18,7 @@ against everyone else's loads.
 
 from __future__ import annotations
 
+import copy
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
@@ -93,13 +94,21 @@ class Cell(NamedTuple):
 class Evaluation:
     """One profile's weighted load map, and each position's `Cell` on first
     request.  A cell depends only on the position's class and strategy, so
-    clones on one strategy share it.  Nothing outlives the profile."""
+    clones on one strategy share it, and so do relabelings of the profile
+    (see `relabeled`)."""
 
     def __init__(self, game: "Game", profile: Profile) -> None:
         self.game = game
         self.profile = profile
         self.loads = game._full_loads(profile)
         self._cells: dict[tuple[int, int], Cell] = {}
+
+    def relabeled(self, profile: Profile) -> "Evaluation":
+        """An evaluation of `profile`, a permutation of this profile among
+        interchangeable players: it has the same loads and cells."""
+        ev = copy.copy(self)
+        ev.profile = profile
+        return ev
 
     def others(self, pos: int) -> dict[ResourceId, Fraction]:
         """Everyone else's weighted loads: the full map without `pos`."""

@@ -104,7 +104,8 @@ class DeviatorRule(ABC):
     """Selects the next deviating player among the suboptimal ones."""
 
     name: str = "rule"
-    is_local: bool = False
+    # False for rules that carry run state (a cursor, a seeded generator)
+    is_stateless: bool = True
 
     def reset(self, game: Game) -> None:
         """Called once per run; stateful rules rebuild cursor/seed state."""
@@ -122,10 +123,6 @@ class DeviatorRule(ABC):
     ) -> tuple[PlayerId, ...]:
         """Non-empty choice set, a subset of `suboptimal`."""
 
-    @property
-    def is_stateless(self) -> bool:
-        return True
-
 
 class LocalRule(DeviatorRule):
     """A total preorder over state vectors; the choice set is the owners of
@@ -133,8 +130,6 @@ class LocalRule(DeviatorRule):
     letting rules close over public game parameters (e.g. the activation
     cost); pass `game=None` to score bare vectors in locality audits.
     """
-
-    is_local = True
 
     def __init__(
         self,

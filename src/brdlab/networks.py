@@ -240,33 +240,39 @@ def _is_ep(edges: tuple[Edge, ...], s: NodeId, t: NodeId) -> bool:
                 continue
             return False
         blocks = _parallel_blocks(edges, s, t)
-        if blocks is None:
-            return False
         if len(blocks) > 1:
             pending.extend((tuple(block), s, t) for block in blocks)
             continue
-        # single block: try peeling one series edge off either terminal
-        out_s = [e for e in edges if e.tail == s]
-        if len(out_s) == 1 and not any(e.head == s for e in edges):
-            e = out_s[0]
-            if not any(o is not e and o.head == e.head for o in edges) and e.head != t:
-                pending.append((tuple(o for o in edges if o is not e), e.head, t))
-                continue
-        in_t = [e for e in edges if e.head == t]
-        if len(in_t) == 1 and not any(e.tail == t for e in edges):
-            e = in_t[0]
-            if not any(o is not e and o.tail == e.tail for o in edges) and e.tail != s:
-                pending.append((tuple(o for o in edges if o is not e), s, e.tail))
-                continue
-        return False
+        # single block: peel the series run of single edges off each terminal
+        out: dict[NodeId, list[Edge]] = {}
+        into: dict[NodeId, list[Edge]] = {}
+        for e in edges:
+            out.setdefault(e.tail, []).append(e)
+            into.setdefault(e.head, []).append(e)
+        peeled: set[ResourceId] = set()
+        while s not in into and len(out.get(s, ())) == 1:
+            e = out[s][0]
+            if e.head == t or len(into[e.head]) != 1:
+                break
+            del out[s], into[e.head]
+            peeled.add(e.id)
+            s = e.head
+        while t not in out and len(into.get(t, ())) == 1:
+            e = into[t][0]
+            if e.tail == s or len(out[e.tail]) != 1:
+                break
+            del into[t], out[e.tail]
+            peeled.add(e.id)
+            t = e.tail
+        if not peeled:
+            return False
+        pending.append((tuple(e for e in edges if e.id not in peeled), s, t))
     return True
 
 
-def _parallel_blocks(
-    edges: tuple[Edge, ...], s: NodeId, t: NodeId
-) -> list[list[Edge]] | None:
-    """Partition into components attached only at {s, t}; None if some edge
-    avoids both terminals' component structure (disconnected garbage)."""
+def _parallel_blocks(edges: tuple[Edge, ...], s: NodeId, t: NodeId) -> list[list[Edge]]:
+    """Partition into components attached only at {s, t}; a component that
+    avoids both terminals is a block of its own, which is not EP."""
     parent: dict = {}
 
     def find(x):
@@ -406,8 +412,11 @@ class NetworkFormationGame(Game):
     def edge_cost(self, edge_id: ResourceId) -> Fraction:
         return self._edge_cost[edge_id]
 
-    def path_cost(self, path: Strategy) -> Fraction:
-        return sum((self._edge_cost[e] for e in path), ZERO)
+    @cached_property
+    def _path_costs(self) -> dict[int, tuple[Fraction, ...]]:
+        """Each class's path costs by strategy index, built on first use."""
+        return {c: tuple(sum((self._edge_cost[e] for e in path), ZERO) for path in self._spaces[c])
+                for c in set(self._class_ids)}
 
     def _cost_against(self, player, strategy, loads):
         w = self._weights[player - 1]
@@ -473,12 +482,12 @@ class NetworkFormationGame(Game):
         use the lexicographically smallest tied path."""
         ev = self.evaluate(at)
         pos = self.position_of(player)
-        space, idx = self._spaces[pos], ev.profile.choices[pos]
+        path_costs, idx = self._path_costs[self._class_ids[pos]], ev.profile.choices[pos]
         cell = ev.cell(pos)
         return NfgStateVector(
             current_cost=cell.costs[idx],
-            current_path_cost=self.path_cost(space[idx]),
+            current_path_cost=path_costs[idx],
             br_cost=cell.br_cost,
-            br_path_cost=self.path_cost(space[min(cell.br)]),
+            br_path_cost=path_costs[min(cell.br)],
             weight=None if self.is_unweighted else self._weights[pos],
         )

@@ -11,10 +11,12 @@ The search and the witness replay are the engine's `parent_search` and
 `replay_links`, the same ones `engine.reachable_by_rule` runs on.
 
 `rule_inefficiency` and `game_inefficiency` share one per-start routine:
-it searches the oracle's moves and the rule's (or replays a stateful rule's
-run), checks every rule move against the oracle's, and asserts the
-1 <= alpha <= worst/best envelope.  The moves are memoized per game, so
-`game_inefficiency` expands each state once however many starts reach it.
+it searches the oracle's moves and the rule's, checks every rule move
+against the oracle's, and asserts the 1 <= alpha <= worst/best envelope.
+A stateful rule's search has one move per state, so it is the rule's run.
+The oracle's moves and a stateless rule's are memoized per call, so
+`game_inefficiency` expands each state once however many starts reach it,
+and a raw rule state reads the evaluation of its canonical profile.
 
 Budgets are hard: exceeding the state limit raises; partial searches are
 never reported as results.
@@ -42,7 +44,6 @@ from .engine import (
     parent_search,
     replay_links,
     rule_successors,
-    run_brd,
 )
 
 DEFAULT_STATE_LIMIT = 5_000_000
@@ -102,7 +103,6 @@ class _Quotient:
 @dataclass(frozen=True)
 class SearchStats:
     visited: int
-    state_limit: int
 
 
 @dataclass
@@ -161,7 +161,7 @@ def reachable_ne(
         root, lambda choices: quotient.successors(game.evaluate(Profile(choices))), state_limit
     )
     return ReachableSet(game, p0, tuple(map(Profile, ne_keys)),
-                        SearchStats(len(parents), state_limit), quotient, parents)
+                        SearchStats(len(parents)), quotient, parents)
 
 
 def best_reachable(
@@ -204,7 +204,7 @@ SearchMove = tuple[int, int, Choices]
 @dataclass
 class _Start:
     """The searches from one start profile: the oracle's over canonical
-    profiles, and the rule's over raw ones (one run for a stateful rule)."""
+    profiles, and the rule's over raw ones (the run of a stateful rule)."""
 
     parents: Parents
     ne_keys: tuple[Choices, ...]
@@ -215,20 +215,20 @@ class _Start:
 
 class _Searches:
     """One game's best-response moves, memoized across start profiles: the
-    oracle's for each canonical profile, and a stateless rule's for each raw
-    profile (the engine's lowest-id tie-break need not commute with
-    relabeling interchangeable players).  Every rule move is checked to be
-    an oracle move and every rule terminal an oracle sink, which puts
-    NE_S(p0) within NE(p0).  `state_limit` bounds each search and the
-    states each memo holds."""
+    oracle's moves and evaluation for each canonical profile, and a
+    stateless rule's moves for each raw profile (the engine's lowest-id
+    tie-break need not commute with relabeling interchangeable players).
+    Every rule move is checked to be an oracle move and every rule terminal
+    an oracle sink, which puts NE_S(p0) within NE(p0).  `state_limit`
+    bounds each search and the states each memo holds."""
 
     def __init__(self, game: Game, rule: DeviatorRule, state_limit: int) -> None:
         self.game = game
         self.rule = rule
         self.state_limit = state_limit
         self.quotient = _Quotient(game)
-        # canonical state -> (its oracle moves, their canonical children)
-        self._oracle: dict[Choices, tuple[list[SearchMove], frozenset[Choices]]] = {}
+        # canonical state -> (its oracle moves, their canonical children, its evaluation)
+        self._oracle: dict[Choices, tuple[list[SearchMove], frozenset[Choices], Evaluation]] = {}
         self._rule: dict[Choices, list[SearchMove]] = {}
         self.ne_cost: dict[Choices, Cost] = {}
 
@@ -236,7 +236,7 @@ class _Searches:
         if len(memo) >= self.state_limit:
             raise StateBudgetExceeded(f"search exceeded the {self.state_limit}-state budget")
 
-    def _expand(self, key: Choices) -> tuple[list[SearchMove], frozenset[Choices]]:
+    def _expand(self, key: Choices) -> tuple[list[SearchMove], frozenset[Choices], Evaluation]:
         entry = self._oracle.get(key)
         if entry is None:
             self._grow(self._oracle)
@@ -244,29 +244,31 @@ class _Searches:
             moves = self.quotient.successors(ev)
             if not moves:
                 self.ne_cost[key] = self.game.social_cost(ev)
-            entry = self._oracle[key] = (moves, frozenset(child for _, _, child in moves))
+            entry = self._oracle[key] = (moves, frozenset(child for _, _, child in moves), ev)
         return entry
 
     def oracle_moves(self, key: Choices) -> list[SearchMove]:
         return self._expand(key)[0]
 
     def rule_moves(self, choices: Choices) -> list[SearchMove]:
+        """The rule's moves out of the raw state `choices`, read from its
+        canonical profile's evaluation: to every best response for a
+        stateless rule, memoized, and to the canonical one for a stateful
+        rule, whose search is then its run.  Each child must be the child of
+        an oracle move, and a state without moves an oracle sink."""
         moves = self._rule.get(choices)
         if moves is None:
-            self._grow(self._rule)
-            found = rule_successors(self.game.evaluate(Profile(choices)), self.rule,
-                                    branch_all=True)
-            moves = self._rule[choices] = [(p - 1, idx, child.choices) for p, idx, child in found]
-            self._check(choices, [child for _, _, child in moves])
+            canonical, stateless = self.quotient.canonical, self.rule.is_stateless
+            _, kids, ev = self._expand(canonical(choices))
+            found = rule_successors(ev.relabeled(Profile(choices)), self.rule,
+                                    branch_all=stateless)
+            moves = [(p - 1, idx, child.choices) for p, idx, child in found]
+            if (kids and not moves) or any(canonical(child) not in kids for _, _, child in moves):
+                raise AssertionError("rule reached an equilibrium outside NE(p0)")
+            if stateless:
+                self._grow(self._rule)
+                self._rule[choices] = moves
         return moves
-
-    def _check(self, choices: Choices, children: list[Choices]) -> None:
-        """Each raw child of `choices` must be the child of an oracle move,
-        and a state without children an oracle sink."""
-        canonical = self.quotient.canonical
-        kids = self._expand(canonical(choices))[1]
-        if (kids and not children) or any(canonical(child) not in kids for child in children):
-            raise AssertionError("rule reached an equilibrium outside NE(p0)")
 
     def cost(self, choices: Choices) -> Cost:
         """Social cost of an equilibrium the oracle has searched."""
@@ -278,21 +280,10 @@ class _Searches:
         game, rule = self.game, self.rule
         root = self.quotient.canonical(p0.choices)
         parents, ne_keys = parent_search(root, self.oracle_moves, self.state_limit)
-        if rule.is_stateless:
-            if not rule.accepts(game):
-                raise EngineError(f"rule {rule.name} does not accept this game class")
-            rule.reset(game)
-            links, terminals = parent_search(p0.choices, self.rule_moves, self.state_limit)
-        else:  # one run, linked and checked move by move
-            links, profile = {p0.choices: None}, p0
-            for move in run_brd(game, p0, rule).moves:
-                idx = game.strategy_space(move.player).index(move.new_strategy)
-                child = profile.with_choice(game, move.player, idx)
-                self._check(profile.choices, [child.choices])
-                links[child.choices] = (profile.choices, move.player - 1, idx)
-                profile = child
-            self._check(profile.choices, [])
-            terminals = (profile.choices,)
+        if not rule.accepts(game):
+            raise EngineError(f"rule {rule.name} does not accept this game class")
+        rule.reset(game)
+        links, terminals = parent_search(p0.choices, self.rule_moves, self.state_limit)
         if not ne_keys or not terminals:
             raise CycleDetected("a best-response cycle reaches no equilibrium")
         ne_costs = [self.ne_cost[key] for key in ne_keys]
@@ -320,7 +311,7 @@ def rule_inefficiency(
     ne_costs = sorted((searches.ne_cost[key], key) for key in start.ne_keys)
     rule_costs = sorted((searches.cost(t), t) for t in start.rule_terminals)
     reach = ReachableSet(game, p0, tuple(map(Profile, start.ne_keys)),
-                         SearchStats(len(start.parents), state_limit), searches.quotient,
+                         SearchStats(len(start.parents)), searches.quotient,
                          start.parents)
     rule_reach = RuleReach(tuple(map(Profile, start.rule_terminals)), len(start.rule_links),
                            p0, start.rule_links)
@@ -370,18 +361,9 @@ def game_inefficiency(
     """
     profiles = profile_source if profile_source is not None else all_profiles(game)
     searches = _Searches(game, rule, state_limit)
-    # vector-based rules are equivariant under interchangeable-player
-    # relabelings, so equivalent initial profiles yield the same alpha
-    dedupe = rule.is_local
-    seen_keys: set[Choices] = set()
     worst: Fraction | None = None
     for p0 in profiles:
         game.validate_profile(p0)
-        if dedupe:
-            root = searches.quotient.canonical(p0.choices)
-            if root in seen_keys:
-                continue
-            seen_keys.add(root)
         alpha = searches.start(p0).alpha
         worst = alpha if worst is None else max(worst, alpha)
     if worst is None:

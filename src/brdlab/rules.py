@@ -99,16 +99,13 @@ class RoundRobinRule(DeviatorRule):
     """Cyclic scan from the last chosen id; the cursor is run state."""
 
     name = "round-robin"
+    is_stateless = False
 
     def __init__(self) -> None:
         self._cursor = 0
 
     def reset(self, game: Game) -> None:
         self._cursor = 0
-
-    @property
-    def is_stateless(self) -> bool:
-        return False
 
     def choose(self, game, profile, suboptimal, vectors):
         above = [i for i in suboptimal if i > self._cursor]
@@ -122,6 +119,7 @@ class RandomRule(DeviatorRule):
     run is replay-deterministic."""
 
     name = "random"
+    is_stateless = False
 
     def __init__(self, seed: int) -> None:
         self.seed = seed
@@ -129,10 +127,6 @@ class RandomRule(DeviatorRule):
 
     def reset(self, game: Game) -> None:
         self._rng = random.Random(self.seed)
-
-    @property
-    def is_stateless(self) -> bool:
-        return False
 
     def choose(self, game, profile, suboptimal, vectors):
         return (self._rng.choice(sorted(suboptimal)),)

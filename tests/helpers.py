@@ -32,18 +32,24 @@ def parallel_network(costs) -> Network:
     )
 
 
-def random_symmetric_game(rng: random.Random) -> NetworkFormationGame:
+def random_symmetric_game(rng: random.Random, tie_heavy: bool = False) -> NetworkFormationGame:
     """A symmetric network formation game with at most 4 players and at
-    most 6 paths: either parallel edges or a two-segment chain."""
+    most 6 paths: either parallel edges or a two-segment chain.  With
+    `tie_heavy` the edge costs are drawn from {1, 2, 4}, so equal shares
+    and tied best responses are common."""
+
+    def cost() -> F:
+        return F(rng.choice((1, 2, 4))) if tie_heavy else rand_cost(rng)
+
     n = rng.randint(2, 4)
     if rng.random() < 0.7:
         k = rng.randint(2, 6)
-        net = parallel_network([rand_cost(rng) for _ in range(k)])
+        net = parallel_network([cost() for _ in range(k)])
         target = 1
     else:
         a, b = rng.choice([(2, 2), (2, 3), (3, 2)])
-        edges = [Edge(i, 0, 1, rand_cost(rng)) for i in range(1, a + 1)]
-        edges += [Edge(a + i, 1, 2, rand_cost(rng)) for i in range(1, b + 1)]
+        edges = [Edge(i, 0, 1, cost()) for i in range(1, a + 1)]
+        edges += [Edge(a + i, 1, 2, cost()) for i in range(1, b + 1)]
         net = Network(tuple(edges), source=0, sink=2)
         target = 2
     return NetworkFormationGame(net, [PlayerSpec(0, target)] * n)

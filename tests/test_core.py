@@ -273,3 +273,25 @@ class TestEvaluation:
                             shared += 1
             assert len(calls) == len(keys)
         assert shared > 50
+
+    def test_relabeled_evaluation_reads_like_a_fresh_one(self):
+        rng = random.Random(64)
+        for game, p in evaluation_pool(seed=64):
+            choices = list(p.choices)
+            for cls in game.player_classes():
+                values = [choices[pos] for pos in cls.positions]
+                rng.shuffle(values)
+                for pos, value in zip(cls.positions, values):
+                    choices[pos] = value
+            raw = Profile(tuple(choices))
+            ev = game.evaluate(p)
+            game.suboptimal_players(ev)  # cells computed before the relabeling
+            relabeled, fresh = ev.relabeled(raw), game.evaluate(raw)
+            assert relabeled.profile == raw and ev.profile == p
+            for player in game.players:
+                pos = player - 1
+                assert relabeled.cell(pos) == fresh.cell(pos)
+                assert relabeled.cost(pos) == fresh.cost(pos)
+                for idx in range(len(game.strategy_space(player))):
+                    assert relabeled.cost_to(pos, idx) == fresh.cost_to(pos, idx)
+                assert game.state_vector(relabeled, player) == game.state_vector(fresh, player)

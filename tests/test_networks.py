@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from brdlab import networks
 from brdlab.fixtures import fig3_minpath_chain
 from brdlab.networks import (
     Edge,
@@ -180,6 +181,21 @@ class TestPaths:
         net = Network(tuple(Edge(i, i - 1, i, F(1)) for i in range(1, m + 1)), source=0, sink=m)
         assert enumerate_paths(net, 0, m) == (tuple(range(1, m + 1)),)
         assert is_ep(net)
+
+    def test_series_chain_is_peeled_in_one_pass(self, monkeypatch):
+        # a series run is peeled in one pass: one block partition per chain
+        m = 1200
+        net = Network(tuple(Edge(i, i - 1, i, F(1)) for i in range(1, m + 1)), source=0, sink=m)
+        calls = []
+        blocks = networks._parallel_blocks
+
+        def counted(*args):
+            calls.append(args)
+            return blocks(*args)
+
+        monkeypatch.setattr(networks, "_parallel_blocks", counted)
+        assert is_ep(net)
+        assert len(calls) == 1
 
 
 class TestGameConstruction:
