@@ -2,23 +2,26 @@
 
 A game holds an ordered set of players, a finite strategy space per player
 (each strategy is a tuple of resource ids), and one of four closed resource
-cost models.  All arithmetic is exact (`fractions.Fraction`); the instances
-this package studies hinge on epsilon-perturbations and exact ties, which
-floating point would corrupt.
+cost models.  All arithmetic is exact: the instances this package studies
+hinge on epsilon-perturbations and exact ties, which floating point would
+corrupt.  Loads are integers in a per-game load unit and costs integers in
+a per-game cost unit (`Fraction`s in weighted network games); every public
+cost, load and state-vector field is a `Fraction`, built where it is read.
 
 Strategy profiles are immutable and hashable; every operation here is a pure
 function of (game, profile), so games and profiles can be shared freely
 across concurrent evaluations.
 
 Every cost and best-response reader answers from one `Evaluation` of the
-profile: its weighted load map, built once, and per (player class,
-strategy) a lazily computed `Cell` holding the cost of every strategy
-against everyone else's loads.
+profile: its integer load map, built once, and per (player class, strategy)
+a lazily computed `Cell` holding the cost of every strategy against
+everyone else's loads.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
@@ -32,7 +35,6 @@ Strategy = tuple[ResourceId, ...]
 Cost = Fraction
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 # the largest strategy space a game materializes: network games list their
 # paths and scheduling games their machines up front
@@ -84,18 +86,27 @@ class PlayerClass:
 
 class Cell(NamedTuple):
     """One position's view of a profile: the cost of each of its strategies
-    against everyone else's loads, its best responses and their cost."""
+    against everyone else's loads, in multiples of 1/`unit` (integers but in
+    weighted network games), and its best responses.  `cost` and `br_cost`
+    read one cost as a `Fraction`."""
 
-    costs: tuple[Cost, ...]
+    costs: tuple[int | Fraction, ...]
     br: tuple[int, ...]
-    br_cost: Cost
+    unit: int
+
+    def cost(self, idx: int) -> Cost:
+        return Fraction(self.costs[idx], self.unit)
+
+    @property
+    def br_cost(self) -> Cost:
+        return self.cost(self.br[0])
 
 
 class Evaluation:
-    """One profile's weighted load map, and each position's `Cell` on first
-    request.  A cell depends only on the position's class and strategy, so
-    clones on one strategy share it, and so do relabelings of the profile
-    (see `relabeled`)."""
+    """One profile's load map, integers in the game's load unit, and each
+    position's `Cell` on first request.  A cell depends only on the
+    position's class and strategy, so clones on one strategy share it, and
+    so do relabelings of the profile (see `relabeled`)."""
 
     def __init__(self, game: "Game", profile: Profile) -> None:
         self.game = game
@@ -110,10 +121,10 @@ class Evaluation:
         ev.profile = profile
         return ev
 
-    def others(self, pos: int) -> dict[ResourceId, Fraction]:
-        """Everyone else's weighted loads: the full map without `pos`."""
+    def others(self, pos: int) -> dict[ResourceId, int]:
+        """Everyone else's loads: the full map without `pos`."""
         loads = dict(self.loads)
-        w, space = self.game._weights[pos], self.game._spaces[pos]
+        w, space = self.game._load_weights[pos], self.game._spaces[pos]
         for e in space[self.profile.choices[pos]]:
             loads[e] -= w
         return loads
@@ -126,11 +137,11 @@ class Evaluation:
         return cell
 
     def cost(self, pos: int) -> Cost:
-        return self.cell(pos).costs[self.profile.choices[pos]]
+        return self.cell(pos).cost(self.profile.choices[pos])
 
     def cost_to(self, pos: int, idx: int) -> Cost:
         """The position's cost once it has moved to strategy `idx`."""
-        return self.cell(pos).costs[idx]
+        return self.cell(pos).cost(idx)
 
     def is_suboptimal(self, pos: int) -> bool:
         return self.profile.choices[pos] not in self.cell(pos).br
@@ -139,13 +150,16 @@ class Evaluation:
 class Game(ABC):
     """Abstract congestion game over a fixed player list 1..n.
 
-    Subclasses fix the resource model by implementing `_cost_against`:
-    the cost a player incurs by playing `strategy` against the weighted
-    loads of everyone else (the loads exclude the player herself).
+    Subclasses fix the resource model by implementing `_costs_against`:
+    the cost of each of a position's strategies against everyone else's
+    loads (the loads exclude the player herself), in multiples of
+    1/`_cost_unit`.
     """
 
     # what `evaluate` builds; a game may add projections of its own
     _evaluation_type: type[Evaluation] = Evaluation
+    # costs count in multiples of 1/_cost_unit, which each model fixes
+    _cost_unit: int = 1
 
     def __init__(
         self,
@@ -171,6 +185,9 @@ class Game(ABC):
         )
         self._weights = tuple(Fraction(w) for w in weights)
         self._kind = social_cost_kind
+        # loads count in multiples of 1/_load_unit, so every weight is an integer
+        u = self._load_unit = math.lcm(*(w.denominator for w in self._weights))
+        self._load_weights = tuple(w.numerator * (u // w.denominator) for w in self._weights)
 
     # -- structure ---------------------------------------------------------
 
@@ -235,27 +252,28 @@ class Game(ABC):
 
     # -- loads and costs ----------------------------------------------------
 
-    def _full_loads(self, profile: Profile) -> dict[ResourceId, Fraction]:
-        """Weighted load of every used resource."""
-        loads: dict[ResourceId, Fraction] = {}
-        for space, w, idx in zip(self._spaces, self._weights, profile.choices, strict=True):
+    def _full_loads(self, profile: Profile) -> dict[ResourceId, int]:
+        """Load of every used resource, in the load unit."""
+        loads: dict[ResourceId, int] = {}
+        for space, w, idx in zip(self._spaces, self._load_weights, profile.choices, strict=True):
             for e in space[idx]:
-                loads[e] = loads.get(e, ZERO) + w
+                loads[e] = loads.get(e, 0) + w
         return loads
 
     @abstractmethod
-    def _cost_against(
-        self, player: PlayerId, strategy: Strategy, loads: Mapping[ResourceId, Fraction]
-    ) -> Fraction:
-        """Cost of `strategy` for `player` given everyone else's weighted loads."""
+    def _costs_against(
+        self, pos: int, loads: Mapping[ResourceId, int]
+    ) -> tuple[int | Fraction, ...]:
+        """The cost of each of the position's strategies against everyone
+        else's `loads`, in multiples of 1/_cost_unit."""
 
-    def _br_against(self, player: PlayerId, loads: Mapping[ResourceId, Fraction]) -> Cell:
+    def _br_against(self, player: PlayerId, loads: Mapping[ResourceId, int]) -> Cell:
         """The player's cell against everyone else's `loads`; the best
         responses are every strategy attaining the minimum, the player's
         current one included."""
-        costs = tuple(self._cost_against(player, s, loads) for s in self.strategy_space(player))
+        costs = self._costs_against(player - 1, loads)
         best = min(costs)
-        return Cell(costs, tuple(i for i, c in enumerate(costs) if c == best), best)
+        return Cell(costs, tuple(i for i, c in enumerate(costs) if c == best), self._cost_unit)
 
     def evaluate(self, at: "Profile | Evaluation") -> Evaluation:
         """The evaluation every cost and best-response reader goes through;
@@ -270,10 +288,9 @@ class Game(ABC):
 
     def social_cost(self, at: Profile | Evaluation) -> Cost:
         ev = self.evaluate(at)
-        costs = [ev.cost(pos) for pos in range(self.n)]
-        if self._kind is SocialCostKind.SUM:
-            return sum(costs, ZERO)
-        return max(costs)
+        costs = [ev.cell(pos).costs[idx] for pos, idx in enumerate(ev.profile.choices)]
+        return Fraction(sum(costs) if self._kind is SocialCostKind.SUM else max(costs),
+                        self._cost_unit)
 
     # -- best responses -----------------------------------------------------
 
@@ -313,7 +330,7 @@ class Game(ABC):
         total = ZERO
         for e, load in self._full_loads(profile).items():
             # unit weights: the load is the number of users
-            for k in range(1, int(load) + 1):
+            for k in range(1, load + 1):
                 total += self._unit_resource_cost(e, k)
         return total
 

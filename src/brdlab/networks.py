@@ -16,6 +16,7 @@ validate each other.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -380,6 +381,10 @@ class NetworkFormationGame(Game):
     Weighted games are only admitted on parallel-edge and 1-2 segment SPP
     topologies, the settings where best-response dynamics is known to
     converge; anything else is rejected at construction.
+
+    Unit-weight costs are integers in U = lcm(edge-cost denominators) *
+    lcm(1..n), where a share (c_e * U) // k is exact as k <= n divides U.
+    Weighted shares stay `Fraction`s: no small unit bounds them.
     """
 
     def __init__(
@@ -390,6 +395,9 @@ class NetworkFormationGame(Game):
         self.network = network
         self.specs = tuple(players)
         weights = [p.weight for p in self.specs]
+        self._edge_cost = {e.id: e.cost for e in network.edges}
+        # edge costs in the cost unit: integers when weights are unit
+        self._scaled_cost = self._edge_cost
         if any(w != 1 for w in weights):
             segs = spp_segments(network)
             if segs is None or len(segs) > 2:
@@ -397,7 +405,11 @@ class NetworkFormationGame(Game):
                     "weighted players are restricted to parallel-edge and "
                     "2-segment SPP networks"
                 )
-        self._edge_cost = {e.id: e.cost for e in network.edges}
+        else:
+            u = self._cost_unit = (math.lcm(*(e.cost.denominator for e in network.edges))
+                                   * math.lcm(*range(1, len(weights) + 1)))
+            self._scaled_cost = {e.id: e.cost.numerator * (u // e.cost.denominator)
+                                 for e in network.edges}
         spaces = [
             enumerate_paths(network, p.source, p.target) for p in self.specs
         ]
@@ -418,12 +430,22 @@ class NetworkFormationGame(Game):
         return {c: tuple(sum((self._edge_cost[e] for e in path), ZERO) for path in self._spaces[c])
                 for c in set(self._class_ids)}
 
-    def _cost_against(self, player, strategy, loads):
-        w = self._weights[player - 1]
-        total = ZERO
-        for e in strategy:
-            total += w * self._edge_cost[e] / (loads.get(e, ZERO) + w)
-        return total
+    @cached_property
+    def _class_edges(self) -> dict[int, tuple[ResourceId, ...]]:
+        """The edges on each class's paths."""
+        return {c: tuple({e for path in self._spaces[c] for e in path})
+                for c in set(self._class_ids)}
+
+    def _costs_against(self, pos, loads):
+        # each edge's share once, then each path's sum of shares
+        w, cost = self._load_weights[pos], self._scaled_cost
+        edges = self._class_edges[self._class_ids[pos]]
+        if self.is_unweighted:
+            share = {e: cost[e] // (loads.get(e, 0) + 1) for e in edges}
+        else:
+            share = {e: cost[e] * w / (loads.get(e, 0) + w) for e in edges}
+        get = share.__getitem__
+        return tuple(sum(map(get, path)) for path in self._spaces[pos])
 
     def _unit_resource_cost(self, resource: ResourceId, multiplicity: int) -> Fraction:
         return self._edge_cost[resource] / multiplicity
@@ -441,10 +463,10 @@ class NetworkFormationGame(Game):
         pos = self.position_of(player)
         spec = self.specs[pos]
         loads = self.evaluate(profile).others(pos)
-        w = self._weights[pos]
+        w = self._load_weights[pos]
 
         def marginal(e: Edge) -> Fraction:
-            return w * e.cost / (loads.get(e.id, ZERO) + w)
+            return e.cost * w / (loads.get(e.id, 0) + w)
 
         dist: dict[NodeId, Fraction] = {spec.source: ZERO}
         done: set[NodeId] = set()
@@ -485,7 +507,7 @@ class NetworkFormationGame(Game):
         path_costs, idx = self._path_costs[self._class_ids[pos]], ev.profile.choices[pos]
         cell = ev.cell(pos)
         return NfgStateVector(
-            current_cost=cell.costs[idx],
+            current_cost=cell.cost(idx),
             current_path_cost=path_costs[idx],
             br_cost=cell.br_cost,
             br_path_cost=path_costs[min(cell.br)],

@@ -30,7 +30,6 @@ from .core import (
     ResourceId,
     SocialCostKind,
     UnsupportedModelError,
-    ZERO,
 )
 
 MachineId = int
@@ -58,7 +57,9 @@ class SchedEvaluation(Evaluation):
     @cached_property
     def machine_loads(self) -> tuple[Fraction, ...]:
         """Load of each machine 1..m, built once per profile."""
-        return tuple(self.loads.get(m, ZERO) for m in range(1, self.game.machine_count + 1))
+        u = self.game._load_unit
+        return tuple(Fraction(self.loads.get(m, 0), u)
+                     for m in range(1, self.game.machine_count + 1))
 
 
 class SchedulingGame(Game):
@@ -66,6 +67,10 @@ class SchedulingGame(Game):
 
     `activation_cost` switches on the conflicting-congestion model, which
     requires unit job lengths.  Social cost is always the makespan.
+
+    Linear costs are loads, integers in the load unit.  Conflicting costs
+    are integers in U = den(B) * lcm(1..n), where c(k) = k * U + (B * U) // k
+    is exact as a load k <= n divides U.
     """
 
     _evaluation_type = SchedEvaluation
@@ -98,6 +103,14 @@ class SchedulingGame(Game):
                 )
         spaces = [[(m,) for m in range(1, machine_count + 1)]] * len(lengths)
         super().__init__(spaces, lengths, SocialCostKind.MAKESPAN)
+        # B in the cost unit: no per-load table, since the unit has O(n) bits
+        self._scaled_b = None
+        b = self.activation_cost
+        if b is None:
+            self._cost_unit = self._load_unit
+        else:
+            u = self._cost_unit = b.denominator * math.lcm(*range(1, self.n + 1))
+            self._scaled_b = b.numerator * (u // b.denominator)
 
     @property
     def is_conflicting(self) -> bool:
@@ -117,10 +130,13 @@ class SchedulingGame(Game):
             return load
         return load + self.activation_cost / load
 
-    def _cost_against(self, player, strategy, loads):
-        # job_cost_at_load without its guard: a job's own length makes the load positive
-        load = loads.get(strategy[0], ZERO) + self._weights[player - 1]
-        return load if self.activation_cost is None else load + self.activation_cost / load
+    def _costs_against(self, pos, loads):
+        w = self._load_weights[pos]
+        joined = [loads.get(m, 0) + w for m in range(1, self.machine_count + 1)]
+        if self._scaled_b is None:
+            return tuple(joined)
+        u, bu = self._cost_unit, self._scaled_b
+        return tuple(k * u + bu // k for k in joined)
 
     def _unit_resource_cost(self, resource: ResourceId, multiplicity: int) -> Fraction:
         return self.job_cost_at_load(Fraction(multiplicity))
@@ -137,8 +153,8 @@ class SchedulingGame(Game):
         br = ev.cell(self.position_of(player)).br
         if not self.is_conflicting:
             return min(br)
-        loads = ev.machine_loads
-        return min(br, key=lambda idx: (loads[idx], -idx))
+        loads = ev.loads
+        return min(br, key=lambda idx: (loads.get(idx + 1, 0), -idx))
 
     def state_vector(self, at: Profile | Evaluation, player: PlayerId) -> SchedStateVector:
         ev = self.evaluate(at)

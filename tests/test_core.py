@@ -15,6 +15,8 @@ from helpers import (
     random_coco_game,
     random_linear_game,
     random_profile,
+    random_proper_instance,
+    random_single_source_instance,
     random_symmetric_game,
     random_weighted_game,
 )
@@ -190,15 +192,38 @@ class TestPlayerClasses:
 
 
 def evaluation_pool(seed: int, rounds: int = 25):
-    """(game, profile) pairs: symmetric and weighted network games, linear
-    and conflicting scheduling games."""
-    rng = random.Random(seed)
+    """(game, profile) pairs: symmetric network games, plain and tie-heavy,
+    weighted network games, SPP chains, linear scheduling games (some with
+    job-length denominators mixed over 1..9), conflicting games (some with
+    B = 6, where c(2) = 2 + 6/2 = 3 + 6/3 = c(3) ties exactly, some with
+    B's denominator over 1..9 and loads up to 12), and two games whose
+    integer cost unit is wide: 41 unit players on parallel edges with prime
+    cost denominators, and 56 unit jobs under a half-integer B."""
+    rng, more = random.Random(seed), random.Random(-seed)
     for _ in range(rounds):
         for make in (random_symmetric_game, random_weighted_game):
             game = make(rng)
             yield game, random_profile(rng, game)
         yield random_linear_game(rng)
         yield random_coco_game(rng, max_n=12, max_m=4)
+        game = random_symmetric_game(more, tie_heavy=True)
+        yield game, random_profile(more, game)
+        for make in (random_single_source_instance, random_proper_instance):
+            yield make(more, tie_heavy=more.random() < 0.5).to_game()
+        lengths = [F(more.randint(1, 20), more.randint(1, 9)) for _ in range(more.randint(2, 10))]
+        game = SchedulingGame(more.randint(2, 5), lengths)
+        yield game, random_profile(more, game)
+        m = more.randint(2, 4)
+        game = SchedulingGame(m, [1] * more.randint(m, 12), activation_cost=6)
+        yield game, random_profile(more, game)
+        b = F(more.randint(4, 60), more.randint(1, 9))
+        game = SchedulingGame(2, [1] * more.randint(8, 12), activation_cost=b)
+        yield game, random_profile(more, game)
+    costs = [F(p * more.randint(4, 9) + more.randint(1, p - 1), p) for p in (17, 19, 23, 29, 31)]
+    game = NetworkFormationGame(parallel_network(costs), [PlayerSpec(0, 1)] * 41)
+    yield game, random_profile(more, game)
+    game = SchedulingGame(8, [1] * 56, activation_cost=F(2 * more.randint(10, 40) + 1, 2))
+    yield game, random_profile(more, game)
 
 
 def reference_costs(game, profile, player):
@@ -240,6 +265,23 @@ class TestEvaluation:
             own = [reference_costs(game, p, i)[p.choices[i - 1]] for i in game.players]
             expected = sum(own) if isinstance(game, NetworkFormationGame) else max(own)
             assert game.social_cost(ev) == game.social_cost(p) == expected
+
+    def test_public_costs_are_fractions(self):
+        for game, p in evaluation_pool(seed=65, rounds=5):
+            ev = game.evaluate(p)
+            values = [game.social_cost(ev), game.social_cost(p)]
+            if isinstance(game, SchedulingGame):
+                values += game.loads(ev)
+            for player in game.players:
+                pos = player - 1
+                values.append(game.player_cost(ev, player))
+                values += [ev.cost_to(pos, idx) for idx in range(len(game.strategy_space(player)))]
+                v = game.state_vector(ev, player)
+                if isinstance(game, SchedulingGame):
+                    values += [v.length, *v.loads]
+                else:
+                    values += [v.current_cost, v.current_path_cost, v.br_cost, v.br_path_cost]
+            assert values and all(type(x) is F for x in values), game
 
     def test_cost_to_is_the_cost_after_the_move(self):
         for game, p in evaluation_pool(seed=62, rounds=15):
