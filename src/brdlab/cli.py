@@ -4,11 +4,15 @@ Subcommands: run (dynamics under a rule), oracle (enumerate reachable
 equilibria), ineff (rule inefficiency report), dp (optimal sequences on SPP
 chains), fixture (materialize a benchmark instance), check (replay-verify a
 trace).  Invalid input exits 2, exhausted budgets exit 3, success exits 0.
+
+`main` builds the argparse tree once per process, on its first call, and
+reuses it for every later call; `build_parser` returns a fresh one.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -205,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fixture", help="materialize a benchmark instance")
     p.add_argument("name")
-    p.add_argument("--params", nargs="*", default=[])
+    p.add_argument("--params", nargs="*", default=())
     p.add_argument("--out")
     p.set_defaults(func=_cmd_fixture)
 
@@ -217,9 +221,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first `main` call rather than at import; a parse keeps no
+# state in the parser, so one serves every call
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (StepBudgetExceeded, StateBudgetExceeded, CycleDetected) as exc:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import (
     STRATEGY_CAP,
@@ -352,6 +352,16 @@ def enumerate_paths(
 # -- the game -----------------------------------------------------------------
 
 
+def unit_edge_costs(edges: Iterable[Edge], n: int) -> tuple[int, dict[ResourceId, int]]:
+    """The cost unit U = lcm(edge-cost denominators) * lcm(1..n) of n
+    unit-weight players, and each edge's cost as an integer in it: a share
+    (c_e * U) // k at k <= n users is exact, as k divides U.  Anything with
+    an `id` and a `cost` serves as an edge."""
+    edges = tuple(edges)
+    u = math.lcm(*(e.cost.denominator for e in edges)) * math.lcm(*range(1, n + 1))
+    return u, {e.id: e.cost.numerator * (u // e.cost.denominator) for e in edges}
+
+
 @dataclass(frozen=True)
 class PlayerSpec:
     source: NodeId
@@ -406,14 +416,14 @@ class NetworkFormationGame(Game):
                     "2-segment SPP networks"
                 )
         else:
-            u = self._cost_unit = (math.lcm(*(e.cost.denominator for e in network.edges))
-                                   * math.lcm(*range(1, len(weights) + 1)))
-            self._scaled_cost = {e.id: e.cost.numerator * (u // e.cost.denominator)
-                                 for e in network.edges}
-        spaces = [
-            enumerate_paths(network, p.source, p.target) for p in self.specs
-        ]
-        used = {e for space in spaces for path in space for e in path}
+            self._cost_unit, self._scaled_cost = unit_edge_costs(network.edges, len(weights))
+        # one enumeration per terminal pair, shared by the players with it
+        by_pair: dict[tuple[NodeId, NodeId], tuple[Strategy, ...]] = {}
+        for p in self.specs:
+            if (p.source, p.target) not in by_pair:
+                by_pair[p.source, p.target] = enumerate_paths(network, p.source, p.target)
+        spaces = [by_pair[p.source, p.target] for p in self.specs]
+        used = {e for space in by_pair.values() for path in space for e in path}
         unused = {e.id for e in network.edges} - used
         if unused:
             raise NetworkError(

@@ -13,6 +13,13 @@ sub-chains they pass it, shorter ones first:
 * proper intervals (sources and targets sorted consistently): every
   sub-chain, by increasing length.
 
+The programs count in one integer unit per instance, U = lcm(edge-cost
+denominators) * lcm(1..n), the unit `NetworkFormationGame` uses for unit
+weights (`networks.unit_edge_costs`): every marginal share (c_e * U) // k is
+exact.  Each player's pick costs are prefix-summed, so one (sub-chain, first
+mover) value costs O(1).  `DpTable.opt` and `optimum` are `Fraction`s, built
+once per table.
+
 Both key `opt` and `first_mover` by (s, t).  Each DP returns its value table
 together with a forced deviator skeleton; `replay` executes the skeleton
 through the engine (validating that every forced move is a legal
@@ -24,11 +31,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .core import Evaluation, GameError, PlayerId, Profile, ResourceId, Strategy
 from .engine import ScriptMove, Trace, _apply_move, run_scripted
-from .networks import Edge, Network, NetworkFormationGame, PlayerSpec
+from .networks import Edge, Network, NetworkFormationGame, PlayerSpec, unit_edge_costs
 
 
 class SppError(GameError):
@@ -78,10 +85,6 @@ class SppInstance:
     @property
     def n(self) -> int:
         return len(self.players)
-
-    def covers(self, player_pos: int, segment: int) -> bool:
-        p = self.players[player_pos]
-        return p.source < segment <= p.target
 
     def to_game(self) -> tuple[NetworkFormationGame, Profile]:
         edges = tuple(
@@ -149,56 +152,57 @@ def _initial_counts(instance: SppInstance) -> dict[ResourceId, int]:
     return counts
 
 
+def _segment_shares(
+    instance: SppInstance, cost: Mapping[ResourceId, int]
+) -> Iterator[tuple[int, int, ResourceId, dict[ResourceId, int]]]:
+    """(player position, segment, current edge, shares) for every covered
+    segment: `shares` maps each edge of the segment to the player's marginal
+    share there, in the unit of `cost`, against the initial loads with
+    herself removed."""
+    counts = _initial_counts(instance)
+    for pos, p in enumerate(instance.players):
+        for seg, current in zip(range(p.source + 1, p.target + 1), p.initial):
+            # edge ids are unique across segments: only `current` is hers here
+            yield pos, seg, current, {
+                e.id: cost[e.id] // (counts.get(e.id, 0) - (e.id == current) + 1)
+                for e in instance.segments[seg - 1]
+            }
+
+
 def _segment_picks(
-    instance: SppInstance,
-) -> tuple[
-    dict[tuple[int, int], ResourceId],
-    dict[tuple[int, int], Fraction],
-    tuple[bool, ...],
-]:
-    """For every (player position, covered segment): the edge the player
-    would set there, judged by marginal share against the initial loads with
-    herself removed; marginal ties resolve to the cheaper edge, then the
+    instance: SppInstance, cost: Mapping[ResourceId, int]
+) -> tuple[list[list[ResourceId]], list[list[int]], list[bool]]:
+    """For every player position, the edge she would set in each of her
+    segments in order, judged by marginal share against the initial loads
+    with herself removed; marginal ties resolve to the cheaper edge, then the
     lower id (a mover may take any tied member, and cheaper is never worse
     for the resolved total).
 
-    Also returns which players are movable at all: only a player with a
-    strict per-segment improvement somewhere is suboptimal initially, and
-    only such players can open a best-response sequence."""
-    counts = _initial_counts(instance)
-    pick: dict[tuple[int, int], ResourceId] = {}
-    pick_cost: dict[tuple[int, int], Fraction] = {}
-    movable = []
-    for pos, p in enumerate(instance.players):
-        mine = set(p.initial)
-
-        def marginal(e: SppEdge) -> Fraction:
-            return e.cost / (counts.get(e.id, 0) - (e.id in mine) + 1)
-
-        strict = False
-        for seg, current in zip(range(p.source + 1, p.target + 1), p.initial):
-            block = instance.segments[seg - 1]
-            best = min(block, key=lambda e: (marginal(e), e.cost, e.id))
-            own = next(e for e in block if e.id == current)
-            strict = strict or marginal(best) < marginal(own)
-            pick[(pos, seg)] = best.id
-            pick_cost[(pos, seg)] = best.cost
-        movable.append(strict)
-    return pick, pick_cost, tuple(movable)
+    Also returns the prefix sums of those edges' costs (in the unit of
+    `cost`), so any run of her segments costs O(1), and which players are
+    movable at all: only a player with a strict per-segment improvement
+    somewhere is suboptimal initially, and only such players can open a
+    best-response sequence."""
+    picks: list[list[ResourceId]] = [[] for _ in instance.players]
+    sums = [[0] for _ in instance.players]
+    movable = [False] * instance.n
+    for pos, _, current, shares in _segment_shares(instance, cost):
+        best = min(shares, key=lambda e: (shares[e], cost[e], e))
+        movable[pos] = movable[pos] or shares[best] < shares[current]
+        picks[pos].append(best)
+        sums[pos].append(sums[pos][-1] + cost[best])
+    return picks, sums, movable
 
 
-def _frozen_cost(
-    instance: SppInstance, counts: Mapping[ResourceId, int], first_seg: int, last_seg: int
-) -> Fraction:
-    """Total cost of the initially utilized edges (`counts` are the initial
-    ones) in segments first_seg..last_seg: what the sub-chain costs if
-    nobody covering it ever migrates."""
-    total = Fraction(0)
-    for seg in range(first_seg, last_seg + 1):
-        for e in instance.segments[seg - 1]:
-            if counts.get(e.id, 0) > 0:
-                total += e.cost
-    return total
+def _frozen_costs(instance: SppInstance, cost: Mapping[ResourceId, int]) -> list[int]:
+    """frozen[j]: the total cost (in the unit of `cost`) of the initially
+    utilized edges in segments 1..j, so frozen[t] - frozen[s] is what the
+    sub-chain s+1 .. t costs if nobody covering it ever migrates."""
+    used = _initial_counts(instance)
+    frozen = [0]
+    for block in instance.segments:
+        frozen.append(frozen[-1] + sum(cost[e.id] for e in block if e.id in used))
+    return frozen
 
 
 @dataclass
@@ -258,32 +262,36 @@ def _sub_chain_program(
     pre-order walk of the first movers, left sub-chain before right.
     """
     m = instance.m
-    pick, pick_cost, movable = _segment_picks(instance)
-    counts = _initial_counts(instance)
-    opt: dict[tuple[int, int], Fraction] = {}
+    u, cost = unit_edge_costs((e for block in instance.segments for e in block), instance.n)
+    picks, sums, movable = _segment_picks(instance, cost)
+    frozen = _frozen_costs(instance, cost)
+    movers = [
+        (pos, p.source, p.target, sums[pos])
+        for pos, p in enumerate(instance.players)
+        if movable[pos]
+    ]
+    # values in the unit u: scaling keeps their order, so the first movers
+    # (the lowest value, then the lowest position) are those of the exact
+    # rationals
+    opt: dict[tuple[int, int], int] = {}
     first: dict[tuple[int, int], int | None] = {}
     for s, t in sub_chains:
-        best: tuple[Fraction, int] | None = None
-        for pos, p in enumerate(instance.players):
-            if p.source >= t or p.target <= s or not movable[pos]:
+        best_value, best_pos = 0, None
+        for pos, source, target, prefix in movers:
+            if source >= t or target <= s:
                 continue
-            value = sum(
-                (pick_cost[(pos, seg)]
-                 for seg in range(max(s, p.source) + 1, min(t, p.target) + 1)),
-                Fraction(0),
-            )
-            if p.source > s:
-                value += opt[(s, p.source)]
-            if p.target < t:
-                value += opt[(p.target, t)]
-            if best is None or (value, pos) < best:
-                best = (value, pos)
-        if best is None:
+            value = prefix[min(t, target) - source] - prefix[max(s, source) - source]
+            if source > s:
+                value += opt[(s, source)]
+            if target < t:
+                value += opt[(target, t)]
+            # positions rise, so a tie keeps the earlier one
+            if best_pos is None or value < best_value:
+                best_value, best_pos = value, pos
+        if best_pos is None:
             # nobody covering the sub-chain can migrate: it keeps its initial edges
-            opt[(s, t)] = _frozen_cost(instance, counts, s + 1, t)
-            first[(s, t)] = None
-        else:
-            opt[(s, t)], first[(s, t)] = best
+            best_value = frozen[t] - frozen[s]
+        opt[(s, t)], first[(s, t)] = best_value, best_pos
 
     resolved: dict[int, ResourceId] = {}
     skeleton: list[ScriptMove] = []
@@ -295,15 +303,18 @@ def _sub_chain_program(
             continue
         p = instance.players[pos]
         segs = range(p.source + 1, p.target + 1)
-        skeleton.append((pos + 1, tuple(resolved.get(seg, pick[(pos, seg)]) for seg in segs)))
-        for seg in segs:
-            resolved.setdefault(seg, pick[(pos, seg)])
+        skeleton.append(
+            (pos + 1, tuple(resolved.get(seg, e) for seg, e in zip(segs, picks[pos])))
+        )
+        for seg, e in zip(segs, picks[pos]):
+            resolved.setdefault(seg, e)
         # the right sub-chain goes on the stack first, so the left one is walked first
         if p.target < t:
             pending.append((p.target, t))
         if p.source > s:
             pending.append((s, p.source))
-    return DpTable(mode, opt[(0, m)], opt, first, tuple(skeleton))
+    values = {key: Fraction(v, u) for key, v in opt.items()}
+    return DpTable(mode, values[(0, m)], values, first, tuple(skeleton))
 
 
 _REPLAY_STEPS = 10_000
@@ -394,25 +405,11 @@ def resolved_segments(
     Agreement uses the engine's deterministic selection (marginal share,
     then lowest edge id), so the initially agreed edge is exactly what the
     first mover through the segment would take."""
-    counts = _initial_counts(instance)
-    resolved: dict[int, ResourceId] = {}
-    for seg in range(1, instance.m + 1):
-        choices = set()
-        for pos in range(instance.n):
-            if not instance.covers(pos, seg):
-                continue
-            mine = set(instance.players[pos].initial)
-            choices.add(
-                min(
-                    instance.segments[seg - 1],
-                    key=lambda e: (
-                        e.cost / (counts.get(e.id, 0) - (e.id in mine) + 1),
-                        e.id,
-                    ),
-                ).id
-            )
-        if len(choices) == 1:
-            resolved[seg] = choices.pop()
+    _, cost = unit_edge_costs((e for block in instance.segments for e in block), instance.n)
+    choices: dict[int, set[ResourceId]] = {}
+    for _, seg, _, shares in _segment_shares(instance, cost):
+        choices.setdefault(seg, set()).add(min(shares, key=lambda e: (shares[e], e)))
+    resolved = {seg: edges.pop() for seg, edges in choices.items() if len(edges) == 1}
     for player, strategy in prefix:
         p = instance.players[player - 1]
         for seg, edge in zip(range(p.source + 1, p.target + 1), strategy):

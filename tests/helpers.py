@@ -165,3 +165,110 @@ def random_linear_game(rng: random.Random) -> tuple[SchedulingGame, Profile]:
     lengths = [rng.choice((F(1), F(2), F(5, 2), F(7, 3))) for _ in range(rng.randint(2, 10))]
     game = SchedulingGame(m, lengths)
     return game, random_profile(rng, game)
+
+
+# -- plain-Fraction reference for the SPP programs --------------------------------
+
+
+def _reference_counts(inst: SppInstance) -> dict[int, int]:
+    counts: dict[int, int] = {}
+    for p in inst.players:
+        for e in p.initial:
+            counts[e] = counts.get(e, 0) + 1
+    return counts
+
+
+def reference_sub_chain_program(inst: SppInstance, sub_chains) -> tuple[dict, dict, tuple]:
+    """The chain DP in plain `Fraction` arithmetic: (opt, first_mover,
+    skeleton) over `sub_chains`, shorter ones first, ending with (0, m).
+
+    A player's pick in a segment is the edge of least marginal share against
+    the initial loads with herself removed (then the cheaper edge, then the
+    lower id); only players with a strict improvement somewhere may move
+    first.  The skeleton is the recursive pre-order walk of the first
+    movers, left sub-chain before right."""
+    counts = _reference_counts(inst)
+    pick, pick_cost, movable = {}, {}, []
+    for pos, p in enumerate(inst.players):
+
+        def marginal(e: SppEdge) -> F:
+            return e.cost / (counts.get(e.id, 0) - (e.id in p.initial) + 1)
+
+        strict = False
+        for seg, current in zip(range(p.source + 1, p.target + 1), p.initial):
+            block = inst.segments[seg - 1]
+            best = min(block, key=lambda e: (marginal(e), e.cost, e.id))
+            own = next(e for e in block if e.id == current)
+            strict = strict or marginal(best) < marginal(own)
+            pick[pos, seg], pick_cost[pos, seg] = best.id, best.cost
+        movable.append(strict)
+
+    opt: dict[tuple[int, int], F] = {}
+    first: dict[tuple[int, int], int | None] = {}
+    for s, t in sub_chains:
+        best = None
+        for pos, p in enumerate(inst.players):
+            if p.source >= t or p.target <= s or not movable[pos]:
+                continue
+            value = sum(
+                (pick_cost[pos, seg] for seg in range(max(s, p.source) + 1, min(t, p.target) + 1)),
+                F(0),
+            )
+            if p.source > s:
+                value += opt[s, p.source]
+            if p.target < t:
+                value += opt[p.target, t]
+            if best is None or (value, pos) < best:
+                best = (value, pos)
+        if best is None:
+            opt[s, t] = sum(
+                (e.cost for block in inst.segments[s:t] for e in block if counts.get(e.id, 0)),
+                F(0),
+            )
+            first[s, t] = None
+        else:
+            opt[s, t], first[s, t] = best
+
+    resolved: dict[int, int] = {}
+    skeleton = []
+
+    def walk(s: int, t: int) -> None:
+        pos = first[s, t]
+        if pos is None:
+            return
+        p = inst.players[pos]
+        segs = range(p.source + 1, p.target + 1)
+        skeleton.append((pos + 1, tuple(resolved.get(seg, pick[pos, seg]) for seg in segs)))
+        for seg in segs:
+            resolved.setdefault(seg, pick[pos, seg])
+        if p.source > s:
+            walk(s, p.source)
+        if p.target < t:
+            walk(p.target, t)
+
+    walk(0, inst.m)
+    return opt, first, tuple(skeleton)
+
+
+def reference_resolved_segments(inst: SppInstance, prefix=()) -> dict[int, int]:
+    """`resolved_segments(inst, prefix).edges` in plain `Fraction` arithmetic:
+    the segments whose covering players all pick the same edge by (marginal
+    share, id), then each deviator's segments pinned to her edges."""
+    counts = _reference_counts(inst)
+    resolved = {}
+    for seg in range(1, inst.m + 1):
+        choices = {
+            min(
+                inst.segments[seg - 1],
+                key=lambda e: (e.cost / (counts.get(e.id, 0) - (e.id in p.initial) + 1), e.id),
+            ).id
+            for p in inst.players
+            if p.source < seg <= p.target
+        }
+        if len(choices) == 1:
+            resolved[seg] = choices.pop()
+    for player, strategy in prefix:
+        p = inst.players[player - 1]
+        for seg, edge in zip(range(p.source + 1, p.target + 1), strategy):
+            resolved[seg] = edge
+    return dict(sorted(resolved.items()))

@@ -221,6 +221,41 @@ class TestGameConstruction:
         with pytest.raises(NetworkError):
             NetworkFormationGame(net, [PlayerSpec(0, 1)])
 
+    @staticmethod
+    def counting_enumerations(monkeypatch) -> list[tuple[int, int]]:
+        calls = []
+        enumerate_all = networks.enumerate_paths
+
+        def counted(net, s, t, *args, **kwargs):
+            calls.append((s, t))
+            return enumerate_all(net, s, t, *args, **kwargs)
+
+        monkeypatch.setattr(networks, "enumerate_paths", counted)
+        return calls
+
+    def test_one_path_enumeration_per_terminal_pair(self, monkeypatch):
+        # a single-source chain of 5 two-edge segments; 24 players over 5 targets
+        edges = [Edge(2 * j + i, j, j + 1, F(3 + 2 * i, 7)) for j in range(5) for i in (1, 2)]
+        net = Network(tuple(edges), source=0, sink=5)
+        targets = [5 - j % 5 for j in range(24)]
+        specs = [PlayerSpec(0, t) for t in targets]
+        calls = self.counting_enumerations(monkeypatch)
+        game = NetworkFormationGame(net, specs)
+        assert sorted(calls) == [(0, t) for t in range(1, 6)]
+        monkeypatch.undo()
+        for player, spec in zip(game.players, specs):
+            assert game.strategy_space(player) == enumerate_paths(net, spec.source, spec.target)
+
+    def test_path_cap_still_raised_once_per_pair(self, monkeypatch):
+        # 2^14 paths from end to end, beyond the strategy cap
+        net = parallel_block(1, [1, 2])
+        for k in range(2, 15):
+            net = compose_series(net, parallel_block(2 * k - 1, [1, 2]))
+        calls = self.counting_enumerations(monkeypatch)
+        with pytest.raises(PathCapExceeded):
+            NetworkFormationGame(net, [PlayerSpec(net.source, net.sink)] * 3)
+        assert calls == [(net.source, net.sink)]
+
 
 class TestBrPath:
     def test_agrees_with_enumeration_everywhere(self):

@@ -332,6 +332,45 @@ def _golden_run(argv, out):
     return code, hashlib.sha256(dumps(doc).encode()).hexdigest()
 
 
+def _call(argv):
+    """(exit code, stdout, stderr) of one in-process `main` call; a parse
+    error's SystemExit gives its code."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestParserReuse:
+    def test_reused_parser_repeats_first_run_bytes(self, tmp_path):
+        from brdlab import cli
+
+        instance = tmp_path / "fig2.json"
+        assert main(["fixture", "fig2", "--out", str(instance)]) == 0
+        sequence = [
+            ["run", str(instance), "--rule", "random", "--seed", "5"],
+            ["run", str(instance), "--rule", "random"],
+            ["fixture", "fig2", "--params", "n=4", "eps=1/50"],
+            ["dp", str(instance), "--mode", "bogus"],
+            ["fixture", "fig2"],
+        ]
+        # each command first, on a parser built for it alone
+        first = []
+        for argv in sequence:
+            cli._parser.cache_clear()
+            first.append(_call(argv))
+        assert [code for code, _, _ in first] == [0, 0, 0, 2, 0]
+        # the seed and the parameters must not leak into the calls after them
+        assert first[0][1] != first[1][1] and first[2][1] != first[4][1]
+        cli._parser.cache_clear()
+        assert [_call(argv) for argv in sequence] == first
+        assert cli._parser.cache_info().misses == 1
+        assert cli.build_parser() is not cli.build_parser()
+
+
 class TestGoldenCli:
     def test_oracle_and_ineff_outputs(self, tmp_path):
         got = {}

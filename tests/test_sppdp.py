@@ -24,7 +24,12 @@ from brdlab.sppdp import (
     replay,
     resolved_segments,
 )
-from helpers import random_proper_instance, random_single_source_instance
+from helpers import (
+    random_proper_instance,
+    random_single_source_instance,
+    reference_resolved_segments,
+    reference_sub_chain_program,
+)
 
 
 def check_instance(inst, table):
@@ -274,3 +279,82 @@ class TestMinPathResolutionBound:
                 prior = set(now)
                 checked += 1
         assert checked > 20
+
+
+def wide_unit_instance(rng: random.Random, single_source: bool) -> SppInstance:
+    """A 10-segment chain with 24-30 players whose edge costs have prime
+    denominators 17..31, so the integer unit lcm(dens) * lcm(1..n) is wide."""
+    m = 10
+    ids = iter(range(1, 3 * m + 1))
+    segments = tuple(
+        tuple(
+            SppEdge(next(ids), F(rng.randint(1, 999), rng.choice((17, 19, 23, 29, 31))))
+            for _ in range(rng.randint(2, 3))
+        )
+        for _ in range(m)
+    )
+    n = rng.randint(24, 30)
+    if single_source:
+        intervals = [(0, m)] + [(0, rng.randint(1, m)) for _ in range(n - 1)]
+    else:
+        # sorted sources and targets keep the intervals proper; redraw until
+        # every segment is covered
+        while True:
+            sources = sorted(rng.randint(0, m - 1) for _ in range(n))
+            targets = sorted(rng.randint(1, m) for _ in range(n))
+            intervals = [(s, max(s + 1, t)) for s, t in zip(sources, targets)]
+            if set(range(1, m + 1)) <= {j for s, t in intervals for j in range(s + 1, t + 1)}:
+                break
+    players = tuple(
+        SppPlayer(s, t, tuple(rng.choice(segments[j]).id for j in range(s, t)))
+        for s, t in intervals
+    )
+    return SppInstance(segments, players)
+
+
+class TestIntegerProgramsMatchFractionReference:
+    """The integer-unit programs against a plain-`Fraction` copy of the
+    recurrence: same values, first movers, skeletons and resolved edges."""
+
+    @staticmethod
+    def assert_matches(inst):
+        m = inst.m
+        programs = [
+            (dp_proper_intervals, [(s, s + k) for k in range(1, m + 1) for s in range(m - k + 1)])
+        ]
+        if all(p.source == 0 for p in inst.players):
+            programs.append((dp_single_source, [(s, m) for s in range(m - 1, -1, -1)]))
+        for program, sub_chains in programs:
+            table = program(inst)
+            opt, first, skeleton = reference_sub_chain_program(inst, sub_chains)
+            assert table.opt == opt
+            assert table.first_mover == first
+            assert table.skeleton == skeleton
+            assert table.optimum == opt[(0, m)]
+            assert type(table.optimum) is F
+            assert all(type(v) is F for v in table.opt.values())
+            assert (resolved_segments(inst, skeleton).edges
+                    == reference_resolved_segments(inst, skeleton))
+        assert resolved_segments(inst).edges == reference_resolved_segments(inst)
+
+    @pytest.mark.parametrize("tie_heavy", [False, True], ids=["mixed-denominators", "tie-heavy"])
+    def test_random_single_source(self, tie_heavy):
+        rng = random.Random(71 + tie_heavy)
+        for _ in range(150):
+            self.assert_matches(random_single_source_instance(
+                rng, max_n=8, max_m=6, tie_heavy=tie_heavy))
+
+    @pytest.mark.parametrize("tie_heavy", [False, True], ids=["mixed-denominators", "tie-heavy"])
+    def test_random_proper_intervals(self, tie_heavy):
+        rng = random.Random(73 + tie_heavy)
+        for _ in range(150):
+            self.assert_matches(random_proper_instance(
+                rng, max_n=8, max_m=6, tie_heavy=tie_heavy))
+
+    @pytest.mark.parametrize("single_source", [True, False], ids=["single-source", "proper"])
+    def test_wide_unit_chain(self, single_source):
+        rng = random.Random(79 + single_source)
+        for _ in range(5):
+            inst = wide_unit_instance(rng, single_source)
+            assert inst.n >= 24 and is_proper_intervals(inst)
+            self.assert_matches(inst)
