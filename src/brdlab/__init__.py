@@ -22,7 +22,6 @@ from .engine import (
     reachable_by_rule,
     run_brd,
     run_scripted,
-    state_vector,
 )
 from .networks import (
     Edge,

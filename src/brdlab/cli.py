@@ -19,9 +19,11 @@ from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from . import fixtures as fx
-from .engine import CycleDetected, StateBudgetExceeded, StepBudgetExceeded, run_brd
+from .engine import (
+    DEFAULT_MAX_STEPS, CycleDetected, StateBudgetExceeded, StepBudgetExceeded, run_brd
+)
 from .networks import NetworkFormationGame
-from .oracle import reachable_ne, rule_inefficiency
+from .oracle import DEFAULT_STATE_LIMIT, reachable_ne, rule_inefficiency
 from .rules import make_rule
 from .serde import (
     ReplayError,
@@ -183,13 +185,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--rule", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-steps", type=int, default=10_000)
+    p.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("oracle", help="enumerate reachable equilibria")
     p.add_argument("instance")
-    p.add_argument("--state-limit", type=int, default=5_000_000)
+    p.add_argument("--state-limit", type=int, default=DEFAULT_STATE_LIMIT)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_oracle)
 
@@ -197,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--rule", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--state-limit", type=int, default=5_000_000)
+    p.add_argument("--state-limit", type=int, default=DEFAULT_STATE_LIMIT)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_ineff)
 

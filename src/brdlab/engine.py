@@ -16,6 +16,10 @@ rule) is what `reachable_by_rule` explores to compute the full set of
 equilibria a rule can reach.  `rule_successors` is the one definition of a
 rule's moves; runs and searches all go through it.
 
+`_apply_move` is the one legality check of a move: the mover must be
+suboptimal and move to one of her best responses.  Every trace goes through
+it: runs, scripts, witness replays, the SPP cleanup and `serde.verify_trace`.
+
 `parent_search` is the one depth-first reachability search with parent
 links, and `replay_links` the one witness replay over those links: both
 `reachable_by_rule` here and `oracle.reachable_ne` run on them, over the
@@ -25,6 +29,7 @@ rule's moves and over every best-response move respectively.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
@@ -57,7 +62,7 @@ class RuleViolation(EngineError):
 
 
 class ScriptError(EngineError):
-    """A forced move is not a legal strict-improvement best response."""
+    """A move is not a legal best-response move."""
 
 
 def profile_digest(profile: Profile) -> str:
@@ -85,10 +90,6 @@ class Trace:
 
     def deviator_order(self) -> tuple[PlayerId, ...]:
         return tuple(m.player for m in self.moves)
-
-
-def state_vector(game: Game, at: Profile | Evaluation, player: PlayerId) -> StateVector:
-    return game.state_vector(at, player)
 
 
 def state_vectors(game: Game, at: Profile | Evaluation,
@@ -217,37 +218,43 @@ def rule_successors(
 def _apply_move(
     ev: Evaluation, player: PlayerId, new_index: int, step: int
 ) -> tuple[Profile, Move]:
-    """Move `player` to strategy `new_index`; a move leaves everyone else's
-    loads as they were, so the evaluation gives both of her costs."""
+    """Move `player` to strategy `new_index`: the one legal best-response
+    move.  She must be suboptimal and `new_index` one of her best responses,
+    which makes the move a strict improvement; a move leaves everyone else's
+    loads as they were, so her cell gives both of her costs."""
     game, profile = ev.game, ev.profile
-    cost_before, cost_after = game.player_cost(ev, player), ev.cost_to(player - 1, new_index)
-    if cost_after >= cost_before:
-        raise ScriptError(
-            f"move of player {player} does not strictly improve "
-            f"({cost_before} -> {cost_after})"
-        )
+    pos = game.position_of(player)
+    if not ev.is_suboptimal(pos):
+        raise ScriptError(f"player {player} is not suboptimal")
+    if new_index not in ev.cell(pos).br:
+        raise ScriptError(f"strategy index {new_index} is not a best response of player {player}")
     after = profile.with_choice(game, player, new_index)
     move = Move(
         step=step,
         player=player,
         old_strategy=game.strategy_of(profile, player),
         new_strategy=game.strategy_of(after, player),
-        cost_before=cost_before,
-        cost_after=cost_after,
+        cost_before=ev.cost(pos),
+        cost_after=ev.cost_to(pos, new_index),
         profile_digest=profile_digest(after),
     )
     return after, move
+
+
+# the default move budget of a run
+DEFAULT_MAX_STEPS = 10_000
 
 
 def run_brd(
     game: Game,
     p0: Profile,
     rule: DeviatorRule,
-    max_steps: int = 10_000,
+    max_steps: int = DEFAULT_MAX_STEPS,
 ) -> Trace:
     """Run best-response dynamics from `p0` under `rule` until a Nash
-    equilibrium; errors on step exhaustion or (for weighted games, which sit
-    outside the potential guarantee) on a revisited profile."""
+    equilibrium; errors when an equilibrium takes more than `max_steps`
+    moves or (for weighted games, which sit outside the potential
+    guarantee) on a revisited profile."""
     if not rule.accepts(game):
         raise EngineError(f"rule {rule.name} does not accept this game class")
     game.validate_profile(p0)
@@ -255,11 +262,13 @@ def run_brd(
     profile = p0
     moves: list[Move] = []
     seen: set[tuple[int, ...]] = {p0.choices} if not game.is_unweighted else set()
-    for step in range(max_steps):
+    for step in itertools.count():
         ev = game.evaluate(profile)
         successors = rule_successors(ev, rule)
         if not successors:
             return Trace(p0, tuple(moves), profile, True)
+        if step >= max_steps:
+            raise StepBudgetExceeded(f"no equilibrium within {max_steps} steps")
         ((player, new_index, _),) = successors
         profile, move = _apply_move(ev, player, new_index, step)
         moves.append(move)
@@ -267,7 +276,6 @@ def run_brd(
             if profile.choices in seen:
                 raise CycleDetected(f"profile revisited after step {step}")
             seen.add(profile.choices)
-    raise StepBudgetExceeded(f"no equilibrium within {max_steps} steps")
 
 
 ScriptMove = tuple[PlayerId, Strategy | None]
@@ -278,47 +286,38 @@ def run_scripted(
     p0: Profile,
     script: Sequence[ScriptMove],
     continue_rule: DeviatorRule | None = None,
-    max_steps: int = 10_000,
+    max_steps: int = DEFAULT_MAX_STEPS,
 ) -> Trace:
     """Replay a forced deviator order, then optionally run `continue_rule`
     to an equilibrium.
 
     Each scripted entry names the deviator and optionally a strategy; a
-    `None` strategy means her canonical best response.  A forced strategy
-    must be a member of the player's best-response set; when the player is
-    not suboptimal (her current strategy already ties it) the entry is
-    skipped, since an indifferent player cannot legally move.
+    `None` strategy means her canonical best response.  Every entry must be
+    a legal move, except that a forced best response of an indifferent
+    player (her current strategy already ties it) is skipped, since she
+    cannot legally move.
     """
     game.validate_profile(p0)
     profile = p0
     moves: list[Move] = []
-    step = 0
     for player, forced in script:
         ev = game.evaluate(profile)
         if forced is None:
-            if not game.is_suboptimal(ev, player):
-                raise ScriptError(f"scripted player {player} is not suboptimal")
             idx = game.canonical_br_pick(ev, player)
         else:
-            space = game.strategy_space(player)
             try:
-                idx = space.index(tuple(forced))
+                idx = game.strategy_space(player).index(tuple(forced))
             except ValueError:
                 raise ScriptError(
                     f"scripted strategy {forced} outside player {player}'s space"
                 ) from None
-            if idx not in game.best_response(ev, player):
-                raise ScriptError(
-                    f"scripted strategy {forced} is not a best response of {player}"
-                )
-            if not game.is_suboptimal(ev, player):
+            if not game.is_suboptimal(ev, player) and idx in game.best_response(ev, player):
                 continue
-        profile, move = _apply_move(ev, player, idx, step)
+        profile, move = _apply_move(ev, player, idx, len(moves))
         moves.append(move)
-        step += 1
     if continue_rule is not None:
         tail = run_brd(game, profile, continue_rule, max_steps=max_steps)
-        shifted = tuple(replace(m, step=step + m.step) for m in tail.moves)
+        shifted = tuple(replace(m, step=len(moves) + m.step) for m in tail.moves)
         return Trace(p0, tuple(moves) + shifted, tail.terminal, tail.terminal_is_ne)
     return Trace(p0, tuple(moves), profile, game.is_nash(profile))
 

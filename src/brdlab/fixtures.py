@@ -635,12 +635,20 @@ def fig9_sched_pair(
 # ---------------------------------------------------------------------------
 
 
+def _cube_root(n: int) -> int:
+    """The largest c with c**3 <= n, for n >= 1, by Newton's method on integers."""
+    c = 1 << -(-n.bit_length() // 3)  # a start above the root
+    while (d := (2 * c + n // (c * c)) // 3) < c:
+        c = d
+    return c
+
+
 def appB_coco(B: int = 27) -> FixtureSpec:
     """cbrt(B)+1 machines, the first cbrt(B) holding cbrt(B) unit jobs each
     and the last holding B.  Every machine can stay active (best makespan
     c(B^(2/3))), but draining the light machines in ascending order leaves
     two active machines and makespan c(n/2)."""
-    c = round(B ** (1 / 3))
+    c = _cube_root(B) if isinstance(B, int) and B >= 8 else 0
     _require(c**3 == B and c >= 2, "B must be a perfect cube of an integer >= 2")
     machines = c + 1
     n = c * c + B

@@ -22,19 +22,21 @@ once per table.
 
 Both key `opt` and `first_mover` by (s, t).  Each DP returns its value table
 together with a forced deviator skeleton; `replay` executes the skeleton
-through the engine (validating that every forced move is a legal
-strict-improvement best response) and finishes with cleanup moves, so the
-claimed optimum can be checked against the realized equilibrium exactly.
+through the engine, whose `_apply_move` checks that every move is a legal
+best-response move, and finishes with cleanup moves through the same check,
+so the claimed optimum can be checked against the realized equilibrium
+exactly.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 from .core import Evaluation, GameError, PlayerId, Profile, ResourceId, Strategy
-from .engine import ScriptMove, Trace, _apply_move, run_scripted
+from .engine import DEFAULT_MAX_STEPS, ScriptMove, Trace, _apply_move, run_scripted
 from .networks import Edge, Network, NetworkFormationGame, PlayerSpec, unit_edge_costs
 
 
@@ -317,9 +319,6 @@ def _sub_chain_program(
     return DpTable(mode, values[(0, m)], values, first, tuple(skeleton))
 
 
-_REPLAY_STEPS = 10_000
-
-
 def replay(instance: SppInstance, table: DpTable) -> Trace:
     """Execute the skeleton through the engine, then let every remaining
     suboptimal player flock, breaking best-response ties toward the
@@ -335,19 +334,18 @@ def replay(instance: SppInstance, table: DpTable) -> Trace:
             resolved.setdefault(seg, edge)
     profile = head.terminal
     moves = list(head.moves)
-    step = len(moves)
-    while step < _REPLAY_STEPS:
+    for step in itertools.count(len(moves)):
         ev = game.evaluate(profile)
         suboptimal = game.suboptimal_players(ev)
         if not suboptimal:
             return Trace(p0, tuple(moves), profile, True)
+        if step >= DEFAULT_MAX_STEPS:
+            raise SppError(f"cleanup did not settle within {DEFAULT_MAX_STEPS} steps")
         player = suboptimal[0]
         strategy = _flock_strategy(instance, ev, player, resolved)
         idx = game.strategy_space(player).index(strategy)
         profile, move = _apply_move(ev, player, idx, step)
         moves.append(move)
-        step += 1
-    raise SppError(f"cleanup did not settle within {_REPLAY_STEPS} steps")
 
 
 def _flock_strategy(

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from brdlab.core import InvalidProfileError, Profile
 from brdlab.engine import (
     EngineError,
     LowestIdRule,
@@ -14,12 +15,12 @@ from brdlab.engine import (
     ScriptError,
     StateBudgetExceeded,
     StepBudgetExceeded,
+    _apply_move,
     check_iip,
     parent_search,
     reachable_by_rule,
     run_brd,
     run_scripted,
-    state_vector,
 )
 from brdlab.networks import NetworkFormationGame, NfgStateVector, PlayerSpec
 from brdlab.rules import max_cost, min_path, random_rule, round_robin
@@ -71,9 +72,22 @@ class TestRunBrd:
                 phi = nxt
 
     def test_step_budget(self):
-        game, p0 = crowd_game()
+        game, p0 = crowd_game()  # one move from an equilibrium
         with pytest.raises(StepBudgetExceeded):
-            run_brd(game, p0, LowestIdRule(), max_steps=1)
+            run_brd(game, p0, LowestIdRule(), max_steps=0)
+
+    def test_step_budget_counts_moves(self):
+        rng = random.Random(11)
+        for _ in range(15):
+            game = random_symmetric_game(rng)
+            p0 = random_profile(rng, game)
+            trace = run_brd(game, p0, LowestIdRule())
+            # a run whose last allowed move lands on an equilibrium returns
+            assert run_brd(game, p0, LowestIdRule(), max_steps=len(trace.moves)) == trace
+            assert run_brd(game, trace.terminal, LowestIdRule(), max_steps=0).moves == ()
+            if trace.moves:
+                with pytest.raises(StepBudgetExceeded):
+                    run_brd(game, p0, LowestIdRule(), max_steps=len(trace.moves) - 1)
 
     def test_rule_violation_detected(self):
         class Bogus(LowestIdRule):
@@ -91,11 +105,43 @@ class TestRunBrd:
             run_brd(game, p0, Mute())
 
 
+class TestApplyMove:
+    """`_apply_move` is the one legality check of a move."""
+
+    def lone_player(self, costs):
+        game = NetworkFormationGame(parallel_network(costs), [PlayerSpec(0, 1)])
+        return game, game.evaluate(game.profile_from_strategies([(1,)]))
+
+    def test_rejects_an_indifferent_mover(self):
+        game, ev = self.lone_player(["2", "2"])
+        assert game.best_response(ev, 1) == (0, 1)
+        with pytest.raises(ScriptError):
+            _apply_move(ev, 1, 1, 0)
+
+    def test_rejects_an_improving_move_that_is_not_a_best_response(self):
+        game, ev = self.lone_player(["3", "2", "1"])
+        with pytest.raises(ScriptError):
+            _apply_move(ev, 1, 1, 0)  # 3 -> 2, while her best response costs 1
+        after, move = _apply_move(ev, 1, 2, 0)
+        assert after == Profile((2,))
+        assert (move.old_strategy, move.new_strategy) == ((1,), (3,))
+        assert (move.cost_before, move.cost_after) == (3, 1)
+
+
 class TestRunScripted:
     def test_forced_non_best_response_rejected(self):
         game, p0 = crowd_game()
         with pytest.raises(ScriptError):
             run_scripted(game, p0, [(1, (2,))])  # top player's BR is bottom
+
+    def test_illegal_entries_rejected(self):
+        game = NetworkFormationGame(parallel_network(["2", "2", "3"]), [PlayerSpec(0, 1)])
+        p0 = game.profile_from_strategies([(1,)])
+        for script in ([(1, None)], [(1, (3,))], [(1, (9,))]):
+            with pytest.raises(ScriptError):
+                run_scripted(game, p0, script)
+        with pytest.raises(InvalidProfileError):
+            run_scripted(game, p0, [(2, None)])
 
     def test_indifferent_entry_skipped(self):
         net = parallel_network(["2", "2"])
@@ -236,9 +282,9 @@ class TestCheckIip:
 class TestStateVectors:
     def test_dispatch(self):
         game, p0 = crowd_game()
-        assert isinstance(state_vector(game, p0, 1), NfgStateVector)
+        assert isinstance(game.state_vector(p0, 1), NfgStateVector)
         from brdlab.scheduling import SchedulingGame
 
         sg = SchedulingGame(2, [1, 1])
         sp = sg.profile_from_strategies([(1,), (1,)])
-        assert isinstance(state_vector(sg, sp, 1), SchedStateVector)
+        assert isinstance(sg.state_vector(sp, 1), SchedStateVector)

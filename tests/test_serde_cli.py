@@ -129,6 +129,47 @@ class TestTraces:
         with pytest.raises(ReplayError):
             verify_trace(fx.game, trace_from_doc(fx.game, doc))
 
+    # one tampered field of fig2's one move, and the end of the replay error
+    TAMPERED = {
+        "step": (1, "step 0: the recorded move differs in step"),
+        "player": (2, "step 0: strategy index 2 is not a best response of player 2"),
+        "old": ([2], "step 0: the recorded move differs in old_strategy"),
+        "new": ([2], "step 0: strategy index 1 is not a best response of player 1"),
+        "cost_before": ("2/1", "step 0: the recorded move differs in cost_before"),
+        "cost_after": ("1/1", "step 0: the recorded move differs in cost_after"),
+        "profile": ("000000000000", "step 0: the recorded move differs in profile_digest"),
+    }
+
+    @pytest.mark.parametrize("key", [*TAMPERED, "terminal", "terminal_is_ne"])
+    def test_every_tampered_field_rejected(self, key):
+        fx = fig2_maxcost()
+        trace = run_brd(fx.game, fx.initial, LowestIdRule())
+        doc = trace_to_doc(fx.game, trace)
+        verify_trace(fx.game, trace_from_doc(fx.game, doc))
+        if key == "terminal":
+            doc["terminal"] = doc["initial"]
+            message = "terminal profile mismatch"
+        elif key == "terminal_is_ne":
+            doc["terminal_is_ne"] = not doc["terminal_is_ne"]
+            message = "terminal equilibrium flag mismatch"
+        else:
+            value, message = self.TAMPERED[key]
+            assert doc["moves"][0][key] != value
+            doc["moves"][0][key] = value
+        with pytest.raises(ReplayError) as info:
+            verify_trace(fx.game, trace_from_doc(fx.game, doc))
+        assert str(info.value) == message
+
+    def test_replay_error_names_every_differing_field(self):
+        fx = fig2_maxcost()
+        doc = trace_to_doc(fx.game, run_brd(fx.game, fx.initial, LowestIdRule()))
+        doc["moves"][0].update(old=[2], cost_before="2/1")
+        with pytest.raises(ReplayError, match="differs in old_strategy, cost_before$"):
+            verify_trace(fx.game, trace_from_doc(fx.game, doc))
+        doc["moves"][0].update(player=9)
+        with pytest.raises(ReplayError, match="^step 0: strategy .* outside player 9's space$"):
+            verify_trace(fx.game, trace_from_doc(fx.game, doc))
+
     def test_dp_replay_traces_verify(self):
         rng = random.Random(73)
         from brdlab.sppdp import dp_single_source, replay
@@ -232,6 +273,16 @@ class TestCli:
     def test_budget_exit_3(self, tmp_path):
         instance = self.fixture_file(tmp_path, "fig2")
         assert main(["oracle", str(instance), "--state-limit", "2"]) == 3
+
+    def test_run_budget_counts_moves(self, tmp_path, capsys):
+        instance = self.fixture_file(tmp_path, "fig3")  # min-path settles in 3 moves
+        assert main(["run", str(instance), "--rule", "min-path", "--max-steps", "3"]) == 0
+        assert main(["run", str(instance), "--rule", "min-path", "--max-steps", "2"]) == 3
+
+    def test_fixture_b_not_a_cube_exits_2(self, capsys):
+        for b in (26, 10**400, 0, -27):
+            assert main(["fixture", "appB", "--params", f"B={b}"]) == 2
+        assert main(["fixture", "appB", "--params", "B=8"]) == 0
 
     def test_unknown_fixture_exits_2(self):
         assert main(["fixture", "fig99"]) == 2
