@@ -2,12 +2,14 @@
 
 Runs deviator rules over games, records traces, and checks the locality
 condition (independence of irrelevant players) for rules expressed over
-state vectors.
+state vectors.  The engine reads games only through `core`: it imports no
+game model.
 
-A deviator rule maps (game, profile, suboptimal players, their state
-vectors) to a non-empty choice set of suboptimal players.  Local rules are
-total preorders over state vectors, which makes the locality condition hold
-by construction; arbitrary rules can be audited with `check_iip`.
+A deviator rule maps the evaluated profile and its suboptimal players to a
+non-empty choice set of suboptimal players.  Local rules are total preorders
+over state vectors, which they build themselves from the evaluation, so the
+locality condition holds by construction; arbitrary rules can be audited with
+`check_iip`.
 
 Tie semantics: the engine breaks rule ties by lowest player id, and a chosen
 player's tied best responses by the game's canonical pick.  Branching over
@@ -32,13 +34,9 @@ import hashlib
 import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Hashable, Sequence
 
 from .core import Cost, Evaluation, Game, GameError, PlayerId, Profile, Strategy
-from .networks import NfgStateVector
-from .scheduling import SchedStateVector
-
-StateVector = NfgStateVector | SchedStateVector
 
 
 class EngineError(GameError):
@@ -93,7 +91,7 @@ class Trace:
 
 
 def state_vectors(game: Game, at: Profile | Evaluation,
-                  players: Sequence[PlayerId]) -> dict[PlayerId, StateVector]:
+                  players: Sequence[PlayerId]) -> dict[PlayerId, Hashable]:
     ev = game.evaluate(at)
     return {i: game.state_vector(ev, i) for i in players}
 
@@ -115,13 +113,7 @@ class DeviatorRule(ABC):
         return True
 
     @abstractmethod
-    def choose(
-        self,
-        game: Game,
-        profile: Profile,
-        suboptimal: tuple[PlayerId, ...],
-        vectors: Mapping[PlayerId, StateVector],
-    ) -> tuple[PlayerId, ...]:
+    def choose(self, ev: Evaluation, suboptimal: tuple[PlayerId, ...]) -> tuple[PlayerId, ...]:
         """Non-empty choice set, a subset of `suboptimal`."""
 
 
@@ -129,13 +121,13 @@ class LocalRule(DeviatorRule):
     """A total preorder over state vectors; the choice set is the owners of
     the maximal vectors.  `key_builder(game)` returns the scoring function,
     letting rules close over public game parameters (e.g. the activation
-    cost); pass `game=None` to score bare vectors in locality audits.
+    cost); locality audits score bare vectors with the game they came from.
     """
 
     def __init__(
         self,
         name: str,
-        key_builder: Callable[[Game | None], Callable[[StateVector], object]],
+        key_builder: Callable[[Game], Callable[[Hashable], object]],
         accepts: Callable[[Game], bool] | None = None,
     ) -> None:
         self.name = name
@@ -145,17 +137,17 @@ class LocalRule(DeviatorRule):
     def accepts(self, game: Game) -> bool:
         return self._accepts(game) if self._accepts else True
 
-    def choose(self, game, profile, suboptimal, vectors):
-        chosen = self.vector_chooser(game)([vectors[i] for i in suboptimal])
+    def choose(self, ev, suboptimal):
+        vectors = state_vectors(ev.game, ev, suboptimal)
+        chosen = self.vector_chooser(ev.game)([vectors[i] for i in suboptimal])
         return tuple(suboptimal[k] for k in chosen)
 
-    def vector_chooser(
-        self, game: Game | None = None
-    ) -> Callable[[Sequence[StateVector]], tuple[int, ...]]:
-        """Choice-set function over bare vector profiles, for IIP audits."""
+    def vector_chooser(self, game: Game) -> Callable[[Sequence[Hashable]], tuple[int, ...]]:
+        """Choice-set function over bare vector profiles of `game`; `choose`
+        and the IIP audits both score through it."""
         key = self._key_builder(game)
 
-        def choose(vectors: Sequence[StateVector]) -> tuple[int, ...]:
+        def choose(vectors: Sequence[Hashable]) -> tuple[int, ...]:
             keys = [key(v) for v in vectors]
             best = max(keys)
             return tuple(i for i, k in enumerate(keys) if k == best)
@@ -169,7 +161,7 @@ class LowestIdRule(DeviatorRule):
 
     name = "lowest-id"
 
-    def choose(self, game, profile, suboptimal, vectors):
+    def choose(self, ev, suboptimal):
         return suboptimal
 
 
@@ -204,8 +196,7 @@ def rule_successors(
     suboptimal = game.suboptimal_players(ev)
     if not suboptimal:
         return ()
-    vectors = state_vectors(game, ev, suboptimal)
-    choice = tuple(rule.choose(game, profile, suboptimal, vectors))
+    choice = tuple(rule.choose(ev, suboptimal))
     _check_rule_output(choice, suboptimal, rule)
     player = min(choice)
     if branch_all:
@@ -241,8 +232,9 @@ def _apply_move(
     return after, move
 
 
-# the default move budget of a run
+# the default move budget of a run, and state budget of a search
 DEFAULT_MAX_STEPS = 10_000
+DEFAULT_STATE_LIMIT = 5_000_000
 
 
 def run_brd(
@@ -402,7 +394,7 @@ def reachable_by_rule(
     game: Game,
     p0: Profile,
     rule: DeviatorRule,
-    state_limit: int = 200_000,
+    state_limit: int = DEFAULT_STATE_LIMIT,
 ) -> RuleReach:
     """Exact set of equilibria reachable when `rule` picks deviators and the
     chosen player may move to any of her tied best responses.  Requires a
@@ -429,15 +421,15 @@ def reachable_by_rule(
 
 @dataclass(frozen=True)
 class IipViolation:
-    preferred: StateVector
-    rejected: StateVector
+    preferred: Hashable
+    rejected: Hashable
     profile_a: int
     profile_b: int
 
 
 def check_iip(
-    choose: Callable[[Sequence[StateVector]], Sequence[int]],
-    vector_profiles: Sequence[Sequence[StateVector]],
+    choose: Callable[[Sequence[Hashable]], Sequence[int]],
+    vector_profiles: Sequence[Sequence[Hashable]],
 ) -> list[IipViolation]:
     """Report every pair of state vectors whose pairwise preference flips
     across the given vector profiles.
@@ -446,7 +438,7 @@ def check_iip(
     chosen records the preference a > b; a violation is a pair recorded in
     both directions.  Preorder-based rules can never violate.
     """
-    first_seen: dict[tuple[StateVector, StateVector], int] = {}
+    first_seen: dict[tuple[Hashable, Hashable], int] = {}
     violations: list[IipViolation] = []
     for pidx, vectors in enumerate(vector_profiles):
         chosen = set(choose(vectors))

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .core import Game, Profile, Strategy
+from .core import STRATEGY_CAP, Game, Profile, Strategy
 from .engine import LowestIdRule, ScriptMove, Trace, run_brd, run_scripted
 from .networks import Edge, Network, NetworkFormationGame, NfgStateVector, PlayerSpec, is_ep
 from .oracle import reachable_ne
@@ -652,6 +652,7 @@ def appB_coco(B: int = 27) -> FixtureSpec:
     _require(c**3 == B and c >= 2, "B must be a perfect cube of an integer >= 2")
     machines = c + 1
     n = c * c + B
+    _require(n <= STRATEGY_CAP, f"B={B} needs {n} jobs, more than {STRATEGY_CAP}")
     lengths = [F(1)] * n
     game = SchedulingGame(machines, lengths, activation_cost=B)
     assign = []

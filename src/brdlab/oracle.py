@@ -32,6 +32,7 @@ from typing import Iterable, Iterator
 
 from .core import Cost, Evaluation, Game, PlayerId, Profile
 from .engine import (
+    DEFAULT_STATE_LIMIT,
     Choices,
     CycleDetected,
     DeviatorRule,
@@ -45,8 +46,6 @@ from .engine import (
     replay_links,
     rule_successors,
 )
-
-DEFAULT_STATE_LIMIT = 5_000_000
 
 
 class _Quotient:

@@ -13,14 +13,11 @@ from fractions import Fraction
 from typing import Mapping
 
 from .core import Game
-from .engine import (
-    DeviatorRule,
-    EngineError,
-    LocalRule,
-    StateVector,
-)
+from .engine import DeviatorRule, EngineError, LocalRule
 from .networks import NetworkFormationGame, NfgStateVector
 from .scheduling import SchedStateVector, SchedulingGame, l_star
+
+StateVector = NfgStateVector | SchedStateVector
 
 
 def _own_load(v: SchedStateVector) -> Fraction:
@@ -30,52 +27,38 @@ def _own_load(v: SchedStateVector) -> Fraction:
 def max_cost() -> LocalRule:
     """Highest current cost first."""
 
-    def build(game: Game | None):
-        def key(v: StateVector) -> Fraction:
-            if isinstance(v, NfgStateVector):
-                return v.current_cost
-            load = _own_load(v)
-            if game is not None and isinstance(game, SchedulingGame):
-                return game.job_cost_at_load(load)
-            return load
-
-        return key
+    def build(game: Game):
+        if isinstance(game, SchedulingGame):
+            return lambda v: game.job_cost_at_load(_own_load(v))
+        return lambda v: v.current_cost
 
     return LocalRule("max-cost", build)
 
 
 def min_path() -> LocalRule:
     """Cheapest best-response path first (network games only)."""
-
-    def build(game: Game | None):
-        def key(v: StateVector) -> Fraction:
-            assert isinstance(v, NfgStateVector)
-            return -v.br_path_cost
-
-        return key
-
     return LocalRule(
-        "min-path", build, accepts=lambda g: isinstance(g, NetworkFormationGame)
+        "min-path",
+        lambda game: lambda v: -v.br_path_cost,
+        accepts=lambda g: isinstance(g, NetworkFormationGame),
     )
 
 
 def max_improvement() -> LocalRule:
     """Largest cost decrease from a best response first."""
 
-    def build(game: Game | None):
-        def key(v: StateVector) -> Fraction:
-            if isinstance(v, NfgStateVector):
-                return v.current_cost - v.br_cost
-            own = _own_load(v)
+    def build(game: Game):
+        if not isinstance(game, SchedulingGame):
+            return lambda v: v.current_cost - v.br_cost
+        cost = game.job_cost_at_load
+
+        def key(v: SchedStateVector) -> Fraction:
             others = [
                 load + v.length
                 for m, load in enumerate(v.loads, start=1)
                 if m != v.machine
             ]
-            if game is not None and isinstance(game, SchedulingGame):
-                best = min(game.job_cost_at_load(x) for x in others)
-                return game.job_cost_at_load(own) - best
-            return own - min(others)
+            return cost(_own_load(v)) - min(cost(x) for x in others)
 
         return key
 
@@ -83,15 +66,10 @@ def max_improvement() -> LocalRule:
 
 
 def longest_job() -> LocalRule:
-    def build(game: Game | None):
-        def key(v: StateVector) -> Fraction:
-            assert isinstance(v, SchedStateVector)
-            return v.length
-
-        return key
-
     return LocalRule(
-        "longest-job", build, accepts=lambda g: isinstance(g, SchedulingGame)
+        "longest-job",
+        lambda game: lambda v: v.length,
+        accepts=lambda g: isinstance(g, SchedulingGame),
     )
 
 
@@ -107,7 +85,7 @@ class RoundRobinRule(DeviatorRule):
     def reset(self, game: Game) -> None:
         self._cursor = 0
 
-    def choose(self, game, profile, suboptimal, vectors):
+    def choose(self, ev, suboptimal):
         above = [i for i in suboptimal if i > self._cursor]
         pick = min(above) if above else min(suboptimal)
         self._cursor = pick
@@ -128,7 +106,7 @@ class RandomRule(DeviatorRule):
     def reset(self, game: Game) -> None:
         self._rng = random.Random(self.seed)
 
-    def choose(self, game, profile, suboptimal, vectors):
+    def choose(self, ev, suboptimal):
         return (self._rng.choice(sorted(suboptimal)),)
 
 
@@ -168,10 +146,7 @@ def s_opt_rule() -> LocalRule:
     rule's equilibrium signal is the engine's own Nash test.
     """
 
-    def build(game: Game | None):
-        if game is None:
-            raise EngineError("s-opt needs the activation cost; score with "
-                              "s_opt_vector_key(B) for bare-vector audits")
+    def build(game: Game):
         if not (isinstance(game, SchedulingGame) and game.is_conflicting):
             raise EngineError("s-opt applies to the conflicting model only")
         assert game.activation_cost is not None

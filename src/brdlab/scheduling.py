@@ -31,6 +31,8 @@ from .core import (
     SocialCostKind,
     UnsupportedModelError,
 )
+from .engine import DEFAULT_STATE_LIMIT
+from .oracle import reachable_ne
 
 MachineId = int
 
@@ -206,7 +208,7 @@ def stays_active(
 
 
 def max_active_machines(
-    game: SchedulingGame, profile: Profile, state_limit: int = 5_000_000
+    game: SchedulingGame, profile: Profile, state_limit: int = DEFAULT_STATE_LIMIT
 ) -> int:
     """Number of active machines in a best reachable equilibrium.
 
@@ -216,8 +218,6 @@ def max_active_machines(
     """
     if not game.is_conflicting:
         raise UnsupportedModelError("active-machine analysis needs the conflicting model")
-    from .oracle import reachable_ne
-
     best_profile, _ = reachable_ne(game, profile, state_limit=state_limit).best()
     return sum(1 for load in game.loads(best_profile) if load > 0)
 

@@ -36,7 +36,14 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 from .core import Evaluation, GameError, PlayerId, Profile, ResourceId, Strategy
-from .engine import DEFAULT_MAX_STEPS, ScriptMove, Trace, _apply_move, run_scripted
+from .engine import (
+    DEFAULT_MAX_STEPS,
+    ScriptMove,
+    StepBudgetExceeded,
+    Trace,
+    _apply_move,
+    run_scripted,
+)
 from .networks import Edge, Network, NetworkFormationGame, PlayerSpec, unit_edge_costs
 
 
@@ -340,7 +347,7 @@ def replay(instance: SppInstance, table: DpTable) -> Trace:
         if not suboptimal:
             return Trace(p0, tuple(moves), profile, True)
         if step >= DEFAULT_MAX_STEPS:
-            raise SppError(f"cleanup did not settle within {DEFAULT_MAX_STEPS} steps")
+            raise StepBudgetExceeded(f"cleanup did not settle within {DEFAULT_MAX_STEPS} steps")
         player = suboptimal[0]
         strategy = _flock_strategy(instance, ev, player, resolved)
         idx = game.strategy_space(player).index(strategy)

@@ -428,14 +428,21 @@ def test_c12_property_suites():
 
     # locality audits: 1000 random vector profiles per rule, no flips
     nfg_profiles = _random_nfg_vector_profiles(rng, 1000)
+    nfg_game = fig2_maxcost().game
     for factory in SHIPPED_LOCAL_NFG_RULES:
-        assert check_iip(factory().vector_chooser(game=None), nfg_profiles) == []
+        assert check_iip(factory().vector_chooser(nfg_game), nfg_profiles) == []
     sched_profiles = _random_sched_vector_profiles(rng, 1000)
     from brdlab.rules import longest_job, s_opt_vector_key
+    from brdlab.scheduling import SchedulingGame
 
+    linear, coco = SchedulingGame(2, [1]), SchedulingGame(2, [1], activation_cost=16)
     for chooser in (
-        max_cost().vector_chooser(game=None),
-        longest_job().vector_chooser(game=None),
+        max_cost().vector_chooser(linear),
+        longest_job().vector_chooser(linear),
+        max_improvement().vector_chooser(linear),
+        max_cost().vector_chooser(coco),
+        max_improvement().vector_chooser(coco),
+        s_opt_rule().vector_chooser(coco),
     ):
         assert check_iip(chooser, sched_profiles) == []
 

@@ -22,6 +22,7 @@ from brdlab.engine import (
     run_brd,
     run_scripted,
 )
+from brdlab.fixtures import fig2_maxcost
 from brdlab.networks import NetworkFormationGame, NfgStateVector, PlayerSpec
 from brdlab.rules import max_cost, min_path, random_rule, round_robin
 from brdlab.scheduling import SchedStateVector
@@ -91,11 +92,11 @@ class TestRunBrd:
 
     def test_rule_violation_detected(self):
         class Bogus(LowestIdRule):
-            def choose(self, game, profile, suboptimal, vectors):
+            def choose(self, ev, suboptimal):
                 return (99,)
 
         class Mute(LowestIdRule):
-            def choose(self, game, profile, suboptimal, vectors):
+            def choose(self, ev, suboptimal):
                 return ()
 
         game, p0 = crowd_game()
@@ -238,6 +239,20 @@ class TestStatefulRules:
         order = trace.deviator_order()
         assert order == tuple(sorted(order))  # one sweep suffices here
 
+    def test_rules_without_vectors_build_none(self, monkeypatch):
+        from brdlab.scheduling import SchedulingGame
+
+        def refuse(self, at, player):
+            raise AssertionError("a rule that reads no vectors built one")
+
+        monkeypatch.setattr(NetworkFormationGame, "state_vector", refuse)
+        monkeypatch.setattr(SchedulingGame, "state_vector", refuse)
+        sg = SchedulingGame(3, [1, 2, 3, 1])
+        sp = sg.profile_from_strategies([(1,)] * 4)
+        for game, p0 in (crowd_game(), (sg, sp)):
+            for rule in (round_robin(), random_rule(seed=3), LowestIdRule()):
+                assert run_brd(game, p0, rule).terminal_is_ne
+
     def test_random_rule_replays_deterministically(self):
         game, p0 = crowd_game()
         a = run_brd(game, p0, random_rule(seed=42))
@@ -261,7 +276,7 @@ class TestCheckIip:
         rng = random.Random(11)
         profiles = [self._vectors(rng, rng.randint(2, 6)) for _ in range(300)]
         for rule in (max_cost(), min_path()):
-            chooser = rule.vector_chooser(game=None)
+            chooser = rule.vector_chooser(fig2_maxcost().game)
             assert check_iip(chooser, profiles) == []
 
     def test_second_highest_rule_violates(self):

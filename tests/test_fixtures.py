@@ -180,6 +180,12 @@ class TestAppB:
         with pytest.raises(FixtureError):
             appB_coco(B=20)
 
+    def test_rejects_more_jobs_than_the_strategy_cap(self):
+        # c**2 + B unit jobs: 266,240 at B = 64**3, about 1e120 at (1e40)**3
+        for b in (64**3, (10**40) ** 3):
+            with pytest.raises(FixtureError, match="jobs, more than"):
+                appB_coco(B=b)
+
 
 class TestCrossFixtureDynamics:
     def test_max_cost_locks_crowd_game(self):

@@ -25,9 +25,8 @@ from helpers import random_coco_game
 
 
 def choice_of(rule, game, profile):
-    suboptimal = game.suboptimal_players(profile)
-    vectors = state_vectors(game, profile, suboptimal)
-    return rule.choose(game, profile, suboptimal, vectors)
+    ev = game.evaluate(profile)
+    return rule.choose(ev, game.suboptimal_players(ev))
 
 
 class TestMaxCost:
@@ -135,10 +134,11 @@ class TestLocality:
         game, p0 = fx.game, fx.initial
         suboptimal = game.suboptimal_players(p0)
         vectors = state_vectors(game, p0, suboptimal)
+        ordered = [vectors[i] for i in suboptimal]
         for rule in (max_cost(), min_path(), max_improvement()):
-            base = set(rule.choose(game, p0, suboptimal, vectors))
-            perm = {i: suboptimal[(k + 1) % len(suboptimal)]
-                    for k, i in enumerate(suboptimal)}
-            permuted = {perm[i]: vectors[i] for i in suboptimal}
-            relabeled = set(rule.choose(game, p0, tuple(sorted(perm.values())), permuted))
-            assert relabeled == {perm[i] for i in base}
+            choose = rule.vector_chooser(game)
+            base = set(choose(ordered))
+            # vector k moves to position k + 1 (cyclically)
+            permuted = ordered[-1:] + ordered[:-1]
+            relabeled = set(choose(permuted))
+            assert relabeled == {(k + 1) % len(ordered) for k in base}

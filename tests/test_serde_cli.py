@@ -284,6 +284,20 @@ class TestCli:
             assert main(["fixture", "appB", "--params", f"B={b}"]) == 2
         assert main(["fixture", "appB", "--params", "B=8"]) == 0
 
+    def test_fixture_b_over_the_job_cap_exits_2(self, capsys):
+        for b in (262144, (10**40) ** 3):
+            assert main(["fixture", "appB", "--params", f"B={b}"]) == 2
+
+    def test_dp_cleanup_budget_exit_3(self, tmp_path, monkeypatch, capsys):
+        from brdlab import sppdp
+
+        instance = self.fixture_file(tmp_path, "fig3")
+        fx = fig3_minpath_chain()
+        skeleton = sppdp.dp_single_source(sppdp.from_network_game(fx.game, fx.initial)).skeleton
+        # fig3's cleanup needs one move after the skeleton
+        monkeypatch.setattr(sppdp, "DEFAULT_MAX_STEPS", len(skeleton))
+        assert main(["dp", str(instance), "--mode", "single-source"]) == 3
+
     def test_unknown_fixture_exits_2(self):
         assert main(["fixture", "fig99"]) == 2
 
