@@ -304,8 +304,18 @@ class Game(ABC):
         return self.evaluate(at).is_suboptimal(self.position_of(player))
 
     def suboptimal_players(self, at: Profile | Evaluation) -> tuple[PlayerId, ...]:
+        """Ascending ids; clones on one strategy share a cell, so one test
+        per occupied (class, strategy) answers for all of them."""
         ev = self.evaluate(at)
-        return tuple(pos + 1 for pos in range(self.n) if ev.is_suboptimal(pos))
+        verdicts: dict[tuple[int, int], bool] = {}
+        out = []
+        for pos, key in enumerate(zip(self._class_ids, ev.profile.choices)):
+            verdict = verdicts.get(key)
+            if verdict is None:
+                verdict = verdicts[key] = ev.is_suboptimal(pos)
+            if verdict:
+                out.append(pos + 1)
+        return tuple(out)
 
     def is_nash(self, at: Profile | Evaluation) -> bool:
         return not self.suboptimal_players(at)

@@ -7,9 +7,11 @@ game model.
 
 A deviator rule maps the evaluated profile and its suboptimal players to a
 non-empty choice set of suboptimal players.  Local rules are total preorders
-over state vectors, which they build themselves from the evaluation, so the
-locality condition holds by construction; arbitrary rules can be audited with
-`check_iip`.
+over state vectors, so the locality condition holds by construction;
+arbitrary rules can be audited with `check_iip`.  Runs and searches score a
+local rule's players from the evaluation's cells, in the game's integer unit,
+through a key that orders them as their vectors do; the audits score the
+vectors themselves.
 
 Tie semantics: the engine breaks rule ties by lowest player id, and a chosen
 player's tied best responses by the game's canonical pick.  Branching over
@@ -122,6 +124,13 @@ class LocalRule(DeviatorRule):
     the maximal vectors.  `key_builder(game)` returns the scoring function,
     letting rules close over public game parameters (e.g. the activation
     cost); locality audits score bare vectors with the game they came from.
+
+    `choose` scores positions through `cell_key` instead: built once per
+    game, bound once per evaluation, then read per position.  It reads the
+    evaluation's cells and must order any one evaluation's suboptimal
+    players exactly as their vectors' keys do, ties included (the shipped
+    rules read integers in the game's cost unit).  Without it, `choose`
+    builds each player's vector and scores that.
     """
 
     def __init__(
@@ -129,22 +138,34 @@ class LocalRule(DeviatorRule):
         name: str,
         key_builder: Callable[[Game], Callable[[Hashable], object]],
         accepts: Callable[[Game], bool] | None = None,
+        cell_key: Callable[[Game], Callable[[Evaluation], Callable[[int], object]]] | None = None,
     ) -> None:
         self.name = name
         self._key_builder = key_builder
         self._accepts = accepts
+        self._cell_key = cell_key or self._vector_cell_key
+        # the last game's built cell key: a cache, not run state
+        self._scorer: tuple[Game, Callable[[Evaluation], Callable[[int], object]]] | None = None
 
     def accepts(self, game: Game) -> bool:
         return self._accepts(game) if self._accepts else True
 
+    def _vector_cell_key(self, game: Game) -> Callable[[Evaluation], Callable[[int], object]]:
+        key = self._key_builder(game)
+        return lambda ev: lambda pos: key(game.state_vector(ev, pos + 1))
+
     def choose(self, ev, suboptimal):
-        vectors = state_vectors(ev.game, ev, suboptimal)
-        chosen = self.vector_chooser(ev.game)([vectors[i] for i in suboptimal])
-        return tuple(suboptimal[k] for k in chosen)
+        game = ev.game
+        if self._scorer is None or self._scorer[0] is not game:
+            self._scorer = (game, self._cell_key(game))
+        key = self._scorer[1](ev)
+        keys = [key(i - 1) for i in suboptimal]
+        best = max(keys)
+        return tuple(i for i, k in zip(suboptimal, keys) if k == best)
 
     def vector_chooser(self, game: Game) -> Callable[[Sequence[Hashable]], tuple[int, ...]]:
-        """Choice-set function over bare vector profiles of `game`; `choose`
-        and the IIP audits both score through it."""
+        """Choice-set function over bare vector profiles of `game`: the
+        rule's definition, which the IIP audits score through."""
         key = self._key_builder(game)
 
         def choose(vectors: Sequence[Hashable]) -> tuple[int, ...]:

@@ -435,9 +435,11 @@ class NetworkFormationGame(Game):
         return self._edge_cost[edge_id]
 
     @cached_property
-    def _path_costs(self) -> dict[int, tuple[Fraction, ...]]:
-        """Each class's path costs by strategy index, built on first use."""
-        return {c: tuple(sum((self._edge_cost[e] for e in path), ZERO) for path in self._spaces[c])
+    def _path_costs(self) -> dict[int, tuple[int | Fraction, ...]]:
+        """Each class's path costs by strategy index, in the cost unit,
+        built on first use."""
+        cost = self._scaled_cost
+        return {c: tuple(sum(cost[e] for e in path) for path in self._spaces[c])
                 for c in set(self._class_ids)}
 
     @cached_property
@@ -515,11 +517,11 @@ class NetworkFormationGame(Game):
         ev = self.evaluate(at)
         pos = self.position_of(player)
         path_costs, idx = self._path_costs[self._class_ids[pos]], ev.profile.choices[pos]
-        cell = ev.cell(pos)
+        cell, u = ev.cell(pos), self._cost_unit
         return NfgStateVector(
             current_cost=cell.cost(idx),
-            current_path_cost=path_costs[idx],
+            current_path_cost=Fraction(path_costs[idx], u),
             br_cost=cell.br_cost,
-            br_path_cost=path_costs[min(cell.br)],
+            br_path_cost=Fraction(path_costs[min(cell.br)], u),
             weight=None if self.is_unweighted else self._weights[pos],
         )

@@ -1,9 +1,13 @@
 """The deviator rules under study.
 
-Local rules are preorders over state vectors (see `engine.LocalRule`);
-round-robin and the seeded random rule are global rules carrying explicit,
-replayable state.  `RULES` maps the stable command-line identifiers to
-factories.
+Local rules are preorders over state vectors (see `engine.LocalRule`).  Each
+comes with two keys: a vector key, the rule's definition, which the locality
+audits score, and a cell key, which runs and searches score.  The cell key
+reads the evaluation's integer cells and equals the vector key times the
+game's cost (or load) unit on every suboptimal player, so it keeps every
+order and every tie.  Round-robin and the seeded random rule are global
+rules carrying explicit, replayable state.  `RULES` maps the stable
+command-line identifiers to factories.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import random
 from fractions import Fraction
 from typing import Mapping
 
-from .core import Game
+from .core import Evaluation, Game
 from .engine import DeviatorRule, EngineError, LocalRule
 from .networks import NetworkFormationGame, NfgStateVector
 from .scheduling import SchedStateVector, SchedulingGame, l_star
@@ -24,6 +28,25 @@ def _own_load(v: SchedStateVector) -> Fraction:
     return v.loads[v.machine - 1]
 
 
+def _own_cost(ev: Evaluation):
+    """A position's current cost, from its cell."""
+    choices = ev.profile.choices
+    return lambda pos: ev.cell(pos).costs[choices[pos]]
+
+
+def _improvement(ev: Evaluation):
+    """A position's cost minus its best-response cost, from its cell.  For a
+    scheduling job that is suboptimal, the best response is another machine,
+    so this is the vector key's drop to the cheapest other machine."""
+    choices = ev.profile.choices
+
+    def key(pos: int):
+        costs, br, _ = ev.cell(pos)
+        return costs[choices[pos]] - costs[br[0]]
+
+    return key
+
+
 def max_cost() -> LocalRule:
     """Highest current cost first."""
 
@@ -32,15 +55,24 @@ def max_cost() -> LocalRule:
             return lambda v: game.job_cost_at_load(_own_load(v))
         return lambda v: v.current_cost
 
-    return LocalRule("max-cost", build)
+    return LocalRule("max-cost", build, cell_key=lambda game: _own_cost)
 
 
 def min_path() -> LocalRule:
     """Cheapest best-response path first (network games only)."""
+
+    def cell_key(game: NetworkFormationGame):
+        def bind(ev: Evaluation):
+            # the vector's br_path_cost: the lex-smallest tied path's cost
+            return lambda pos: -game._path_costs[game._class_ids[pos]][min(ev.cell(pos).br)]
+
+        return bind
+
     return LocalRule(
         "min-path",
         lambda game: lambda v: -v.br_path_cost,
         accepts=lambda g: isinstance(g, NetworkFormationGame),
+        cell_key=cell_key,
     )
 
 
@@ -62,14 +94,19 @@ def max_improvement() -> LocalRule:
 
         return key
 
-    return LocalRule("max-improvement", build)
+    return LocalRule("max-improvement", build, cell_key=lambda game: _improvement)
 
 
 def longest_job() -> LocalRule:
+    def cell_key(game: Game):
+        weights = game._load_weights
+        return lambda ev: weights.__getitem__
+
     return LocalRule(
         "longest-job",
         lambda game: lambda v: v.length,
         accepts=lambda g: isinstance(g, SchedulingGame),
+        cell_key=cell_key,
     )
 
 
@@ -118,6 +155,14 @@ def random_rule(seed: int = 0) -> RandomRule:
     return RandomRule(seed)
 
 
+def _s_opt_rank(machine: int, top: int, bottom: int, top_is_high: bool) -> int:
+    if machine == top and top_is_high:
+        return 2
+    if machine == bottom:
+        return 1
+    return 0
+
+
 def s_opt_vector_key(activation_cost: Fraction | int | str):
     """Preorder form of the optimal conflicting-model rule: rank jobs on the
     top machine (when it is high) above jobs on the bottom machine, above
@@ -130,11 +175,7 @@ def s_opt_vector_key(activation_cost: Fraction | int | str):
         active = [m for m in range(1, len(v.loads) + 1) if v.loads[m - 1] > 0]
         top = max(active, key=lambda m: (v.loads[m - 1], m))
         bottom = min(active, key=lambda m: (v.loads[m - 1], m))
-        if v.machine == top and v.loads[top - 1] >= star:
-            return 2
-        if v.machine == bottom:
-            return 1
-        return 0
+        return _s_opt_rank(v.machine, top, bottom, v.loads[top - 1] >= star)
 
     return key
 
@@ -146,16 +187,31 @@ def s_opt_rule() -> LocalRule:
     rule's equilibrium signal is the engine's own Nash test.
     """
 
-    def build(game: Game):
+    def activation_cost(game: Game) -> Fraction:
         if not (isinstance(game, SchedulingGame) and game.is_conflicting):
             raise EngineError("s-opt applies to the conflicting model only")
         assert game.activation_cost is not None
-        return s_opt_vector_key(game.activation_cost)
+        return game.activation_cost
+
+    def cell_key(game: Game):
+        star = l_star(activation_cost(game))
+
+        def bind(ev: Evaluation):
+            # the active machines are the load map's keys; unit jobs make
+            # the load unit 1, so loads compare with l* as they are
+            loads, choices = ev.loads, ev.profile.choices
+            top = max(loads, key=lambda m: (loads[m], m))
+            bottom = min(loads, key=lambda m: (loads[m], m))
+            high = loads[top] >= star
+            return lambda pos: _s_opt_rank(choices[pos] + 1, top, bottom, high)
+
+        return bind
 
     return LocalRule(
         "s-opt",
-        build,
+        lambda game: s_opt_vector_key(activation_cost(game)),
         accepts=lambda g: isinstance(g, SchedulingGame) and g.is_conflicting,
+        cell_key=cell_key,
     )
 
 

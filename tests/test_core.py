@@ -316,6 +316,31 @@ class TestEvaluation:
             assert len(calls) == len(keys)
         assert shared > 50
 
+    def test_suboptimal_players_test_one_member_per_occupied_strategy(self, monkeypatch):
+        from brdlab.core import Evaluation
+
+        calls = []
+        is_suboptimal = Evaluation.is_suboptimal
+
+        def counted(ev, pos):
+            calls.append(pos)
+            return is_suboptimal(ev, pos)
+
+        monkeypatch.setattr(Evaluation, "is_suboptimal", counted)
+        rng = random.Random(66)
+        pools = [random_coco_game(rng, max_n=40) for _ in range(30)]
+        pools += list(evaluation_pool(seed=66, rounds=5))
+        for game, p in pools:
+            ev = game.evaluate(p)
+            brute = tuple(i for i in game.players if p.choices[i - 1] not in ev.cell(i - 1).br)
+            calls.clear()
+            assert game.suboptimal_players(ev) == brute
+            occupied = {(game._class_ids[pos], idx) for pos, idx in enumerate(p.choices)}
+            assert len(calls) == len(occupied)
+            if isinstance(game, SchedulingGame) and game.is_conflicting:
+                # unit jobs form one class: one test per occupied machine
+                assert len(calls) == len(set(p.choices))
+
     def test_relabeled_evaluation_reads_like_a_fresh_one(self):
         rng = random.Random(64)
         for game, p in evaluation_pool(seed=64):

@@ -253,6 +253,48 @@ class TestStatefulRules:
             for rule in (round_robin(), random_rule(seed=3), LowestIdRule()):
                 assert run_brd(game, p0, rule).terminal_is_ne
 
+    def test_local_rules_build_no_vectors(self, monkeypatch):
+        """Runs and searches score local rules from the evaluation's cells:
+        with vectors and per-load scheduling costs refused, every shipped
+        local rule gives the same traces, equilibrium sets and alphas."""
+        from brdlab.oracle import game_inefficiency
+        from brdlab.rules import longest_job, max_improvement, s_opt_rule
+        from brdlab.scheduling import SchedulingGame
+
+        linear = SchedulingGame(3, [1, 2, 3, 1])
+        coco = SchedulingGame(3, [1] * 5, activation_cost=4)
+        cases = [
+            crowd_game(),
+            (linear, linear.profile_from_strategies([(1,)] * 4)),
+            (coco, coco.profile_from_strategies([(1,), (1,), (1,), (2,), (3,)])),
+        ]
+        rules = (max_cost, min_path, max_improvement, longest_job, s_opt_rule)
+
+        def results():
+            out = []
+            for game, p0 in cases:
+                for factory in rules:
+                    if factory().accepts(game):
+                        reach = reachable_by_rule(game, p0, factory())
+                        out.append((
+                            run_brd(game, p0, factory()),
+                            reach.terminals,
+                            reach.visited,
+                            game_inefficiency(game, factory()),
+                        ))
+            return out
+
+        expected = results()
+        assert len(expected) == 10
+
+        def refuse(*args):
+            raise AssertionError("a local rule built a vector or a per-load cost")
+
+        monkeypatch.setattr(NetworkFormationGame, "state_vector", refuse)
+        monkeypatch.setattr(SchedulingGame, "state_vector", refuse)
+        monkeypatch.setattr(SchedulingGame, "job_cost_at_load", refuse)
+        assert results() == expected
+
     def test_random_rule_replays_deterministically(self):
         game, p0 = crowd_game()
         a = run_brd(game, p0, random_rule(seed=42))

@@ -21,7 +21,15 @@ from brdlab.rules import (
     s_opt_rule,
 )
 from brdlab.scheduling import s_opt_choose
-from helpers import random_coco_game
+from helpers import (
+    random_coco_game,
+    random_linear_game,
+    random_profile,
+    random_symmetric_game,
+    random_weighted_game,
+)
+
+SHIPPED_LOCAL_RULES = (max_cost, min_path, max_improvement, longest_job, s_opt_rule)
 
 
 def choice_of(rule, game, profile):
@@ -142,3 +150,53 @@ class TestLocality:
             permuted = ordered[-1:] + ordered[:-1]
             relabeled = set(choose(permuted))
             assert relabeled == {(k + 1) % len(ordered) for k in base}
+
+
+def differential_pool(seed: int, rounds: int):
+    """(game, profile) pairs from every random pool a local rule runs on:
+    symmetric network games, generic and tie-heavy, weighted network games,
+    linear scheduling games, and conflicting games with integer B, whose
+    per-load costs tie (c(x) = c(y) when x * y = B)."""
+    rng = random.Random(seed)
+    for _ in range(rounds):
+        for tie_heavy in (False, True):
+            game = random_symmetric_game(rng, tie_heavy=tie_heavy)
+            yield game, random_profile(rng, game)
+        game = random_weighted_game(rng)
+        yield game, random_profile(rng, game)
+        yield random_linear_game(rng)
+        yield random_coco_game(rng, max_n=14, max_m=5, generic_b=False)
+
+
+class TestCellKeys:
+    def test_choose_ranks_players_as_the_vector_keys_do(self):
+        """`choose` scores the evaluation's cells, the audits score state
+        vectors: on every reached profile both must give the same choice
+        set, and again after peeling off each choice set in turn, so the
+        whole preorder over the suboptimal players agrees, ties included."""
+        checked, tied = {}, 0
+        for game, p0 in differential_pool(seed=12, rounds=50):
+            profile = p0
+            for _ in range(6):
+                ev = game.evaluate(profile)
+                suboptimal = game.suboptimal_players(ev)
+                if not suboptimal:
+                    break
+                vectors = state_vectors(game, ev, suboptimal)
+                for factory in SHIPPED_LOCAL_RULES:
+                    rule = factory()
+                    if not rule.accepts(game):
+                        continue
+                    by_vectors = rule.vector_chooser(game)
+                    rest = suboptimal
+                    while rest:
+                        chosen = rule.choose(ev, rest)
+                        picks = by_vectors([vectors[i] for i in rest])
+                        assert chosen == tuple(rest[k] for k in picks), (rule.name, game, profile)
+                        tied += 1 < len(chosen) < len(rest)
+                        rest = tuple(i for i in rest if i not in chosen)
+                    checked[rule.name] = checked.get(rule.name, 0) + 1
+                mover = suboptimal[-1]
+                profile = profile.with_choice(game, mover, game.canonical_br_pick(ev, mover))
+        assert set(checked) == {f().name for f in SHIPPED_LOCAL_RULES}
+        assert min(checked.values()) >= 100 and tied >= 100, (checked, tied)
