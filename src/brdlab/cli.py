@@ -38,7 +38,7 @@ from .serde import (
     trace_to_doc,
     verify_trace,
 )
-from .sppdp import dp_proper_intervals, dp_single_source, from_network_game, replay
+from .sppdp import SppError, dp_proper_intervals, dp_single_source, from_network_game, replay
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -112,6 +112,11 @@ def _cmd_dp(args: argparse.Namespace) -> int:
         table = dp_proper_intervals(instance)
     trace = replay(instance, table)
     terminal_cost = game.social_cost(trace.terminal)
+    if terminal_cost != table.optimum:
+        raise SppError(
+            f"the {table.mode} program's optimum {fmt_rational(table.optimum)} is not what "
+            f"its replay reaches: {fmt_rational(terminal_cost)}"
+        )
     doc = {
         "mode": table.mode,
         "optimum": fmt_rational(table.optimum),

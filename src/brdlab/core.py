@@ -86,20 +86,11 @@ class PlayerClass:
 
 class Cell(NamedTuple):
     """One position's view of a profile: the cost of each of its strategies
-    against everyone else's loads, in multiples of 1/`unit` (integers but in
-    weighted network games), and its best responses.  `cost` and `br_cost`
-    read one cost as a `Fraction`."""
+    against everyone else's loads, in the game's cost unit (integers but in
+    weighted network games), and its best responses."""
 
     costs: tuple[int | Fraction, ...]
     br: tuple[int, ...]
-    unit: int
-
-    def cost(self, idx: int) -> Cost:
-        return Fraction(self.costs[idx], self.unit)
-
-    @property
-    def br_cost(self) -> Cost:
-        return self.cost(self.br[0])
 
 
 class Evaluation:
@@ -137,11 +128,12 @@ class Evaluation:
         return cell
 
     def cost(self, pos: int) -> Cost:
-        return self.cell(pos).cost(self.profile.choices[pos])
+        return self.cost_to(pos, self.profile.choices[pos])
 
     def cost_to(self, pos: int, idx: int) -> Cost:
-        """The position's cost once it has moved to strategy `idx`."""
-        return self.cell(pos).cost(idx)
+        """The position's cost once it has moved to strategy `idx`: the one
+        place a cell cost becomes a `Fraction`."""
+        return Fraction(self.cell(pos).costs[idx], self.game._cost_unit)
 
     def is_suboptimal(self, pos: int) -> bool:
         return self.profile.choices[pos] not in self.cell(pos).br
@@ -156,8 +148,6 @@ class Game(ABC):
     1/`_cost_unit`.
     """
 
-    # what `evaluate` builds; a game may add projections of its own
-    _evaluation_type: type[Evaluation] = Evaluation
     # costs count in multiples of 1/_cost_unit, which each model fixes
     _cost_unit: int = 1
 
@@ -198,10 +188,6 @@ class Game(ABC):
     @property
     def players(self) -> tuple[PlayerId, ...]:
         return tuple(range(1, self.n + 1))
-
-    @property
-    def social_cost_kind(self) -> SocialCostKind:
-        return self._kind
 
     def position_of(self, player: PlayerId) -> int:
         if not 1 <= player <= self.n:
@@ -273,7 +259,7 @@ class Game(ABC):
         current one included."""
         costs = self._costs_against(player - 1, loads)
         best = min(costs)
-        return Cell(costs, tuple(i for i, c in enumerate(costs) if c == best), self._cost_unit)
+        return Cell(costs, tuple(i for i, c in enumerate(costs) if c == best))
 
     def evaluate(self, at: "Profile | Evaluation") -> Evaluation:
         """The evaluation every cost and best-response reader goes through;
@@ -281,7 +267,7 @@ class Game(ABC):
         if isinstance(at, Evaluation):
             return at
         self.validate_profile(at)
-        return self._evaluation_type(self, at)
+        return Evaluation(self, at)
 
     def player_cost(self, at: Profile | Evaluation, player: PlayerId) -> Cost:
         return self.evaluate(at).cost(self.position_of(player))

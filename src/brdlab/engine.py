@@ -18,7 +18,7 @@ player's tied best responses by the game's canonical pick.  Branching over
 best-response ties (the "breaking ties arbitrarily" in the move, not the
 rule) is what `reachable_by_rule` explores to compute the full set of
 equilibria a rule can reach.  `rule_successors` is the one definition of a
-rule's moves; runs and searches all go through it.
+rule's moves, in the one `SearchMove` shape the oracle's moves share too.
 
 `_apply_move` is the one legality check of a move: the mover must be
 suboptimal and move to one of her best responses.  Every trace goes through
@@ -201,19 +201,21 @@ def _check_rule_output(
 # -- running dynamics -----------------------------------------------------------
 
 
-RuleMove = tuple[PlayerId, int, Profile]
+Choices = tuple[int, ...]
+# one best-response move: (mover's position, new strategy index, child choices)
+SearchMove = tuple[int, int, Choices]
 
 
 def rule_successors(
     ev: Evaluation, rule: DeviatorRule, branch_all: bool = False
-) -> tuple[RuleMove, ...]:
-    """The moves `rule` allows out of the evaluated profile, as (player,
-    strategy index, resulting profile); empty exactly at an equilibrium.
+) -> tuple[SearchMove, ...]:
+    """The moves `rule` allows out of the evaluated profile; empty exactly
+    at an equilibrium.
 
     The lowest-id member of the rule's choice set moves, to the canonical
     best response or, with `branch_all`, to every best response.
     """
-    game, profile = ev.game, ev.profile
+    game, choices = ev.game, ev.profile.choices
     suboptimal = game.suboptimal_players(ev)
     if not suboptimal:
         return ()
@@ -224,7 +226,8 @@ def rule_successors(
         targets = game.best_response(ev, player)
     else:
         targets = (game.canonical_br_pick(ev, player),)
-    return tuple((player, idx, profile.with_choice(game, player, idx)) for idx in targets)
+    pos = player - 1
+    return tuple((pos, idx, choices[:pos] + (idx,) + choices[pos + 1:]) for idx in targets)
 
 
 def _apply_move(
@@ -282,8 +285,8 @@ def run_brd(
             return Trace(p0, tuple(moves), profile, True)
         if step >= max_steps:
             raise StepBudgetExceeded(f"no equilibrium within {max_steps} steps")
-        ((player, new_index, _),) = successors
-        profile, move = _apply_move(ev, player, new_index, step)
+        ((pos, new_index, _),) = successors
+        profile, move = _apply_move(ev, pos + 1, new_index, step)
         moves.append(move)
         if not game.is_unweighted:
             if profile.choices in seen:
@@ -338,7 +341,6 @@ def run_scripted(
 # -- reachability search ----------------------------------------------------------
 
 
-Choices = tuple[int, ...]
 # how a search first reached a state: (parent, mover's position, new index)
 Link = tuple[Choices, int, int]
 Parents = dict[Choices, Link | None]
@@ -346,7 +348,7 @@ Parents = dict[Choices, Link | None]
 
 def parent_search(
     root: Choices,
-    successors: Callable[[Choices], Sequence[tuple[int, int, Choices]]],
+    successors: Callable[[Choices], Sequence[SearchMove]],
     state_limit: int,
 ) -> tuple[Parents, tuple[Choices, ...]]:
     """Depth-first search from `root`; `successors(state)` lists the
@@ -429,9 +431,8 @@ def reachable_by_rule(
     game.validate_profile(p0)
     rule.reset(game)
 
-    def successors(choices: Choices) -> list[tuple[int, int, Choices]]:
-        moves = rule_successors(game.evaluate(Profile(choices)), rule, branch_all=True)
-        return [(player - 1, idx, child.choices) for player, idx, child in moves]
+    def successors(choices: Choices) -> tuple[SearchMove, ...]:
+        return rule_successors(game.evaluate(Profile(choices)), rule, branch_all=True)
 
     parents, terminals = parent_search(p0.choices, successors, state_limit)
     return RuleReach(tuple(map(Profile, terminals)), len(parents), p0, parents)

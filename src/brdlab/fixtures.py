@@ -58,6 +58,12 @@ def _require(condition: bool, message: str) -> None:
         raise FixtureError(message)
 
 
+def _require_capped(count: int, what: str) -> None:
+    """A fixture's player, edge or machine count stays within the strategy
+    cap; checked before any list of that size is built."""
+    _require(count <= STRATEGY_CAP, f"{count} {what}, more than {STRATEGY_CAP}")
+
+
 def _parallel_network(costs: Sequence[tuple[int, Fraction]]) -> Network:
     return Network(tuple(Edge(i, 0, 1, c) for i, c in costs), source=0, sink=1)
 
@@ -79,6 +85,7 @@ def fig2_maxcost(n: int = 5, eps: Fraction | str = F(1, 100)) -> FixtureSpec:
     eps = F(eps)
     _require(n >= 2, "need at least two players")
     _require(0 < eps < F(1, n), "need 0 < eps < 1/n for the crowd to be mobile")
+    _require_capped(n, "players")
     top, middle, bottom = F(1), F(1, n), 1 - eps
     net = _parallel_network([(1, top), (2, middle), (3, bottom)])
     specs = [PlayerSpec(0, 1)] * n
@@ -130,6 +137,7 @@ def fig3_minpath_chain(m: int = 4, eps: Fraction | str = F(1, 100)) -> FixtureSp
     eps = F(eps)
     _require(m >= 2, "need at least two segments")
     _require(0 < eps < 1, "need 0 < eps < 1")
+    _require_capped(2 * m - 1, "edges")
     n = m
     edges = []
     for j in range(1, m):
@@ -182,6 +190,9 @@ def fig4_minpath_exp(m: int = 3) -> FixtureSpec:
     everyone on the lower chain at 2^(m+1) - 2, so the gap is 2^(m-1).
     """
     _require(m >= 2, "need at least two segments")
+    # 2^(m-1) <= STRATEGY_CAP, so the m + 2^(m-1) players fit under the cap
+    _require(m <= STRATEGY_CAP.bit_length(),
+             f"m={m} needs 2^{m - 1} pack players, more than {STRATEGY_CAP}")
     edges = []
     for j in range(1, m + 1):
         edges.append(Edge(j, j - 1, j, F(2**j)))              # lower
@@ -240,6 +251,7 @@ def fig5_ep_pair(
     delta = F(delta)
     _require(n >= 5, "need at least one bystander")
     _require(0 < delta < F(1, 10), "connector cost must sit below 1/10")
+    _require_capped(n, "players")
     bystanders = n - 4
 
     def build(edge_list, inits, targets) -> tuple[NetworkFormationGame, Profile]:
@@ -318,6 +330,10 @@ def fig5_ep_pair(
 # ---------------------------------------------------------------------------
 
 
+# the most partition weights fig6 takes: it tries all 2^k subsets
+PARTITION_CAP = 16
+
+
 def fig6_weighted_partition(
     a: Sequence[Fraction | str] = (F(1, 2), F(1, 2)),
     eps: Fraction | str = F(1, 1000),
@@ -332,6 +348,8 @@ def fig6_weighted_partition(
     finding the social-cost-2 equilibrium therefore encodes Partition.
     """
     eps, big = F(eps), F(big_cost)
+    _require(len(a) <= PARTITION_CAP,
+             f"{len(a)} partition weights, more than {PARTITION_CAP}: every subset is tried")
     weights = [F(x) for x in a]
     _require(all(0 < w <= 1 for w in weights), "partition weights must lie in (0, 1]")
     _require(sum(weights) <= 2, "partition weights must total at most 2")
@@ -410,6 +428,7 @@ def fig7_weighted_local_pair(
     _require(0 < eps < F(2 * (r - 3), r * r + r + 3), "eps too large for r")
     _require(big >= 4 * r, "the stranding edge must dwarf every alternative")
     crowd = r * r + r
+    _require_capped(crowd + r + 2, "players")
 
     v1 = NfgStateVector(big, big, F(2, r + 2), F(1), F(2))
     v2 = NfgStateVector(F(1, r), F(1), F(r, r * r + r + 1), F(r), F(1))
@@ -496,6 +515,7 @@ def fig8_weighted_minpath(k: int = 10, eps: Fraction | str = F(1, 100)) -> Fixtu
     """
     eps = F(eps)
     _require(k > 2, "need k > 2")
+    _require_capped(2 * k + 3, "edges")
     r = k + 2
     heavy = F(k + 2, k)  # 1 + 2/k
     _require(0 < eps < 1, "eps must be small")
@@ -562,6 +582,8 @@ def fig9_sched_pair(
     tiny_count = (m - 2 * eps) / eps
     _require(short_count.denominator == 1, "(m + eps/2)/(3 eps/2) must be integral")
     _require(tiny_count.denominator == 1, "(m - 2 eps)/eps must be integral")
+    _require_capped(m, "machines")
+    _require_capped(m + 2 + max(tiny_count, short_count), "jobs")
 
     fillers = [F(m)] * (m - 3)
     filler_assign = list(range(4, m + 1))

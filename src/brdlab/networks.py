@@ -517,11 +517,11 @@ class NetworkFormationGame(Game):
         ev = self.evaluate(at)
         pos = self.position_of(player)
         path_costs, idx = self._path_costs[self._class_ids[pos]], ev.profile.choices[pos]
-        cell, u = ev.cell(pos), self._cost_unit
+        br, u = ev.cell(pos).br, self._cost_unit
         return NfgStateVector(
-            current_cost=cell.cost(idx),
+            current_cost=ev.cost(pos),
             current_path_cost=Fraction(path_costs[idx], u),
-            br_cost=cell.br_cost,
-            br_path_cost=Fraction(path_costs[min(cell.br)], u),
+            br_cost=ev.cost_to(pos, br[0]),
+            br_path_cost=Fraction(path_costs[min(br)], u),
             weight=None if self.is_unweighted else self._weights[pos],
         )

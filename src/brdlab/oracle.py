@@ -40,6 +40,7 @@ from .engine import (
     Link,
     Parents,
     RuleReach,
+    SearchMove,
     StateBudgetExceeded,
     Trace,
     parent_search,
@@ -64,7 +65,7 @@ class _Quotient:
                 out[pos] = value
         return tuple(out)
 
-    def successors(self, ev: Evaluation) -> list[tuple[int, int, Choices]]:
+    def successors(self, ev: Evaluation) -> list[SearchMove]:
         """Every oracle move out of the evaluated canonical profile, as
         (position, strategy index, canonical child): one representative
         mover per (class, strategy) whose holder is suboptimal, to each of
@@ -197,9 +198,6 @@ class InefficiencyReport:
     rule_visited: int
 
 
-SearchMove = tuple[int, int, Choices]
-
-
 @dataclass
 class _Start:
     """The searches from one start profile: the oracle's over canonical
@@ -228,7 +226,7 @@ class _Searches:
         self.quotient = _Quotient(game)
         # canonical state -> (its oracle moves, their canonical children, its evaluation)
         self._oracle: dict[Choices, tuple[list[SearchMove], frozenset[Choices], Evaluation]] = {}
-        self._rule: dict[Choices, list[SearchMove]] = {}
+        self._rule: dict[Choices, tuple[SearchMove, ...]] = {}
         self.ne_cost: dict[Choices, Cost] = {}
 
     def _grow(self, memo: dict) -> None:
@@ -249,7 +247,7 @@ class _Searches:
     def oracle_moves(self, key: Choices) -> list[SearchMove]:
         return self._expand(key)[0]
 
-    def rule_moves(self, choices: Choices) -> list[SearchMove]:
+    def rule_moves(self, choices: Choices) -> tuple[SearchMove, ...]:
         """The rule's moves out of the raw state `choices`, read from its
         canonical profile's evaluation: to every best response for a
         stateless rule, memoized, and to the canonical one for a stateful
@@ -259,9 +257,8 @@ class _Searches:
         if moves is None:
             canonical, stateless = self.quotient.canonical, self.rule.is_stateless
             _, kids, ev = self._expand(canonical(choices))
-            found = rule_successors(ev.relabeled(Profile(choices)), self.rule,
+            moves = rule_successors(ev.relabeled(Profile(choices)), self.rule,
                                     branch_all=stateless)
-            moves = [(p - 1, idx, child.choices) for p, idx, child in found]
             if (kids and not moves) or any(canonical(child) not in kids for _, _, child in moves):
                 raise AssertionError("rule reached an equilibrium outside NE(p0)")
             if stateless:

@@ -41,7 +41,7 @@ def _improvement(ev: Evaluation):
     choices = ev.profile.choices
 
     def key(pos: int):
-        costs, br, _ = ev.cell(pos)
+        costs, br = ev.cell(pos)
         return costs[choices[pos]] - costs[br[0]]
 
     return key

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Sequence
 
 from .core import (
@@ -55,15 +54,6 @@ class SchedStateVector:
         return tuple(sorted(self.loads))
 
 
-class SchedEvaluation(Evaluation):
-    @cached_property
-    def machine_loads(self) -> tuple[Fraction, ...]:
-        """Load of each machine 1..m, built once per profile."""
-        u = self.game._load_unit
-        return tuple(Fraction(self.loads.get(m, 0), u)
-                     for m in range(1, self.game.machine_count + 1))
-
-
 class SchedulingGame(Game):
     """Identical machines 1..m; strategy of a job is a single machine.
 
@@ -74,8 +64,6 @@ class SchedulingGame(Game):
     are integers in U = den(B) * lcm(1..n), where c(k) = k * U + (B * U) // k
     is exact as a load k <= n divides U.
     """
-
-    _evaluation_type = SchedEvaluation
 
     def __init__(
         self,
@@ -122,7 +110,9 @@ class SchedulingGame(Game):
         return self.strategy_of(profile, player)[0]
 
     def loads(self, at: Profile | Evaluation) -> tuple[Fraction, ...]:
-        return self.evaluate(at).machine_loads
+        """Load of each machine 1..m."""
+        loads, u = self.evaluate(at).loads, self._load_unit
+        return tuple(Fraction(loads.get(m, 0), u) for m in range(1, self.machine_count + 1))
 
     def job_cost_at_load(self, load: Fraction) -> Fraction:
         """c(x) = x + B/x in the conflicting model, x itself otherwise."""
@@ -164,7 +154,7 @@ class SchedulingGame(Game):
         return SchedStateVector(
             length=self._weights[pos],
             machine=self._spaces[pos][ev.profile.choices[pos]][0],
-            loads=ev.machine_loads,
+            loads=self.loads(ev),
         )
 
 

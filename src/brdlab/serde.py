@@ -169,6 +169,10 @@ def instance_from_doc(doc: Mapping[str, Any]) -> tuple[Game, Profile]:
             source=_get(graph, "source", terminal, "graph", None),
             sink=_get(graph, "sink", terminal, "graph", None),
         )
+        nodes = list(net.nodes)
+        listed = _get(graph, "nodes", list, "graph", nodes)
+        if not all(map(_is_int, listed)) or sorted(listed) != nodes:
+            raise FormatError("graph nodes must list once each node the edges and terminals use")
         specs = []
         for p in players:
             _fields(p, {"source", "target", "weight"}, "player")

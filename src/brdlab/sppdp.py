@@ -221,7 +221,8 @@ class DpTable:
     `opt` and `first_mover` are keyed by the (s, t) sub-chain of segments
     s+1 .. t in both modes; the single-source program fills only the
     suffixes (s, m).  `skeleton` lists the forced (player id, full
-    strategy) moves realizing `optimum`.
+    strategy) moves realizing `optimum`, and `resolved` maps each segment
+    a skeleton move sets to the edge its first mover there picks.
     """
 
     mode: str
@@ -229,6 +230,7 @@ class DpTable:
     opt: dict
     first_mover: dict
     skeleton: tuple[ScriptMove, ...]
+    resolved: dict[int, ResourceId]
 
 
 def dp_single_source(instance: SppInstance) -> DpTable:
@@ -323,7 +325,7 @@ def _sub_chain_program(
         if p.source > s:
             pending.append((s, p.source))
     values = {key: Fraction(v, u) for key, v in opt.items()}
-    return DpTable(mode, values[(0, m)], values, first, tuple(skeleton))
+    return DpTable(mode, values[(0, m)], values, first, tuple(skeleton), resolved)
 
 
 def replay(instance: SppInstance, table: DpTable) -> Trace:
@@ -334,11 +336,6 @@ def replay(instance: SppInstance, table: DpTable) -> Trace:
     social cost against `table.optimum`."""
     game, p0 = instance.to_game()
     head = run_scripted(game, p0, table.skeleton)
-    resolved: dict[int, ResourceId] = {}
-    for player, strategy in table.skeleton:
-        p = instance.players[player - 1]
-        for seg, edge in zip(range(p.source + 1, p.target + 1), strategy):
-            resolved.setdefault(seg, edge)
     profile = head.terminal
     moves = list(head.moves)
     for step in itertools.count(len(moves)):
@@ -349,7 +346,7 @@ def replay(instance: SppInstance, table: DpTable) -> Trace:
         if step >= DEFAULT_MAX_STEPS:
             raise StepBudgetExceeded(f"cleanup did not settle within {DEFAULT_MAX_STEPS} steps")
         player = suboptimal[0]
-        strategy = _flock_strategy(instance, ev, player, resolved)
+        strategy = _flock_strategy(instance, ev, player, table.resolved)
         idx = game.strategy_space(player).index(strategy)
         profile, move = _apply_move(ev, player, idx, step)
         moves.append(move)
@@ -387,25 +384,14 @@ def _flock_strategy(
 # -- resolution bookkeeping -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ResolvedSet:
-    """Segments whose equilibrium edge is already determined, with the edge."""
-
-    edges: Mapping[int, ResourceId]
-
-    @property
-    def segments(self) -> tuple[int, ...]:
-        return tuple(sorted(self.edges))
-
-
 def resolved_segments(
     instance: SppInstance,
     prefix: Iterable[tuple[PlayerId, Strategy]] = (),
-) -> ResolvedSet:
+) -> dict[int, ResourceId]:
     """Resolution state after a trace prefix of (deviator, new strategy)
-    moves: segments where every potential user already agrees on the edge
-    she would set, plus every segment in a deviator's interval, pinned to
-    the edge she chose.
+    moves, as {segment: edge} in segment order: segments where every
+    potential user already agrees on the edge she would set, plus every
+    segment in a deviator's interval, pinned to the edge she chose.
 
     Agreement uses the engine's deterministic selection (marginal share,
     then lowest edge id), so the initially agreed edge is exactly what the
@@ -419,4 +405,4 @@ def resolved_segments(
         p = instance.players[player - 1]
         for seg, edge in zip(range(p.source + 1, p.target + 1), strategy):
             resolved[seg] = edge
-    return ResolvedSet(dict(sorted(resolved.items())))
+    return dict(sorted(resolved.items()))

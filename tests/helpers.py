@@ -170,6 +170,18 @@ def random_linear_game(rng: random.Random) -> tuple[SchedulingGame, Profile]:
 # -- plain-Fraction reference for the SPP programs --------------------------------
 
 
+def short_replay_chain() -> SppInstance:
+    """The smallest proper-interval chain whose program claims an optimum
+    (5) below the oracle's best (6).  Its skeleton moves player 3 onto
+    edge 3, then player 2 onto edges (2, 3); but with player 3 beside her
+    on edge 3, player 2's two paths both cost 3, so she never moves and the
+    replay ends at 6."""
+    return SppInstance(
+        ((SppEdge(1, F(2)), SppEdge(2, F(1))), (SppEdge(3, F(4)), SppEdge(4, F(5)))),
+        (SppPlayer(0, 1, (1,)), SppPlayer(0, 2, (1, 3)), SppPlayer(1, 2, (4,))),
+    )
+
+
 def _reference_counts(inst: SppInstance) -> dict[int, int]:
     counts: dict[int, int] = {}
     for p in inst.players:
@@ -251,7 +263,7 @@ def reference_sub_chain_program(inst: SppInstance, sub_chains) -> tuple[dict, di
 
 
 def reference_resolved_segments(inst: SppInstance, prefix=()) -> dict[int, int]:
-    """`resolved_segments(inst, prefix).edges` in plain `Fraction` arithmetic:
+    """`resolved_segments(inst, prefix)` in plain `Fraction` arithmetic:
     the segments whose covering players all pick the same edge by (marginal
     share, id), then each deviator's segments pinned to her edges."""
     counts = _reference_counts(inst)

@@ -164,8 +164,8 @@ FIG3_SAME_STEPS = edited(
 )
 
 
-# inputs that escaped as tracebacks, never finished or passed `check`; each
-# must exit 2
+# inputs that escaped as tracebacks, never finished, passed `check` or ran
+# although malformed; each must exit 2
 REPRODUCED = [
     ("oracle", edited(NFG, "graph", "edges", 0, "cost"), None),
     ("run", edited(NFG, "graph", "edges", 0, "cost"), None),
@@ -189,6 +189,8 @@ REPRODUCED = [
     ("check", FIG3, FIG3_SAME_STEPS),
     ("check", FIG3, edited(FIG3_TRACE, "moves", 1, "step", value=True)),
     ("oracle", edited(FIG2, "graph", "source", value=False), None),
+    ("oracle", edited(FIG2, "graph", "nodes", value="not a list"), None),
+    ("oracle", edited(FIG2, "graph", "nodes", value=[0, 1, 7]), None),
 ]
 
 

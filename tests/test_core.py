@@ -258,7 +258,7 @@ class TestEvaluation:
                 cell = ev.cell(pos)
                 assert ev.cost(pos) == costs[p.choices[pos]] == game.player_cost(p, player)
                 assert cell.br == tuple(i for i, c in enumerate(costs) if c == best)
-                assert cell.br_cost == best
+                assert ev.cost_to(pos, cell.br[0]) == best
                 if p.choices[pos] not in cell.br:
                     sub.append(player)
             assert game.suboptimal_players(ev) == game.suboptimal_players(p) == tuple(sub)

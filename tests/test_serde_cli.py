@@ -5,14 +5,20 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
 import random
+import resource
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import brdlab
 from brdlab.cli import main
 from brdlab.core import Profile
 from brdlab.engine import LowestIdRule, run_brd
@@ -30,7 +36,7 @@ from brdlab.serde import (
     trace_to_doc,
     verify_trace,
 )
-from helpers import random_coco_game, random_profile, random_symmetric_game
+from helpers import random_coco_game, random_profile, random_symmetric_game, short_replay_chain
 
 
 class TestRationals:
@@ -298,6 +304,14 @@ class TestCli:
         monkeypatch.setattr(sppdp, "DEFAULT_MAX_STEPS", len(skeleton))
         assert main(["dp", str(instance), "--mode", "single-source"]) == 3
 
+    def test_dp_replay_short_of_its_optimum_exits_2(self, tmp_path, capsys):
+        instance = tmp_path / "chain.json"
+        instance.write_text(dumps(instance_to_doc(*short_replay_chain().to_game())))
+        assert main(["dp", str(instance), "--mode", "proper"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "5/1" in err and "6/1" in err
+
     def test_unknown_fixture_exits_2(self):
         assert main(["fixture", "fig99"]) == 2
 
@@ -313,6 +327,33 @@ class TestCli:
         b = b_dir / "fig4.json"
         assert main(["fixture", "fig4", "--out", str(b)]) == 0
         assert a.read_text() == b.read_text()
+
+
+def _limit_address_space():
+    # 1.5 GB: an oversized fixture that builds its lists before its size
+    # check fails with a MemoryError instead of filling the machine
+    limit = 1536 * 2**20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize("params", [
+    ("fig4", "m=40"),
+    ("fig2", "n=100000000000", "eps=1/1000000000000"),
+    ("fig5a", "n=100000000000"),
+    ("fig9a", "m=100000000", "eps=1/4"),
+    ("fig8", "k=100000000000"),
+    ("fig6", "a=" + ",".join(["1/40"] * 40)),
+], ids=lambda params: params[0])
+def test_oversized_fixture_exits_2_before_building(params):
+    name, *rest = params
+    proc = subprocess.run(
+        [sys.executable, "-m", "brdlab.cli", "fixture", name, "--params", *rest],
+        capture_output=True, text=True, timeout=20,
+        env={**os.environ, "PYTHONPATH": str(Path(brdlab.__file__).parents[1])},
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
 
 
 # sha256 of `brdlab oracle` and `brdlab ineff --rule <rule>` JSON on the fixtures
