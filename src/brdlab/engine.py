@@ -20,9 +20,11 @@ rule) is what `reachable_by_rule` explores to compute the full set of
 equilibria a rule can reach.  `rule_successors` is the one definition of a
 rule's moves, in the one `SearchMove` shape the oracle's moves share too.
 
-`_apply_move` is the one legality check of a move: the mover must be
-suboptimal and move to one of her best responses.  Every trace goes through
-it: runs, scripts, witness replays, the SPP cleanup and `serde.verify_trace`.
+`walk` is the one trace loop, with one step budget for the whole walk:
+runs, scripts, witness replays and the SPP cleanup are movers over it.  Its
+`_apply_move` is the one legality check of a move (the mover must be
+suboptimal and move to one of her best responses), which `serde.verify_trace`
+shares so as to compare each replayed move with the recorded one.
 
 `parent_search` is the one depth-first reachability search with parent
 links, and `replay_links` the one witness replay over those links: both
@@ -33,10 +35,9 @@ rule's moves and over every best-response move respectively.
 from __future__ import annotations
 
 import hashlib
-import itertools
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field, replace
-from typing import Callable, Hashable, Sequence
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable, Hashable, Sequence
 
 from .core import Cost, Evaluation, Game, GameError, PlayerId, Profile, Strategy
 
@@ -256,9 +257,49 @@ def _apply_move(
     return after, move
 
 
-# the default move budget of a run, and state budget of a search
+# the default move budget of a walk, and state budget of a search
 DEFAULT_MAX_STEPS = 10_000
 DEFAULT_STATE_LIMIT = 5_000_000
+
+if TYPE_CHECKING:
+    # names the next move out of the evaluated profile at a step, or None to
+    # stop; at run time typing's cache would keep every import's classes alive
+    Mover = Callable[[Evaluation, int], tuple[PlayerId, int] | None]
+
+
+def walk(game: Game, p0: Profile, mover: Mover, max_steps: int = DEFAULT_MAX_STEPS) -> Trace:
+    """The one trace loop: evaluate the profile once, ask `mover(ev, step)`
+    for the next (player, strategy index) and apply it through `_apply_move`,
+    until the mover stops; errors rather than make more than `max_steps`."""
+    profile, moves = p0, []
+    while True:
+        ev = game.evaluate(profile)
+        move = mover(ev, len(moves))
+        if move is None:
+            return Trace(p0, tuple(moves), profile, game.is_nash(ev))
+        if len(moves) >= max_steps:
+            raise StepBudgetExceeded(f"no equilibrium within {max_steps} steps")
+        profile, record = _apply_move(ev, *move, len(moves))
+        moves.append(record)
+
+
+def _rule_mover(game: Game, rule: DeviatorRule) -> Mover:
+    """`rule`'s moves to an equilibrium; a revisited profile is a cycle in
+    weighted games, which sit outside the potential guarantee."""
+    if not rule.accepts(game):
+        raise EngineError(f"rule {rule.name} does not accept this game class")
+    rule.reset(game)
+    seen: set[Choices] = set()
+
+    def mover(ev: Evaluation, step: int) -> tuple[PlayerId, int] | None:
+        if not game.is_unweighted:
+            if ev.profile.choices in seen:
+                raise CycleDetected(f"profile revisited after step {step - 1}")
+            seen.add(ev.profile.choices)
+        moves = rule_successors(ev, rule)
+        return (moves[0][0] + 1, moves[0][1]) if moves else None
+
+    return mover
 
 
 def run_brd(
@@ -269,32 +310,35 @@ def run_brd(
 ) -> Trace:
     """Run best-response dynamics from `p0` under `rule` until a Nash
     equilibrium; errors when an equilibrium takes more than `max_steps`
-    moves or (for weighted games, which sit outside the potential
-    guarantee) on a revisited profile."""
-    if not rule.accepts(game):
-        raise EngineError(f"rule {rule.name} does not accept this game class")
-    game.validate_profile(p0)
-    rule.reset(game)
-    profile = p0
-    moves: list[Move] = []
-    seen: set[tuple[int, ...]] = {p0.choices} if not game.is_unweighted else set()
-    for step in itertools.count():
-        ev = game.evaluate(profile)
-        successors = rule_successors(ev, rule)
-        if not successors:
-            return Trace(p0, tuple(moves), profile, True)
-        if step >= max_steps:
-            raise StepBudgetExceeded(f"no equilibrium within {max_steps} steps")
-        ((pos, new_index, _),) = successors
-        profile, move = _apply_move(ev, pos + 1, new_index, step)
-        moves.append(move)
-        if not game.is_unweighted:
-            if profile.choices in seen:
-                raise CycleDetected(f"profile revisited after step {step}")
-            seen.add(profile.choices)
+    moves or (for weighted games) on a revisited profile."""
+    return walk(game, p0, _rule_mover(game, rule), max_steps)
 
 
 ScriptMove = tuple[PlayerId, Strategy | None]
+
+
+def script_mover(script: Sequence[ScriptMove], then: Mover | None = None) -> Mover:
+    """The scripted moves, then `then`'s.  A `None` strategy is the
+    deviator's canonical best response; a forced best response of an
+    indifferent player is skipped, since she cannot legally move."""
+    entries = iter(script)
+
+    def mover(ev: Evaluation, step: int) -> tuple[PlayerId, int] | None:
+        game = ev.game
+        for player, forced in entries:
+            if forced is None:
+                return player, game.canonical_br_pick(ev, player)
+            try:
+                idx = game.strategy_space(player).index(tuple(forced))
+            except ValueError:
+                raise ScriptError(
+                    f"scripted strategy {forced} outside player {player}'s space"
+                ) from None
+            if game.is_suboptimal(ev, player) or idx not in game.best_response(ev, player):
+                return player, idx
+        return then(ev, step) if then else None
+
+    return mover
 
 
 def run_scripted(
@@ -304,38 +348,11 @@ def run_scripted(
     continue_rule: DeviatorRule | None = None,
     max_steps: int = DEFAULT_MAX_STEPS,
 ) -> Trace:
-    """Replay a forced deviator order, then optionally run `continue_rule`
-    to an equilibrium.
-
-    Each scripted entry names the deviator and optionally a strategy; a
-    `None` strategy means her canonical best response.  Every entry must be
-    a legal move, except that a forced best response of an indifferent
-    player (her current strategy already ties it) is skipped, since she
-    cannot legally move.
-    """
-    game.validate_profile(p0)
-    profile = p0
-    moves: list[Move] = []
-    for player, forced in script:
-        ev = game.evaluate(profile)
-        if forced is None:
-            idx = game.canonical_br_pick(ev, player)
-        else:
-            try:
-                idx = game.strategy_space(player).index(tuple(forced))
-            except ValueError:
-                raise ScriptError(
-                    f"scripted strategy {forced} outside player {player}'s space"
-                ) from None
-            if not game.is_suboptimal(ev, player) and idx in game.best_response(ev, player):
-                continue
-        profile, move = _apply_move(ev, player, idx, len(moves))
-        moves.append(move)
-    if continue_rule is not None:
-        tail = run_brd(game, profile, continue_rule, max_steps=max_steps)
-        shifted = tuple(replace(m, step=len(moves) + m.step) for m in tail.moves)
-        return Trace(p0, tuple(moves) + shifted, tail.terminal, tail.terminal_is_ne)
-    return Trace(p0, tuple(moves), profile, game.is_nash(profile))
+    """Replay a forced deviator order of (player, strategy or None) entries,
+    each a legal move, then optionally run `continue_rule` to an equilibrium;
+    `max_steps` bounds the whole walk."""
+    then = _rule_mover(game, continue_rule) if continue_rule is not None else None
+    return walk(game, p0, script_mover(script, then), max_steps)
 
 
 # -- reachability search ----------------------------------------------------------
@@ -390,11 +407,14 @@ def replay_links(
     while (link := parents[state]) is not None:
         chain.append(link)
         state = link[0]
-    profile, moves = initial, []
-    for step, link in enumerate(reversed(chain)):
-        profile, move = _apply_move(game.evaluate(profile), mover(profile, link), link[2], step)
-        moves.append(move)
-    return Trace(initial, tuple(moves), profile, game.is_nash(profile))
+
+    def link_mover(ev: Evaluation, step: int) -> tuple[PlayerId, int] | None:
+        if not chain:
+            return None
+        link = chain.pop()
+        return mover(ev.profile, link), link[2]
+
+    return walk(game, initial, link_mover, len(chain))
 
 
 @dataclass

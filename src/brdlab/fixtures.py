@@ -47,10 +47,7 @@ class FixtureSpec:
 
     def run_script(self, key: str) -> Trace:
         """The scripted moves, then lowest-id dynamics to an equilibrium."""
-        return run_scripted(
-            self.game, self.initial, self.scripts[key], continue_rule=LowestIdRule(),
-            max_steps=20_000,
-        )
+        return run_scripted(self.game, self.initial, self.scripts[key], LowestIdRule())
 
 
 def _require(condition: bool, message: str) -> None:

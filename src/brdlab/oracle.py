@@ -153,13 +153,15 @@ def reachable_ne(
     game: Game, p0: Profile, state_limit: int = DEFAULT_STATE_LIMIT
 ) -> ReachableSet:
     """Exact NE(p0) by memoized depth-first search over the quotient of the
-    reachable profile space."""
+    reachable profile space; raises CycleDetected when it is empty."""
     game.validate_profile(p0)
     quotient = _Quotient(game)
     root = quotient.canonical(p0.choices)
     parents, ne_keys = parent_search(
         root, lambda choices: quotient.successors(game.evaluate(Profile(choices))), state_limit
     )
+    if not ne_keys:
+        raise CycleDetected("a best-response cycle reaches no equilibrium")
     return ReachableSet(game, p0, tuple(map(Profile, ne_keys)),
                         SearchStats(len(parents)), quotient, parents)
 

@@ -199,17 +199,18 @@ def instance_from_doc(doc: Mapping[str, Any]) -> tuple[Game, Profile]:
 
 
 def _profile_of(game: Game, raw: Any, where: str) -> Profile:
-    """The profile a {"player id": strategy} object assigns."""
+    """The profile a {"player id": strategy} object assigns; a key must be
+    the id as the writer emits it, so no alias ("01", " 1") can overwrite
+    another key."""
     if not isinstance(raw, Mapping):
         raise FormatError(f"{where} must be a JSON object")
+    ids = {str(i): i for i in game.players}
     assignment = {}
     for key, strategy in raw.items():
-        try:
-            player = int(key)
-        except ValueError:
-            raise FormatError(f"bad player id {key!r} in {where}") from None
-        assignment[player] = decode_strategy(game, strategy)
-    if set(assignment) != set(game.players):
+        if key not in ids:
+            raise FormatError(f"bad player id {key!r} in {where}")
+        assignment[ids[key]] = decode_strategy(game, strategy)
+    if len(assignment) != game.n:
         raise FormatError(f"{where} must assign exactly the players 1..n")
     try:
         return game.profile_from_strategies(assignment)

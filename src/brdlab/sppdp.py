@@ -21,29 +21,20 @@ mover) value costs O(1).  `DpTable.opt` and `optimum` are `Fraction`s, built
 once per table.
 
 Both key `opt` and `first_mover` by (s, t).  Each DP returns its value table
-together with a forced deviator skeleton; `replay` executes the skeleton
-through the engine, whose `_apply_move` checks that every move is a legal
-best-response move, and finishes with cleanup moves through the same check,
-so the claimed optimum can be checked against the realized equilibrium
-exactly.
+together with a forced deviator skeleton; `replay` walks the skeleton and
+then the cleanup moves through the engine's one trace loop, which checks
+that every move is a legal best-response move, so the claimed optimum can be
+checked against the realized equilibrium exactly.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 from .core import Evaluation, GameError, PlayerId, Profile, ResourceId, Strategy
-from .engine import (
-    DEFAULT_MAX_STEPS,
-    ScriptMove,
-    StepBudgetExceeded,
-    Trace,
-    _apply_move,
-    run_scripted,
-)
+from .engine import DEFAULT_MAX_STEPS, ScriptMove, Trace, script_mover, walk
 from .networks import Edge, Network, NetworkFormationGame, PlayerSpec, unit_edge_costs
 
 
@@ -335,21 +326,16 @@ def replay(instance: SppInstance, table: DpTable) -> Trace:
     so untouched sub-chains stay put).  Callers assert the terminal's
     social cost against `table.optimum`."""
     game, p0 = instance.to_game()
-    head = run_scripted(game, p0, table.skeleton)
-    profile = head.terminal
-    moves = list(head.moves)
-    for step in itertools.count(len(moves)):
-        ev = game.evaluate(profile)
+
+    def flock(ev: Evaluation, step: int) -> tuple[PlayerId, int] | None:
         suboptimal = game.suboptimal_players(ev)
         if not suboptimal:
-            return Trace(p0, tuple(moves), profile, True)
-        if step >= DEFAULT_MAX_STEPS:
-            raise StepBudgetExceeded(f"cleanup did not settle within {DEFAULT_MAX_STEPS} steps")
+            return None
         player = suboptimal[0]
         strategy = _flock_strategy(instance, ev, player, table.resolved)
-        idx = game.strategy_space(player).index(strategy)
-        profile, move = _apply_move(ev, player, idx, step)
-        moves.append(move)
+        return player, game.strategy_space(player).index(strategy)
+
+    return walk(game, p0, script_mover(table.skeleton, flock), DEFAULT_MAX_STEPS)
 
 
 def _flock_strategy(

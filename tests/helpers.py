@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction as F
 
-from brdlab.core import Profile
+from brdlab.core import Game, Profile, SocialCostKind
 from brdlab.networks import Edge, Network, NetworkFormationGame, PlayerSpec
 from brdlab.scheduling import SchedulingGame
 from brdlab.sppdp import SppEdge, SppInstance, SppPlayer
@@ -284,3 +284,45 @@ def reference_resolved_segments(inst: SppInstance, prefix=()) -> dict[int, int]:
         for seg, edge in zip(range(p.source + 1, p.target + 1), strategy):
             resolved[seg] = edge
     return dict(sorted(resolved.items()))
+
+
+class MatchingPennies(Game):
+    """Two players on two resources, weights 1 and 2: player 1 pays 0 on
+    the other player's resource and 1 elsewhere, player 2 the opposite.  A
+    weighted game without a potential: from every profile, best responses
+    cycle through all four profiles and reach no equilibrium."""
+
+    def __init__(self) -> None:
+        super().__init__([[(0,), (1,)]] * 2, [F(1), F(2)], SocialCostKind.SUM)
+
+    def _costs_against(self, pos, loads):
+        # the loads exclude the mover: a loaded resource holds the other player
+        return tuple(int((loads.get(e, 0) > 0) == (pos == 1)) for (e,) in self._spaces[pos])
+
+
+def _chain(*blocks) -> tuple[tuple[SppEdge, ...], ...]:
+    """Segments from (edge id, cost) pairs."""
+    return tuple(tuple(SppEdge(e, F(c)) for e, c in block) for block in blocks)
+
+
+def flock_current_edge_chain() -> SppInstance:
+    """A single-source chain whose cleanup keeps a flocking player on her
+    current edge, in a segment whose resolved edge is not among her tied
+    best edges.  Program optimum, oracle best and replay terminal are all
+    5."""
+    return SppInstance(
+        _chain([(1, 1), (2, 1)], [(3, 2), (4, 1)], [(5, 1), (6, 6)], [(7, 2), (8, 5)]),
+        (SppPlayer(0, 4, (1, 3, 5, 7)), SppPlayer(0, 3, (2, 3, 6)), SppPlayer(0, 1, (1,))),
+    )
+
+
+def flock_cheapest_edge_chain() -> SppInstance:
+    """A proper-interval chain whose cleanup moves a flocking player to the
+    cheapest of her tied best edges, in a segment where these include
+    neither the resolved edge nor her current one.  Program optimum, oracle
+    best and replay terminal are all 4."""
+    return SppInstance(
+        _chain([(1, 6), (2, 1), (3, 1)], [(4, 3), (5, 3)]),
+        (SppPlayer(0, 1, (2,)), SppPlayer(0, 1, (2,)), SppPlayer(0, 2, (3, 5)),
+         SppPlayer(0, 2, (3, 4)), SppPlayer(1, 2, (5,))),
+    )

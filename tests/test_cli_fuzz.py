@@ -165,7 +165,8 @@ FIG3_SAME_STEPS = edited(
 
 
 # inputs that escaped as tracebacks, never finished, passed `check` or ran
-# although malformed; each must exit 2
+# although malformed (an aliased player id such as " 1" or "01" once
+# overwrote the key "1"); each must exit 2
 REPRODUCED = [
     ("oracle", edited(NFG, "graph", "edges", 0, "cost"), None),
     ("run", edited(NFG, "graph", "edges", 0, "cost"), None),
@@ -191,6 +192,8 @@ REPRODUCED = [
     ("oracle", edited(FIG2, "graph", "source", value=False), None),
     ("oracle", edited(FIG2, "graph", "nodes", value="not a list"), None),
     ("oracle", edited(FIG2, "graph", "nodes", value=[0, 1, 7]), None),
+    ("oracle", edited(SCHED, "initial", " 1", value=SCHED["initial"]["1"]), None),
+    ("check", COCO, edited(COCO_TRACE, "terminal", "01", value=COCO_TRACE["terminal"]["1"])),
 ]
 
 

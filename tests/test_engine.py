@@ -9,6 +9,7 @@ import pytest
 
 from brdlab.core import InvalidProfileError, Profile
 from brdlab.engine import (
+    CycleDetected,
     EngineError,
     LowestIdRule,
     RuleViolation,
@@ -27,7 +28,7 @@ from brdlab.networks import NetworkFormationGame, NfgStateVector, PlayerSpec
 from brdlab.rules import max_cost, min_path, random_rule, round_robin
 from brdlab.scheduling import SchedStateVector
 from brdlab.serde import verify_trace
-from helpers import parallel_network, random_profile, random_symmetric_game
+from helpers import MatchingPennies, parallel_network, random_profile, random_symmetric_game
 
 
 def crowd_game(n=5, eps=F(1, 100)):
@@ -156,6 +157,36 @@ class TestRunScripted:
         trace = run_scripted(game, p0, [(2, (2,))], continue_rule=LowestIdRule())
         assert trace.terminal_is_ne
         assert game.social_cost(trace.terminal) == F(1, 5)
+
+    def test_step_budget_covers_script_and_continuation(self):
+        game, p0 = crowd_game()
+        trace = run_scripted(game, p0, [(2, (2,))], continue_rule=LowestIdRule())
+        assert len(trace.moves) > 1
+        assert [m.step for m in trace.moves] == list(range(len(trace.moves)))
+        budget = len(trace.moves)
+        assert run_scripted(game, p0, [(2, (2,))], LowestIdRule(), max_steps=budget) == trace
+        with pytest.raises(StepBudgetExceeded):
+            run_scripted(game, p0, [(2, (2,))], LowestIdRule(), max_steps=budget - 1)
+        with pytest.raises(StepBudgetExceeded):
+            run_scripted(game, p0, [(2, (2,))], max_steps=0)
+
+
+class TestCycleGuard:
+    """Weighted games sit outside the potential guarantee: a revisited
+    profile ends a walk with CycleDetected, its step counted from the start
+    of the walk."""
+
+    def test_runs_stop_on_the_revisit(self):
+        game = MatchingPennies()
+        p0 = Profile((0, 0))  # only player 2 is suboptimal; four moves close the cycle
+        for rule in (LowestIdRule(), round_robin()):
+            with pytest.raises(CycleDetected, match="profile revisited after step 3$"):
+                run_brd(game, p0, rule)
+
+    def test_scripted_continuation_stops_on_the_revisit(self):
+        game = MatchingPennies()
+        with pytest.raises(CycleDetected, match="profile revisited after step 4$"):
+            run_scripted(game, Profile((0, 0)), [(2, None)], continue_rule=LowestIdRule())
 
 
 class TestReachableByRule:

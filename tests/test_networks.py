@@ -152,6 +152,12 @@ class TestClassifierRoundTrips:
         assert not is_ep(net)
         assert is_spp(net)
 
+    def test_multi_segment_chain_classified_spp(self):
+        net = compose_series(parallel_block(1, [1, 2]), parallel_block(3, [3, 4, 5]))
+        net = compose_series(net, parallel_block(6, [6]))
+        assert classify(net) == Topology.SPP
+        assert classify(parallel_block(1, [1, 2])) == Topology.PARALLEL_EDGE
+
 
 class TestPaths:
     def test_three_parallel(self):

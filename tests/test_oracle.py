@@ -8,7 +8,13 @@ from fractions import Fraction as F
 import pytest
 
 from brdlab.core import Profile
-from brdlab.engine import LowestIdRule, StateBudgetExceeded, reachable_by_rule, run_brd
+from brdlab.engine import (
+    CycleDetected,
+    LowestIdRule,
+    StateBudgetExceeded,
+    reachable_by_rule,
+    run_brd,
+)
 from brdlab.fixtures import fig2_maxcost, fig6_weighted_partition, fig7_weighted_local_pair
 from brdlab.networks import NetworkFormationGame, PlayerSpec
 from brdlab.oracle import (
@@ -21,7 +27,7 @@ from brdlab.oracle import (
 )
 from brdlab.rules import max_cost, min_path, random_rule, round_robin
 from brdlab.serde import report_to_doc, dumps, verify_trace
-from helpers import parallel_network, random_profile, random_symmetric_game
+from helpers import MatchingPennies, parallel_network, random_profile, random_symmetric_game
 
 
 def brute_force_ne_costs(game, p0):
@@ -103,6 +109,25 @@ class TestBestAndWitness:
         game = NetworkFormationGame(net, [PlayerSpec(0, 1)])
         p0 = game.profile_from_strategies([(1,)])
         assert optimal_sequence(game, p0).moves == ()
+
+
+class TestNoReachableEquilibrium:
+    """Where best responses cycle and reach no equilibrium, the searches
+    raise CycleDetected rather than answer from an empty NE(p0)."""
+
+    def test_reachable_ne_raises(self):
+        game = MatchingPennies()
+        for p0 in all_profiles(game):
+            with pytest.raises(CycleDetected):
+                reachable_ne(game, p0)
+
+    def test_inefficiency_raises(self):
+        game = MatchingPennies()
+        for rule in (LowestIdRule(), round_robin()):
+            with pytest.raises(CycleDetected):
+                rule_inefficiency(game, Profile((0, 0)), rule)
+            with pytest.raises(CycleDetected):
+                game_inefficiency(game, rule)
 
 
 class TestRuleInefficiency:

@@ -25,6 +25,8 @@ from brdlab.sppdp import (
     resolved_segments,
 )
 from helpers import (
+    flock_cheapest_edge_chain,
+    flock_current_edge_chain,
     random_proper_instance,
     random_single_source_instance,
     reference_resolved_segments,
@@ -199,6 +201,23 @@ class TestProperIntervals:
         assert not is_proper_intervals(inst)
         with pytest.raises(SppError):
             dp_proper_intervals(inst)
+
+
+class TestFlockTieBreaks:
+    """The cleanup's per-segment tie-breaks past the resolved edge, each
+    pinned by a chain where the program, the oracle and the replay agree."""
+
+    def test_current_edge_kept(self):
+        inst = flock_current_edge_chain()
+        table = dp_single_source(inst)
+        assert table.optimum == 5
+        check_instance(inst, table)
+
+    def test_cheapest_edge_taken(self):
+        inst = flock_cheapest_edge_chain()
+        table = dp_proper_intervals(inst)
+        assert table.optimum == 4
+        check_instance(inst, table)
 
 
 class TestFromNetworkGame:
