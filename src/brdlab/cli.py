@@ -110,7 +110,7 @@ def _cmd_dp(args: argparse.Namespace) -> int:
         table = dp_single_source(instance)
     else:
         table = dp_proper_intervals(instance)
-    trace = replay(instance, table)
+    trace = replay(instance, table, game)
     terminal_cost = game.social_cost(trace.terminal)
     if terminal_cost != table.optimum:
         raise SppError(
@@ -148,11 +148,12 @@ _FIXTURES: dict[str, Callable[..., fx.FixtureSpec]] = {
 
 
 def _parse_param(raw: str) -> tuple[str, Any]:
+    """`key=value`; a comma makes a list, and a trailing one a one-element list."""
     if "=" not in raw:
         raise CliError(f"parameters look like key=value, got {raw!r}")
     key, value = raw.split("=", 1)
     if "," in value:
-        return key, tuple(parse_rational(x) for x in value.split(","))
+        return key, tuple(parse_rational(x) for x in value.removesuffix(",").split(","))
     try:
         return key, int(value)
     except ValueError:

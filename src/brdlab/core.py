@@ -8,9 +8,10 @@ corrupt.  Loads are integers in a per-game load unit and costs integers in
 a per-game cost unit (`Fraction`s in weighted network games); every public
 cost, load and state-vector field is a `Fraction`, built where it is read.
 
-Strategy profiles are immutable and hashable; every operation here is a pure
-function of (game, profile), so games and profiles can be shared freely
-across concurrent evaluations.
+A strategy profile is the plain tuple of each player's strategy index, so it
+is immutable and hashable, and searches key their states by it directly.
+Every operation here is a pure function of (game, profile), so games and
+profiles can be shared freely across concurrent evaluations.
 
 Every cost and best-response reader answers from one `Evaluation` of the
 profile: its integer load map, built once, and per (player class, strategy)
@@ -23,7 +24,6 @@ from __future__ import annotations
 import copy
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -58,30 +58,10 @@ class InvalidProfileError(GameError):
     """Profile inconsistent with the game it is evaluated against."""
 
 
-@dataclass(frozen=True)
-class Profile:
-    """One strategy index per player, ordered by player id.
-
-    Indices refer into each player's strategy space, which keeps profiles
-    cheap to hash and compare during state-space search.  Use
-    `Game.strategy_of` to recover the actual resource tuple.
-    """
-
-    choices: tuple[int, ...]
-
-    def choice(self, game: "Game", player: PlayerId) -> int:
-        return self.choices[game.position_of(player)]
-
-    def with_choice(self, game: "Game", player: PlayerId, index: int) -> "Profile":
-        pos = game.position_of(player)
-        return Profile(self.choices[:pos] + (index,) + self.choices[pos + 1:])
-
-
-@dataclass(frozen=True)
-class PlayerClass:
-    """A maximal set of interchangeable players (same weight, same space)."""
-
-    positions: tuple[int, ...]
+# one strategy index per player, ordered by player id: indices into each
+# player's strategy space keep profiles cheap to hash and compare during
+# state-space search; `Game.strategy_of` recovers the resource tuple
+Profile = tuple[int, ...]
 
 
 class Cell(NamedTuple):
@@ -116,19 +96,19 @@ class Evaluation:
         """Everyone else's loads: the full map without `pos`."""
         loads = dict(self.loads)
         w, space = self.game._load_weights[pos], self.game._spaces[pos]
-        for e in space[self.profile.choices[pos]]:
+        for e in space[self.profile[pos]]:
             loads[e] -= w
         return loads
 
     def cell(self, pos: int) -> Cell:
-        key = (self.game._class_ids[pos], self.profile.choices[pos])
+        key = (self.game._class_ids[pos], self.profile[pos])
         cell = self._cells.get(key)
         if cell is None:
             cell = self._cells[key] = self.game._br_against(pos + 1, self.others(pos))
         return cell
 
     def cost(self, pos: int) -> Cost:
-        return self.cost_to(pos, self.profile.choices[pos])
+        return self.cost_to(pos, self.profile[pos])
 
     def cost_to(self, pos: int, idx: int) -> Cost:
         """The position's cost once it has moved to strategy `idx`: the one
@@ -136,7 +116,7 @@ class Evaluation:
         return Fraction(self.cell(pos).costs[idx], self.game._cost_unit)
 
     def is_suboptimal(self, pos: int) -> bool:
-        return self.profile.choices[pos] not in self.cell(pos).br
+        return self.profile[pos] not in self.cell(pos).br
 
 
 class Game(ABC):
@@ -205,7 +185,13 @@ class Game(ABC):
         return all(w == 1 for w in self._weights)
 
     def strategy_of(self, profile: Profile, player: PlayerId) -> Strategy:
-        return self.strategy_space(player)[profile.choice(self, player)]
+        pos = self.position_of(player)
+        return self._spaces[pos][profile[pos]]
+
+    def with_choice(self, profile: Profile, player: PlayerId, index: int) -> Profile:
+        """`profile` with the player moved to strategy `index`."""
+        pos = self.position_of(player)
+        return profile[:pos] + (index,) + profile[pos + 1:]
 
     def profile_from_strategies(
         self, assignment: Mapping[PlayerId, Strategy] | Iterable[Strategy]
@@ -225,12 +211,12 @@ class Game(ABC):
                 raise InvalidProfileError(
                     f"player {player} assigned a strategy outside her space: {strategy}"
                 ) from None
-        return Profile(tuple(indices))
+        return tuple(indices)
 
     def validate_profile(self, profile: Profile) -> None:
-        if len(profile.choices) != self.n:
+        if len(profile) != self.n:
             raise InvalidProfileError("profile length does not match player count")
-        for player, (idx, space) in enumerate(zip(profile.choices, self._spaces), start=1):
+        for player, (idx, space) in enumerate(zip(profile, self._spaces), start=1):
             if not 0 <= idx < len(space):
                 raise InvalidProfileError(
                     f"player {player} holds strategy index {idx} outside her space"
@@ -241,7 +227,7 @@ class Game(ABC):
     def _full_loads(self, profile: Profile) -> dict[ResourceId, int]:
         """Load of every used resource, in the load unit."""
         loads: dict[ResourceId, int] = {}
-        for space, w, idx in zip(self._spaces, self._load_weights, profile.choices, strict=True):
+        for space, w, idx in zip(self._spaces, self._load_weights, profile, strict=True):
             for e in space[idx]:
                 loads[e] = loads.get(e, 0) + w
         return loads
@@ -274,7 +260,7 @@ class Game(ABC):
 
     def social_cost(self, at: Profile | Evaluation) -> Cost:
         ev = self.evaluate(at)
-        costs = [ev.cell(pos).costs[idx] for pos, idx in enumerate(ev.profile.choices)]
+        costs = [ev.cell(pos).costs[idx] for pos, idx in enumerate(ev.profile)]
         return Fraction(sum(costs) if self._kind is SocialCostKind.SUM else max(costs),
                         self._cost_unit)
 
@@ -295,7 +281,7 @@ class Game(ABC):
         ev = self.evaluate(at)
         verdicts: dict[tuple[int, int], bool] = {}
         out = []
-        for pos, key in enumerate(zip(self._class_ids, ev.profile.choices)):
+        for pos, key in enumerate(zip(self._class_ids, ev.profile)):
             verdict = verdicts.get(key)
             if verdict is None:
                 verdict = verdicts[key] = ev.is_suboptimal(pos)
@@ -332,8 +318,9 @@ class Game(ABC):
 
     # -- symmetry -----------------------------------------------------------
 
-    def player_classes(self) -> tuple[PlayerClass, ...]:
-        """Groups of players sharing weight and strategy space.
+    def player_classes(self) -> tuple[tuple[int, ...], ...]:
+        """The positions of each group of players sharing weight and
+        strategy space.
 
         Members of a class are interchangeable: permuting them maps legal
         best-response sequences to legal ones and preserves social cost,
@@ -342,7 +329,7 @@ class Game(ABC):
         groups: dict[int, list[int]] = {}
         for pos, first in enumerate(self._class_ids):
             groups.setdefault(first, []).append(pos)
-        return tuple(PlayerClass(tuple(group)) for group in groups.values())
+        return tuple(tuple(group) for group in groups.values())
 
     @cached_property
     def _class_ids(self) -> tuple[int, ...]:

@@ -29,7 +29,9 @@ shares so as to compare each replayed move with the recorded one.
 `parent_search` is the one depth-first reachability search with parent
 links, and `replay_links` the one witness replay over those links: both
 `reachable_by_rule` here and `oracle.reachable_ne` run on them, over the
-rule's moves and over every best-response move respectively.
+rule's moves and over every best-response move respectively.  Their states
+are profiles, the plain index tuples of `core.Profile`, so a search keys,
+moves and reports them as they are.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ class ScriptError(EngineError):
 
 
 def profile_digest(profile: Profile) -> str:
-    data = ",".join(str(c) for c in profile.choices).encode()
+    data = ",".join(map(str, profile)).encode()
     return hashlib.sha1(data).hexdigest()[:12]
 
 
@@ -202,9 +204,8 @@ def _check_rule_output(
 # -- running dynamics -----------------------------------------------------------
 
 
-Choices = tuple[int, ...]
-# one best-response move: (mover's position, new strategy index, child choices)
-SearchMove = tuple[int, int, Choices]
+# one best-response move: (mover's position, new strategy index, child profile)
+SearchMove = tuple[int, int, Profile]
 
 
 def rule_successors(
@@ -216,7 +217,7 @@ def rule_successors(
     The lowest-id member of the rule's choice set moves, to the canonical
     best response or, with `branch_all`, to every best response.
     """
-    game, choices = ev.game, ev.profile.choices
+    game = ev.game
     suboptimal = game.suboptimal_players(ev)
     if not suboptimal:
         return ()
@@ -227,8 +228,7 @@ def rule_successors(
         targets = game.best_response(ev, player)
     else:
         targets = (game.canonical_br_pick(ev, player),)
-    pos = player - 1
-    return tuple((pos, idx, choices[:pos] + (idx,) + choices[pos + 1:]) for idx in targets)
+    return tuple((player - 1, idx, game.with_choice(ev.profile, player, idx)) for idx in targets)
 
 
 def _apply_move(
@@ -244,7 +244,7 @@ def _apply_move(
         raise ScriptError(f"player {player} is not suboptimal")
     if new_index not in ev.cell(pos).br:
         raise ScriptError(f"strategy index {new_index} is not a best response of player {player}")
-    after = profile.with_choice(game, player, new_index)
+    after = game.with_choice(profile, player, new_index)
     move = Move(
         step=step,
         player=player,
@@ -289,13 +289,13 @@ def _rule_mover(game: Game, rule: DeviatorRule) -> Mover:
     if not rule.accepts(game):
         raise EngineError(f"rule {rule.name} does not accept this game class")
     rule.reset(game)
-    seen: set[Choices] = set()
+    seen: set[Profile] = set()
 
     def mover(ev: Evaluation, step: int) -> tuple[PlayerId, int] | None:
         if not game.is_unweighted:
-            if ev.profile.choices in seen:
+            if ev.profile in seen:
                 raise CycleDetected(f"profile revisited after step {step - 1}")
-            seen.add(ev.profile.choices)
+            seen.add(ev.profile)
         moves = rule_successors(ev, rule)
         return (moves[0][0] + 1, moves[0][1]) if moves else None
 
@@ -359,15 +359,15 @@ def run_scripted(
 
 
 # how a search first reached a state: (parent, mover's position, new index)
-Link = tuple[Choices, int, int]
-Parents = dict[Choices, Link | None]
+Link = tuple[Profile, int, int]
+Parents = dict[Profile, Link | None]
 
 
 def parent_search(
-    root: Choices,
-    successors: Callable[[Choices], Sequence[SearchMove]],
+    root: Profile,
+    successors: Callable[[Profile], Sequence[SearchMove]],
     state_limit: int,
-) -> tuple[Parents, tuple[Choices, ...]]:
+) -> tuple[Parents, tuple[Profile, ...]]:
     """Depth-first search from `root`; `successors(state)` lists the
     (position, strategy index, child) moves out of a state.  Returns the
     parent link of every visited state (None at the root) and the sorted
@@ -376,7 +376,7 @@ def parent_search(
     witnesses are deterministic.  Raises StateBudgetExceeded rather than
     visit more than `state_limit` states."""
     parents: Parents = {root: None}
-    terminals: list[Choices] = []
+    terminals: list[Profile] = []
     stack = [root]
     while stack:
         state = stack.pop()
@@ -397,7 +397,7 @@ def replay_links(
     game: Game,
     initial: Profile,
     parents: Parents,
-    state: Choices,
+    state: Profile,
     mover: Callable[[Profile, Link], PlayerId],
 ) -> Trace:
     """The best-response sequence from `initial` to the visited `state`,
@@ -428,9 +428,8 @@ class RuleReach:
 
     def witness(self, game: Game, terminal: Profile) -> Trace:
         # the rule search runs over raw profiles: the mover is the position's owner
-        return replay_links(
-            game, self.initial, self._parents, terminal.choices, lambda _, link: link[1] + 1
-        )
+        return replay_links(game, self.initial, self._parents, terminal,
+                            lambda _, link: link[1] + 1)
 
 
 def reachable_by_rule(
@@ -451,11 +450,11 @@ def reachable_by_rule(
     game.validate_profile(p0)
     rule.reset(game)
 
-    def successors(choices: Choices) -> tuple[SearchMove, ...]:
-        return rule_successors(game.evaluate(Profile(choices)), rule, branch_all=True)
+    def successors(profile: Profile) -> tuple[SearchMove, ...]:
+        return rule_successors(game.evaluate(profile), rule, branch_all=True)
 
-    parents, terminals = parent_search(p0.choices, successors, state_limit)
-    return RuleReach(tuple(map(Profile, terminals)), len(parents), p0, parents)
+    parents, terminals = parent_search(p0, successors, state_limit)
+    return RuleReach(terminals, len(parents), p0, parents)
 
 
 # -- independence of irrelevant players --------------------------------------------

@@ -516,7 +516,7 @@ class NetworkFormationGame(Game):
         use the lexicographically smallest tied path."""
         ev = self.evaluate(at)
         pos = self.position_of(player)
-        path_costs, idx = self._path_costs[self._class_ids[pos]], ev.profile.choices[pos]
+        path_costs, idx = self._path_costs[self._class_ids[pos]], ev.profile[pos]
         br, u = ev.cell(pos).br, self._cost_unit
         return NfgStateVector(
             current_cost=ev.cost(pos),

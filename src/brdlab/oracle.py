@@ -13,7 +13,10 @@ The search and the witness replay are the engine's `parent_search` and
 `rule_inefficiency` and `game_inefficiency` share one per-start routine:
 it searches the oracle's moves and the rule's, checks every rule move
 against the oracle's, and asserts the 1 <= alpha <= worst/best envelope.
-A stateful rule's search has one move per state, so it is the rule's run.
+It returns what it searched, NE(p0) as a `ReachableSet` and NE_S(p0) as a
+`RuleReach`, each ranked by (social cost, profile), with alpha; the
+report is read off those two.  A stateful rule's search has one move per
+state, so it is the rule's run.
 The oracle's moves and a stateless rule's are memoized per call, so
 `game_inefficiency` expands each state once however many starts reach it,
 and a raw rule state reads the evaluation of its canonical profile.
@@ -28,12 +31,11 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .core import Cost, Evaluation, Game, PlayerId, Profile
 from .engine import (
     DEFAULT_STATE_LIMIT,
-    Choices,
     CycleDetected,
     DeviatorRule,
     EngineError,
@@ -55,13 +57,13 @@ class _Quotient:
     def __init__(self, game: Game) -> None:
         self.classes = game.player_classes()
 
-    def canonical(self, choices: Choices) -> Choices:
-        out = list(choices)
+    def canonical(self, profile: Profile) -> Profile:
+        out = list(profile)
         for cls in self.classes:
-            if len(cls.positions) == 1:
+            if len(cls) == 1:
                 continue
-            values = sorted(choices[p] for p in cls.positions)
-            for pos, value in zip(cls.positions, values):
+            values = sorted(profile[p] for p in cls)
+            for pos, value in zip(cls, values):
                 out[pos] = value
         return tuple(out)
 
@@ -70,12 +72,12 @@ class _Quotient:
         (position, strategy index, canonical child): one representative
         mover per (class, strategy) whose holder is suboptimal, to each of
         her best responses.  Empty exactly at equilibria."""
-        choices = ev.profile.choices
+        profile = ev.profile
         moves = []
         for cls in self.classes:
             seen: set[int] = set()
-            for pos in cls.positions:
-                idx = choices[pos]
+            for pos in cls:
+                idx = profile[pos]
                 if idx in seen:
                     continue
                 seen.add(idx)
@@ -83,21 +85,21 @@ class _Quotient:
                 if idx in br:
                     continue
                 for target in br:
-                    child = list(choices)
+                    child = list(profile)
                     child[pos] = target
                     moves.append((pos, target, self.canonical(tuple(child))))
         return moves
 
     @cached_property
     def _class_of(self) -> dict[int, tuple[int, ...]]:
-        return {pos: cls.positions for cls in self.classes for pos in cls.positions}
+        return {pos: cls for cls in self.classes for pos in cls}
 
     def mover(self, profile: Profile, link: Link) -> PlayerId:
         """Who makes the canonical move `link` in the raw `profile`: the
         lowest-id member of the mover's class currently on the strategy
         the move leaves."""
         parent, pos, _ = link
-        return 1 + min(p for p in self._class_of[pos] if profile.choices[p] == parent[pos])
+        return 1 + min(p for p in self._class_of[pos] if profile[p] == parent[pos])
 
 
 @dataclass(frozen=True)
@@ -108,45 +110,42 @@ class SearchStats:
 @dataclass
 class ReachableSet:
     """The set NE(p0): every equilibrium reachable from p0, canonically
-    encoded, together with traversal parent links for witness extraction."""
+    encoded and ranked by (social cost, profile), together with traversal
+    parent links for witness extraction."""
 
     game: Game
     initial: Profile
     ne_profiles: tuple[Profile, ...]
+    social_costs: tuple[Cost, ...]
     stats: SearchStats
     _quotient: _Quotient
     _parents: Parents
 
-    @cached_property
-    def _ranked(self) -> tuple[tuple[Cost, Choices], ...]:
-        """(social cost, encoding) of every equilibrium, ascending."""
-        return tuple(sorted((self.game.social_cost(p), p.choices) for p in self.ne_profiles))
-
-    @cached_property
-    def _ne_keys(self) -> frozenset[Choices]:
-        return frozenset(p.choices for p in self.ne_profiles)
-
-    @property
-    def social_costs(self) -> tuple[Cost, ...]:
-        return tuple(cost for cost, _ in self._ranked)
-
     def best(self) -> tuple[Profile, Cost]:
         """Minimum-social-cost equilibrium, ties broken by encoding."""
-        cost, choices = self._ranked[0]
-        return Profile(choices), cost
+        return self.ne_profiles[0], self.social_costs[0]
 
     def contains(self, profile: Profile) -> bool:
-        return self._quotient.canonical(profile.choices) in self._ne_keys
+        return self._quotient.canonical(profile) in self.ne_profiles
 
     def witness(self, target: Profile) -> Trace:
         """A best-response sequence from the initial profile to `target`,
         replayed in raw player space from the search's parent links."""
-        key = self._quotient.canonical(target.choices)
+        key = self._quotient.canonical(target)
         if key not in self._parents:
             raise KeyError("target was not visited")
         trace = replay_links(self.game, self.initial, self._parents, key, self._quotient.mover)
-        assert self._quotient.canonical(trace.terminal.choices) == key
+        assert self._quotient.canonical(trace.terminal) == key
         return trace
+
+
+def _reachable_set(game: Game, p0: Profile, quotient: _Quotient, parents: Parents,
+                   ne_keys: tuple[Profile, ...], cost: Callable[[Profile], Cost]) -> ReachableSet:
+    """NE(p0) ranked by (`cost`, profile); raises CycleDetected when it is empty."""
+    if not ne_keys:
+        raise CycleDetected("a best-response cycle reaches no equilibrium")
+    costs, profiles = zip(*sorted(zip(map(cost, ne_keys), ne_keys)))
+    return ReachableSet(game, p0, profiles, costs, SearchStats(len(parents)), quotient, parents)
 
 
 def reachable_ne(
@@ -156,14 +155,10 @@ def reachable_ne(
     reachable profile space; raises CycleDetected when it is empty."""
     game.validate_profile(p0)
     quotient = _Quotient(game)
-    root = quotient.canonical(p0.choices)
     parents, ne_keys = parent_search(
-        root, lambda choices: quotient.successors(game.evaluate(Profile(choices))), state_limit
+        quotient.canonical(p0), lambda p: quotient.successors(game.evaluate(p)), state_limit
     )
-    if not ne_keys:
-        raise CycleDetected("a best-response cycle reaches no equilibrium")
-    return ReachableSet(game, p0, tuple(map(Profile, ne_keys)),
-                        SearchStats(len(parents)), quotient, parents)
+    return _reachable_set(game, p0, quotient, parents, ne_keys, game.social_cost)
 
 
 def best_reachable(
@@ -200,18 +195,6 @@ class InefficiencyReport:
     rule_visited: int
 
 
-@dataclass
-class _Start:
-    """The searches from one start profile: the oracle's over canonical
-    profiles, and the rule's over raw ones (the run of a stateful rule)."""
-
-    parents: Parents
-    ne_keys: tuple[Choices, ...]
-    rule_links: Parents
-    rule_terminals: tuple[Choices, ...]
-    alpha: Fraction
-
-
 class _Searches:
     """One game's best-response moves, memoized across start profiles: the
     oracle's moves and evaluation for each canonical profile, and a
@@ -227,70 +210,70 @@ class _Searches:
         self.state_limit = state_limit
         self.quotient = _Quotient(game)
         # canonical state -> (its oracle moves, their canonical children, its evaluation)
-        self._oracle: dict[Choices, tuple[list[SearchMove], frozenset[Choices], Evaluation]] = {}
-        self._rule: dict[Choices, tuple[SearchMove, ...]] = {}
-        self.ne_cost: dict[Choices, Cost] = {}
+        self._oracle: dict[Profile, tuple[list[SearchMove], frozenset[Profile], Evaluation]] = {}
+        self._rule: dict[Profile, tuple[SearchMove, ...]] = {}
+        self.ne_cost: dict[Profile, Cost] = {}
 
     def _grow(self, memo: dict) -> None:
         if len(memo) >= self.state_limit:
             raise StateBudgetExceeded(f"search exceeded the {self.state_limit}-state budget")
 
-    def _expand(self, key: Choices) -> tuple[list[SearchMove], frozenset[Choices], Evaluation]:
+    def _expand(self, key: Profile) -> tuple[list[SearchMove], frozenset[Profile], Evaluation]:
         entry = self._oracle.get(key)
         if entry is None:
             self._grow(self._oracle)
-            ev = self.game.evaluate(Profile(key))
+            ev = self.game.evaluate(key)
             moves = self.quotient.successors(ev)
             if not moves:
                 self.ne_cost[key] = self.game.social_cost(ev)
             entry = self._oracle[key] = (moves, frozenset(child for _, _, child in moves), ev)
         return entry
 
-    def oracle_moves(self, key: Choices) -> list[SearchMove]:
+    def oracle_moves(self, key: Profile) -> list[SearchMove]:
         return self._expand(key)[0]
 
-    def rule_moves(self, choices: Choices) -> tuple[SearchMove, ...]:
-        """The rule's moves out of the raw state `choices`, read from its
+    def rule_moves(self, profile: Profile) -> tuple[SearchMove, ...]:
+        """The rule's moves out of the raw state `profile`, read from its
         canonical profile's evaluation: to every best response for a
         stateless rule, memoized, and to the canonical one for a stateful
         rule, whose search is then its run.  Each child must be the child of
         an oracle move, and a state without moves an oracle sink."""
-        moves = self._rule.get(choices)
+        moves = self._rule.get(profile)
         if moves is None:
             canonical, stateless = self.quotient.canonical, self.rule.is_stateless
-            _, kids, ev = self._expand(canonical(choices))
-            moves = rule_successors(ev.relabeled(Profile(choices)), self.rule,
-                                    branch_all=stateless)
+            _, kids, ev = self._expand(canonical(profile))
+            moves = rule_successors(ev.relabeled(profile), self.rule, branch_all=stateless)
             if (kids and not moves) or any(canonical(child) not in kids for _, _, child in moves):
                 raise AssertionError("rule reached an equilibrium outside NE(p0)")
             if stateless:
                 self._grow(self._rule)
-                self._rule[choices] = moves
+                self._rule[profile] = moves
         return moves
 
-    def cost(self, choices: Choices) -> Cost:
+    def cost(self, profile: Profile) -> Cost:
         """Social cost of an equilibrium the oracle has searched."""
-        return self.ne_cost[self.quotient.canonical(choices)]
+        return self.ne_cost[self.quotient.canonical(profile)]
 
-    def start(self, p0: Profile) -> _Start:
-        """Search the oracle's and the rule's moves from the valid `p0`;
-        asserts the 1 <= alpha <= (worst/best over NE(p0)) envelope."""
+    def start(self, p0: Profile) -> tuple[ReachableSet, RuleReach, Fraction]:
+        """Search the oracle's and the rule's moves from the valid `p0`:
+        NE(p0) and NE_S(p0), each ranked by (social cost, profile), and
+        alpha, asserting the 1 <= alpha <= (worst/best over NE(p0)) envelope."""
         game, rule = self.game, self.rule
-        root = self.quotient.canonical(p0.choices)
+        root = self.quotient.canonical(p0)
         parents, ne_keys = parent_search(root, self.oracle_moves, self.state_limit)
         if not rule.accepts(game):
             raise EngineError(f"rule {rule.name} does not accept this game class")
         rule.reset(game)
-        links, terminals = parent_search(p0.choices, self.rule_moves, self.state_limit)
-        if not ne_keys or not terminals:
+        links, terminals = parent_search(p0, self.rule_moves, self.state_limit)
+        reach = _reachable_set(game, p0, self.quotient, parents, ne_keys, self.ne_cost.__getitem__)
+        if not terminals:
             raise CycleDetected("a best-response cycle reaches no equilibrium")
-        ne_costs = [self.ne_cost[key] for key in ne_keys]
-        best = min(ne_costs)
-        alpha = max(map(self.cost, terminals)) / best
-        envelope = max(ne_costs) / best
-        if not 1 <= alpha <= envelope:
-            raise AssertionError(f"inefficiency {alpha} outside [1, {envelope}]")
-        return _Start(parents, ne_keys, links, terminals, alpha)
+        rule_costs, terminals = zip(*sorted(zip(map(self.cost, terminals), terminals)))
+        costs = reach.social_costs
+        alpha = rule_costs[-1] / costs[0]
+        if not costs[0] <= rule_costs[-1] <= costs[-1]:  # 1 <= alpha <= worst/best
+            raise AssertionError(f"inefficiency {alpha} outside [1, {costs[-1] / costs[0]}]")
+        return reach, RuleReach(terminals, len(links), p0, links), alpha
 
 
 def rule_inefficiency(
@@ -305,25 +288,20 @@ def rule_inefficiency(
     start; `state_limit` bounds each of its searches."""
     game.validate_profile(p0)
     searches = _Searches(game, rule, state_limit)
-    start = searches.start(p0)
-    ne_costs = sorted((searches.ne_cost[key], key) for key in start.ne_keys)
-    rule_costs = sorted((searches.cost(t), t) for t in start.rule_terminals)
-    reach = ReachableSet(game, p0, tuple(map(Profile, start.ne_keys)),
-                         SearchStats(len(start.parents)), searches.quotient,
-                         start.parents)
-    rule_reach = RuleReach(tuple(map(Profile, start.rule_terminals)), len(start.rule_links),
-                           p0, start.rule_links)
+    reach, rule_reach, alpha = searches.start(p0)
+    best, best_cost = reach.best()
+    rule_costs = tuple(map(searches.cost, rule_reach.terminals))
     return InefficiencyReport(
         game_id=game_id,
         rule_id=rule.name,
         initial=p0,
-        worst_rule_cost=rule_costs[-1][0],
-        best_cost=ne_costs[0][0],
-        alpha=start.alpha,
-        ne_costs=tuple(cost for cost, _ in ne_costs),
-        rule_ne_costs=tuple(cost for cost, _ in rule_costs),
-        rule_witness=rule_reach.witness(game, Profile(rule_costs[-1][1])),
-        optimal_witness=reach.witness(Profile(ne_costs[0][1])),
+        worst_rule_cost=rule_costs[-1],
+        best_cost=best_cost,
+        alpha=alpha,
+        ne_costs=reach.social_costs,
+        rule_ne_costs=rule_costs,
+        rule_witness=rule_reach.witness(game, rule_reach.terminals[-1]),
+        optimal_witness=reach.witness(best),
         oracle_visited=reach.stats.visited,
         rule_visited=rule_reach.visited,
     )
@@ -339,7 +317,7 @@ def all_profiles(game: Game, cap: int = 100_000) -> Iterator[Profile]:
             raise StateBudgetExceeded(
                 f"profile enumeration exceeds the {cap}-profile guard"
             )
-    yield from map(Profile, itertools.product(*map(range, sizes)))
+    yield from itertools.product(*map(range, sizes))
 
 
 def game_inefficiency(
@@ -362,7 +340,7 @@ def game_inefficiency(
     worst: Fraction | None = None
     for p0 in profiles:
         game.validate_profile(p0)
-        alpha = searches.start(p0).alpha
+        _, _, alpha = searches.start(p0)
         worst = alpha if worst is None else max(worst, alpha)
     if worst is None:
         raise ValueError("profile source was empty")

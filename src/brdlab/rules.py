@@ -30,19 +30,19 @@ def _own_load(v: SchedStateVector) -> Fraction:
 
 def _own_cost(ev: Evaluation):
     """A position's current cost, from its cell."""
-    choices = ev.profile.choices
-    return lambda pos: ev.cell(pos).costs[choices[pos]]
+    profile = ev.profile
+    return lambda pos: ev.cell(pos).costs[profile[pos]]
 
 
 def _improvement(ev: Evaluation):
     """A position's cost minus its best-response cost, from its cell.  For a
     scheduling job that is suboptimal, the best response is another machine,
     so this is the vector key's drop to the cheapest other machine."""
-    choices = ev.profile.choices
+    profile = ev.profile
 
     def key(pos: int):
         costs, br = ev.cell(pos)
-        return costs[choices[pos]] - costs[br[0]]
+        return costs[profile[pos]] - costs[br[0]]
 
     return key
 
@@ -199,11 +199,11 @@ def s_opt_rule() -> LocalRule:
         def bind(ev: Evaluation):
             # the active machines are the load map's keys; unit jobs make
             # the load unit 1, so loads compare with l* as they are
-            loads, choices = ev.loads, ev.profile.choices
+            loads, profile = ev.loads, ev.profile
             top = max(loads, key=lambda m: (loads[m], m))
             bottom = min(loads, key=lambda m: (loads[m], m))
             high = loads[top] >= star
-            return lambda pos: _s_opt_rank(choices[pos] + 1, top, bottom, high)
+            return lambda pos: _s_opt_rank(profile[pos] + 1, top, bottom, high)
 
         return bind
 

@@ -153,7 +153,7 @@ class SchedulingGame(Game):
         pos = self.position_of(player)
         return SchedStateVector(
             length=self._weights[pos],
-            machine=self._spaces[pos][ev.profile.choices[pos]][0],
+            machine=self._spaces[pos][ev.profile[pos]][0],
             loads=self.loads(ev),
         )
 

@@ -319,13 +319,14 @@ def _sub_chain_program(
     return DpTable(mode, values[(0, m)], values, first, tuple(skeleton), resolved)
 
 
-def replay(instance: SppInstance, table: DpTable) -> Trace:
-    """Execute the skeleton through the engine, then let every remaining
-    suboptimal player flock, breaking best-response ties toward the
-    resolved edge of each segment (and toward her current edge elsewhere,
-    so untouched sub-chains stay put).  Callers assert the terminal's
-    social cost against `table.optimum`."""
-    game, p0 = instance.to_game()
+def replay(instance: SppInstance, table: DpTable, game: NetworkFormationGame) -> Trace:
+    """Execute the skeleton through the engine on `game`, the instance's
+    network game, from the instance's initial edges; then let every
+    remaining suboptimal player flock, breaking best-response ties toward
+    the resolved edge of each segment (and toward her current edge
+    elsewhere, so untouched sub-chains stay put).  Callers assert the
+    terminal's social cost against `table.optimum`."""
+    p0 = game.profile_from_strategies([p.initial for p in instance.players])
 
     def flock(ev: Evaluation, step: int) -> tuple[PlayerId, int] | None:
         suboptimal = game.suboptimal_players(ev)
@@ -353,7 +354,7 @@ def _flock_strategy(
     pos = player - 1
     space = game.strategy_space(player)
     best = [space[idx] for idx in ev.cell(pos).br]
-    current = space[ev.profile.choices[pos]]
+    current = space[ev.profile[pos]]
     p = instance.players[pos]
     out = []
     for k, seg in enumerate(range(p.source + 1, p.target + 1)):

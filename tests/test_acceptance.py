@@ -135,7 +135,7 @@ def test_c05_dynamic_programs_match_oracle():
             table = program(instance)
             game, p0 = instance.to_game()
             best = reachable_ne(game, p0, state_limit=400_000).best()[1]
-            trace = replay(instance, table)
+            trace = replay(instance, table, game)
             assert table.optimum == best == game.social_cost(trace.terminal)
             assert trace.terminal_is_ne
             verify_trace(game, trace)
@@ -157,7 +157,7 @@ def test_c06_extension_parallel_impossibility():
         good_first = set()
         for player in game.suboptimal_players(p0):
             for idx in game.best_response(p0, player):
-                child = p0.with_choice(game, player, idx)
+                child = game.with_choice(p0, player, idx)
                 if best in reachable_ne(game, child).social_costs:
                     good_first.add(player)
         assert good_first == set(fx.expected["optimal_first_movers"])
@@ -195,7 +195,7 @@ def test_c07_weighted_parallel_conflict():
     # the path to the cheap pooling equilibrium
     for player in game_a.suboptimal_players(p0_a):
         for idx in game_a.best_response(p0_a, player):
-            child = p0_a.with_choice(game_a, player, idx)
+            child = game_a.with_choice(p0_a, player, idx)
             reachable = reachable_ne(game_a, child).social_costs
             assert (1 in reachable) == (player == 1)
 
@@ -206,7 +206,7 @@ def test_c07_weighted_parallel_conflict():
     v2_owners = set(fb.expected["optimal_first_movers"])
     for player in game_b.suboptimal_players(p0_b):
         for idx in game_b.best_response(p0_b, player):
-            child = p0_b.with_choice(game_b, player, idx)
+            child = game_b.with_choice(p0_b, player, idx)
             reachable = reachable_ne(game_b, child).social_costs
             assert (best_b in reachable) == (player in v2_owners)
 
@@ -272,7 +272,7 @@ def test_c09_scheduling_pair():
     bad = 2 * m - 2 * eps
 
     def branch_makespans(game, p0, player):
-        child = p0.with_choice(game, player, game.canonical_br_pick(p0, player))
+        child = game.with_choice(p0, player, game.canonical_br_pick(p0, player))
         return set(reachable_ne(game, child).social_costs)
 
     # scenario (a): choosing v'' or the tiny job locks makespan 2m - 2eps;
@@ -406,7 +406,7 @@ def test_c12_property_suites():
             phi = game.rosenthal_potential(profile)
             for move in trace.moves:
                 idx = game.strategy_space(move.player).index(move.new_strategy)
-                profile = profile.with_choice(game, move.player, idx)
+                profile = game.with_choice(profile, move.player, idx)
                 phi_next = game.rosenthal_potential(profile)
                 assert phi_next < phi
                 phi = phi_next

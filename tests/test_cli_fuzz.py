@@ -194,6 +194,8 @@ REPRODUCED = [
     ("oracle", edited(FIG2, "graph", "nodes", value=[0, 1, 7]), None),
     ("oracle", edited(SCHED, "initial", " 1", value=SCHED["initial"]["1"]), None),
     ("check", COCO, edited(COCO_TRACE, "terminal", "01", value=COCO_TRACE["terminal"]["1"])),
+    ("oracle", edited(NFG, "players", 0, "weight", value="2/1"), None),
+    ("oracle", edited(SCHED, "initial", "1", value=[1]), None),
 ]
 
 

@@ -104,7 +104,7 @@ class TestBestResponse:
         # a job on the load-27 machine: any load-3 machine, at cost c(4)
         br = game.best_response(p, 36)
         assert br == (0, 1, 2)
-        target = p.with_choice(game, 36, 0)
+        target = game.with_choice(p, 36, 0)
         assert game.player_cost(target, 36) == 4 + F(27, 4)
 
     def test_evaluates_with_self_removed(self):
@@ -139,7 +139,7 @@ class TestEquilibrium:
             explicit = all(
                 game.player_cost(p, i)
                 <= min(
-                    game.player_cost(p.with_choice(game, i, k), i)
+                    game.player_cost(game.with_choice(p, i, k), i)
                     for k in range(len(game.strategy_space(i)))
                 )
                 for i in game.players
@@ -174,7 +174,7 @@ class TestPotential:
             for i in game.players:
                 if not game.is_suboptimal(p, i):
                     continue
-                q = p.with_choice(game, i, game.canonical_br_pick(p, i))
+                q = game.with_choice(p, i, game.canonical_br_pick(p, i))
                 delta_phi = game.rosenthal_potential(q) - game.rosenthal_potential(p)
                 delta_cost = game.player_cost(q, i) - game.player_cost(p, i)
                 assert delta_phi == delta_cost
@@ -187,7 +187,7 @@ class TestPlayerClasses:
         net = parallel_network(["3", "4"])
         specs = [PlayerSpec(0, 1), PlayerSpec(0, 1, F(2)), PlayerSpec(0, 1)]
         game = NetworkFormationGame(net, specs)
-        groups = sorted(tuple(c.positions) for c in game.player_classes())
+        groups = sorted(game.player_classes())
         assert groups == [(0, 2), (1,)]
 
 
@@ -256,13 +256,13 @@ class TestEvaluation:
                 costs = reference_costs(game, p, player)
                 best = min(costs)
                 cell = ev.cell(pos)
-                assert ev.cost(pos) == costs[p.choices[pos]] == game.player_cost(p, player)
+                assert ev.cost(pos) == costs[p[pos]] == game.player_cost(p, player)
                 assert cell.br == tuple(i for i, c in enumerate(costs) if c == best)
                 assert ev.cost_to(pos, cell.br[0]) == best
-                if p.choices[pos] not in cell.br:
+                if p[pos] not in cell.br:
                     sub.append(player)
             assert game.suboptimal_players(ev) == game.suboptimal_players(p) == tuple(sub)
-            own = [reference_costs(game, p, i)[p.choices[i - 1]] for i in game.players]
+            own = [reference_costs(game, p, i)[p[i - 1]] for i in game.players]
             expected = sum(own) if isinstance(game, NetworkFormationGame) else max(own)
             assert game.social_cost(ev) == game.social_cost(p) == expected
 
@@ -288,7 +288,7 @@ class TestEvaluation:
             ev = game.evaluate(p)
             for player in game.players:
                 for idx in range(len(game.strategy_space(player))):
-                    moved = p.with_choice(game, player, idx)
+                    moved = game.with_choice(p, player, idx)
                     assert ev.cost_to(player - 1, idx) == game.player_cost(moved, player)
 
     def test_clones_on_one_strategy_share_one_cell(self):
@@ -305,12 +305,12 @@ class TestEvaluation:
             ev = game.evaluate(p)
             assert calls == []  # cells are computed on first request only
             game.suboptimal_players(ev)
-            keys = {(game._class_ids[pos], idx) for pos, idx in enumerate(p.choices)}
+            keys = {(game._class_ids[pos], idx) for pos, idx in enumerate(p)}
             assert len(calls) == len(keys)
             for cls in game.player_classes():
-                for a in cls.positions:
-                    for b in cls.positions:
-                        if a < b and p.choices[a] == p.choices[b]:
+                for a in cls:
+                    for b in cls:
+                        if a < b and p[a] == p[b]:
                             assert ev.cell(a) is ev.cell(b)
                             shared += 1
             assert len(calls) == len(keys)
@@ -332,23 +332,23 @@ class TestEvaluation:
         pools += list(evaluation_pool(seed=66, rounds=5))
         for game, p in pools:
             ev = game.evaluate(p)
-            brute = tuple(i for i in game.players if p.choices[i - 1] not in ev.cell(i - 1).br)
+            brute = tuple(i for i in game.players if p[i - 1] not in ev.cell(i - 1).br)
             calls.clear()
             assert game.suboptimal_players(ev) == brute
-            occupied = {(game._class_ids[pos], idx) for pos, idx in enumerate(p.choices)}
+            occupied = {(game._class_ids[pos], idx) for pos, idx in enumerate(p)}
             assert len(calls) == len(occupied)
             if isinstance(game, SchedulingGame) and game.is_conflicting:
                 # unit jobs form one class: one test per occupied machine
-                assert len(calls) == len(set(p.choices))
+                assert len(calls) == len(set(p))
 
     def test_relabeled_evaluation_reads_like_a_fresh_one(self):
         rng = random.Random(64)
         for game, p in evaluation_pool(seed=64):
-            choices = list(p.choices)
+            choices = list(p)
             for cls in game.player_classes():
-                values = [choices[pos] for pos in cls.positions]
+                values = [choices[pos] for pos in cls]
                 rng.shuffle(values)
-                for pos, value in zip(cls.positions, values):
+                for pos, value in zip(cls, values):
                     choices[pos] = value
             raw = Profile(tuple(choices))
             ev = game.evaluate(p)

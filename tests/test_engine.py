@@ -26,7 +26,7 @@ from brdlab.engine import (
 from brdlab.fixtures import fig2_maxcost
 from brdlab.networks import NetworkFormationGame, NfgStateVector, PlayerSpec
 from brdlab.rules import max_cost, min_path, random_rule, round_robin
-from brdlab.scheduling import SchedStateVector
+from brdlab.scheduling import SchedStateVector, SchedulingGame
 from brdlab.serde import verify_trace
 from helpers import MatchingPennies, parallel_network, random_profile, random_symmetric_game
 
@@ -67,7 +67,7 @@ class TestRunBrd:
             profile = p0
             for m in trace.moves:
                 idx = game.strategy_space(m.player).index(m.new_strategy)
-                profile = profile.with_choice(game, m.player, idx)
+                profile = game.with_choice(profile, m.player, idx)
                 nxt = game.rosenthal_potential(profile)
                 assert nxt < phi
                 assert phi - nxt == m.cost_before - m.cost_after
@@ -224,6 +224,12 @@ class TestReachableByRule:
         game, p0 = crowd_game()
         with pytest.raises(StateBudgetExceeded):
             reachable_by_rule(game, p0, LowestIdRule(), state_limit=1)
+
+    def test_rule_outside_its_game_class_rejected(self):
+        game = SchedulingGame(2, [1, 1])
+        p0 = game.profile_from_strategies([(1,), (1,)])
+        with pytest.raises(EngineError, match="does not accept"):
+            reachable_by_rule(game, p0, min_path())
 
 
 def search_graph(graph):

@@ -92,7 +92,7 @@ class TestFig5:
             good = set()
             for player in game.suboptimal_players(p0):
                 for idx in game.best_response(p0, player):
-                    child = p0.with_choice(game, player, idx)
+                    child = game.with_choice(p0, player, idx)
                     reach = reachable_ne(game, child, state_limit=200_000)
                     if best in reach.social_costs:
                         good.add(player)

@@ -319,7 +319,7 @@ class TestFollowTheLeader:
         from helpers import random_profile, random_symmetric_game
 
         def walk(game, profile, leader_path, seen):
-            key = (profile.choices, leader_path)
+            key = (profile, leader_path)
             if key in seen:
                 return
             seen.add(key)
@@ -329,7 +329,7 @@ class TestFollowTheLeader:
                     path = game.strategy_space(player)[idx]
                     if leader_path is not None:
                         assert path == leader_path
-                    walk(game, profile.with_choice(game, player, idx), path, seen)
+                    walk(game, game.with_choice(profile, player, idx), path, seen)
 
         for _ in range(20):
             game = random_symmetric_game(rng)

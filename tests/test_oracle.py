@@ -34,7 +34,7 @@ def brute_force_ne_costs(game, p0):
     """Independent ground truth: breadth-first search over raw profiles,
     no player-class quotient, branching every suboptimal player times every
     best-response member."""
-    seen = {p0.choices}
+    seen = {p0}
     frontier = [p0]
     ne_costs = set()
     while frontier:
@@ -45,9 +45,9 @@ def brute_force_ne_costs(game, p0):
             continue
         for player in suboptimal:
             for idx in game.best_response(profile, player):
-                child = profile.with_choice(game, player, idx)
-                if child.choices not in seen:
-                    seen.add(child.choices)
+                child = game.with_choice(profile, player, idx)
+                if child not in seen:
+                    seen.add(child)
                     frontier.append(child)
     return ne_costs
 
@@ -109,6 +109,13 @@ class TestBestAndWitness:
         game = NetworkFormationGame(net, [PlayerSpec(0, 1)])
         p0 = game.profile_from_strategies([(1,)])
         assert optimal_sequence(game, p0).moves == ()
+
+    def test_witness_of_an_unvisited_target_raises(self):
+        # both players sharing the cheap edge is an equilibrium: nothing moves
+        game = NetworkFormationGame(parallel_network(["3", "4"]), [PlayerSpec(0, 1)] * 2)
+        reach = reachable_ne(game, game.profile_from_strategies([(1,), (1,)]))
+        with pytest.raises(KeyError):
+            reach.witness(game.profile_from_strategies([(2,), (2,)]))
 
 
 class TestNoReachableEquilibrium:
@@ -233,6 +240,11 @@ class TestGameInefficiency:
             game_inefficiency(fx.game, max_cost(), state_limit=242)
         assert game_inefficiency(fx.game, max_cost(), state_limit=243) == 5
 
+    def test_empty_profile_source_raises(self):
+        fx = fig2_maxcost()
+        with pytest.raises(ValueError, match="profile source was empty"):
+            game_inefficiency(fx.game, max_cost(), [])
+
     def test_single_profile_source_reduces(self):
         fx = fig2_maxcost()
         alpha = game_inefficiency(fx.game, max_cost(), [fx.initial])
@@ -257,7 +269,7 @@ class TestGameInefficiency:
 
     def test_enumeration_order(self):
         game = NetworkFormationGame(parallel_network([1, 2, 3]), [PlayerSpec(0, 1)] * 2)
-        choices = [p.choices for p in all_profiles(game)]
+        choices = list(all_profiles(game))
         assert choices == [(a, b) for a in range(3) for b in range(3)]
 
     def test_max_cost_starts_are_not_interchangeable(self):

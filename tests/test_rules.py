@@ -124,9 +124,7 @@ class TestSOptRule:
                 choice = choice_of(rule, game, profile)
                 assert all(game.machine_of(profile, j) == machine for j in choice)
                 mover = min(choice)
-                profile = profile.with_choice(
-                    game, mover, game.canonical_br_pick(profile, mover)
-                )
+                profile = game.with_choice(profile, mover, game.canonical_br_pick(profile, mover))
             else:
                 pytest.fail("no equilibrium within 200 steps")
 
@@ -197,6 +195,6 @@ class TestCellKeys:
                         rest = tuple(i for i in rest if i not in chosen)
                     checked[rule.name] = checked.get(rule.name, 0) + 1
                 mover = suboptimal[-1]
-                profile = profile.with_choice(game, mover, game.canonical_br_pick(ev, mover))
+                profile = game.with_choice(profile, mover, game.canonical_br_pick(ev, mover))
         assert set(checked) == {f().name for f in SHIPPED_LOCAL_RULES}
         assert min(checked.values()) >= 100 and tied >= 100, (checked, tied)

@@ -176,7 +176,7 @@ class TestMigrationConvention:
                 ]
                 assert target == max(same_load)
                 idx = game.strategy_space(move.player).index(move.new_strategy)
-                profile = profile.with_choice(game, move.player, idx)
+                profile = game.with_choice(profile, move.player, idx)
                 checked += 1
         assert checked > 40
 

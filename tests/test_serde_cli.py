@@ -69,7 +69,7 @@ class TestInstanceRoundTrip:
         game2, p2 = instance_from_doc(json.loads(text))
         doc2 = instance_to_doc(game2, p2)
         assert doc == doc2
-        assert p2.choices == p0.choices
+        assert p2 == p0
         return game2
 
     def test_nfg(self):
@@ -183,8 +183,8 @@ class TestTraces:
 
         for _ in range(10):
             inst = random_single_source_instance(rng)
-            trace = replay(inst, dp_single_source(inst))
             game, _ = inst.to_game()
+            trace = replay(inst, dp_single_source(inst), game)
             verify_trace(game, trace)
 
 
@@ -249,6 +249,9 @@ class TestCli:
     def test_dp_mode_precondition(self, tmp_path, capsys):
         instance = self.fixture_file(tmp_path, "fig4")  # improper at m=3
         assert main(["dp", str(instance), "--mode", "proper"]) == 2
+        sched = self.fixture_file(tmp_path, "fig9a")  # not a network game
+        assert main(["dp", str(sched), "--mode", "single-source"]) == 2
+        assert "needs a network formation instance" in capsys.readouterr().err
 
     def test_invalid_instance_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -319,6 +322,20 @@ class TestCli:
         instance = self.fixture_file(tmp_path, "fig2", ["n=4", "eps=1/50"])
         doc = json.loads(instance.read_text())
         assert len(doc["players"]) == 4
+
+    def test_fixture_list_params(self, tmp_path):
+        # fig6 holds a weight-2 player, the partition weights and six unit
+        # players; a trailing comma makes a one-element list
+        for param, weights in (("a=1,", ["1/1"]), ("a=1/3,2/3", ["1/3", "2/3"])):
+            instance = self.fixture_file(tmp_path, "fig6", [param])
+            players = json.loads(instance.read_text())["players"]
+            assert [p["weight"] for p in players[1:-6]] == weights
+        assert main(["run", str(instance), "--rule", "max-cost", "--out",
+                     str(tmp_path / "trace.json")]) == 0
+
+    @pytest.mark.parametrize("params", [["n"], ["bogus=1"], ["n=,"]])
+    def test_bad_fixture_params_exit_2(self, params):
+        assert main(["fixture", "fig2", "--params", *params]) == 2
 
     def test_deterministic_bytes(self, tmp_path):
         a = self.fixture_file(tmp_path, "fig4")

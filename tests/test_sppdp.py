@@ -39,7 +39,7 @@ def check_instance(inst, table):
     game, p0 = inst.to_game()
     reach = reachable_ne(game, p0, state_limit=400_000)
     best = reach.best()[1]
-    trace = replay(inst, table)
+    trace = replay(inst, table, game)
     assert trace.terminal_is_ne
     assert table.optimum == best == game.social_cost(trace.terminal)
     verify_trace(game, trace)
