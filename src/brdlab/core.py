@@ -5,8 +5,9 @@ A game holds an ordered set of players, a finite strategy space per player
 cost models.  All arithmetic is exact: the instances this package studies
 hinge on epsilon-perturbations and exact ties, which floating point would
 corrupt.  Loads are integers in a per-game load unit and costs integers in
-a per-game cost unit (`Fraction`s in weighted network games); every public
-cost, load and state-vector field is a `Fraction`, built where it is read.
+a per-game cost unit, in which `share_unit` makes every share of a load
+exact; every public cost, load and state-vector field is a `Fraction`,
+built where it is read.
 
 A strategy profile is the plain tuple of each player's strategy index, so it
 is immutable and hashable, and searches key their states by it directly.
@@ -40,6 +41,10 @@ ZERO = Fraction(0)
 # paths and scheduling games their machines up front
 STRATEGY_CAP = 10_000
 
+# the largest total load whose share unit lcm(1..W) a game builds: at the
+# cap the unit has 94,449 bits and takes seconds to compute
+SHARE_CAP = 65_536
+
 
 class SocialCostKind(Enum):
     SUM = "sum"
@@ -58,6 +63,13 @@ class InvalidProfileError(GameError):
     """Profile inconsistent with the game it is evaluated against."""
 
 
+def share_unit(total_load: int) -> int:
+    """lcm(1..W) for a total load W, which every load a player can join divides."""
+    if total_load > SHARE_CAP:
+        raise GameError(f"total load {total_load} in the load unit passes the share cap {SHARE_CAP}")
+    return math.lcm(*range(1, total_load + 1))
+
+
 # one strategy index per player, ordered by player id: indices into each
 # player's strategy space keep profiles cheap to hash and compare during
 # state-space search; `Game.strategy_of` recovers the resource tuple
@@ -66,10 +78,10 @@ Profile = tuple[int, ...]
 
 class Cell(NamedTuple):
     """One position's view of a profile: the cost of each of its strategies
-    against everyone else's loads, in the game's cost unit (integers but in
-    weighted network games), and its best responses."""
+    against everyone else's loads, integers in the game's cost unit, and its
+    best responses."""
 
-    costs: tuple[int | Fraction, ...]
+    costs: tuple[int, ...]
     br: tuple[int, ...]
 
 
@@ -233,9 +245,7 @@ class Game(ABC):
         return loads
 
     @abstractmethod
-    def _costs_against(
-        self, pos: int, loads: Mapping[ResourceId, int]
-    ) -> tuple[int | Fraction, ...]:
+    def _costs_against(self, pos: int, loads: Mapping[ResourceId, int]) -> tuple[int, ...]:
         """The cost of each of the position's strategies against everyone
         else's `loads`, in multiples of 1/_cost_unit."""
 

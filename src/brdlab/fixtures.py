@@ -345,6 +345,7 @@ def fig6_weighted_partition(
     finding the social-cost-2 equilibrium therefore encodes Partition.
     """
     eps, big = F(eps), F(big_cost)
+    _require(isinstance(a, Sequence), f"a takes a list of weights; write one weight as a={a},")
     _require(len(a) <= PARTITION_CAP,
              f"{len(a)} partition weights, more than {PARTITION_CAP}: every subset is tried")
     weights = [F(x) for x in a]
@@ -440,6 +441,13 @@ def fig7_weighted_local_pair(
     net_a = _parallel_network([(1, big), (2, F(1)), (3, F(r))])
     specs_a = [PlayerSpec(0, 1, F(2))] + [PlayerSpec(0, 1)] * (r + crowd)
     game_a = NetworkFormationGame(net_a, specs_a)
+    # game (b): a fourth cheap edge with its own light player, built before
+    # either script runs, as its weight 4/r may put it past the share cap
+    net_b = _parallel_network(
+        [(1, big), (2, F(1)), (3, F(r)), (4, F(2, r) + eps)]
+    )
+    specs_b = specs_a + [PlayerSpec(0, 1, F(4, r))]
+    game_b = NetworkFormationGame(net_b, specs_b)
     p0_a = game_a.profile_from_strategies([(1,)] + [(2,)] * r + [(3,)] * crowd)
     validate_common("fig7a", game_a, p0_a, tuple(range(1, r + 2)))
     scripts_a = {"optimal": ((1, (2,)),)}
@@ -458,12 +466,6 @@ def fig7_weighted_local_pair(
     _require(trace.terminal_is_ne and game_a.social_cost(trace.terminal) == 1,
              "fig7a: stranded-player-first run must reach social cost 1")
 
-    # game (b): a fourth cheap edge with its own light player
-    net_b = _parallel_network(
-        [(1, big), (2, F(1)), (3, F(r)), (4, F(2, r) + eps)]
-    )
-    specs_b = specs_a + [PlayerSpec(0, 1, F(4, r))]
-    game_b = NetworkFormationGame(net_b, specs_b)
     p0_b = game_b.profile_from_strategies(
         [(1,)] + [(2,)] * r + [(3,)] * crowd + [(4,)]
     )

@@ -8,9 +8,10 @@ two directions can be cross-checked.
 
 A `NetworkFormationGame` materializes each player's strategy space as an
 explicit list of simple source-to-target paths (capped, since the exhaustive
-oracle needs explicit spaces), while `br_path` recomputes best responses as a
-cheapest-path problem under marginal-share edge weights so the two routes can
-validate each other.
+oracle needs explicit spaces) and counts every cost, weighted or not, as an
+integer in one per-game unit, while `br_path` recomputes best responses as a
+cheapest-path problem under `Fraction` marginal-share edge weights so the
+two routes can validate each other.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .core import (
     SocialCostKind,
     Strategy,
     ZERO,
+    share_unit,
 )
 
 NodeId = int
@@ -352,13 +354,13 @@ def enumerate_paths(
 # -- the game -----------------------------------------------------------------
 
 
-def unit_edge_costs(edges: Iterable[Edge], n: int) -> tuple[int, dict[ResourceId, int]]:
-    """The cost unit U = lcm(edge-cost denominators) * lcm(1..n) of n
-    unit-weight players, and each edge's cost as an integer in it: a share
-    (c_e * U) // k at k <= n users is exact, as k divides U.  Anything with
-    an `id` and a `cost` serves as an edge."""
+def unit_edge_costs(edges: Iterable[Edge], total_load: int) -> tuple[int, dict[ResourceId, int]]:
+    """The cost unit U = lcm(edge-cost denominators) * lcm(1..W) of players
+    whose total load is W in the load unit, and each edge's cost as an
+    integer in it: a share (c_e * U) * w // (L + w) is exact, as L + w <= W
+    divides U.  Anything with an `id` and a `cost` serves as an edge."""
     edges = tuple(edges)
-    u = math.lcm(*(e.cost.denominator for e in edges)) * math.lcm(*range(1, n + 1))
+    u = share_unit(total_load) * math.lcm(*(e.cost.denominator for e in edges))
     return u, {e.id: e.cost.numerator * (u // e.cost.denominator) for e in edges}
 
 
@@ -392,9 +394,10 @@ class NetworkFormationGame(Game):
     topologies, the settings where best-response dynamics is known to
     converge; anything else is rejected at construction.
 
-    Unit-weight costs are integers in U = lcm(edge-cost denominators) *
-    lcm(1..n), where a share (c_e * U) // k is exact as k <= n divides U.
-    Weighted shares stay `Fraction`s: no small unit bounds them.
+    Costs are integers in U = lcm(edge-cost denominators) * lcm(1..W), W
+    the total load in the load unit (n for unit weights): a player of load
+    w joining load L on edge e pays (c_e * U) * w // (L + w), exact as
+    L + w <= W divides U (`unit_edge_costs`, capped by `core.SHARE_CAP`).
     """
 
     def __init__(
@@ -406,17 +409,10 @@ class NetworkFormationGame(Game):
         self.specs = tuple(players)
         weights = [p.weight for p in self.specs]
         self._edge_cost = {e.id: e.cost for e in network.edges}
-        # edge costs in the cost unit: integers when weights are unit
-        self._scaled_cost = self._edge_cost
-        if any(w != 1 for w in weights):
-            segs = spp_segments(network)
-            if segs is None or len(segs) > 2:
-                raise NetworkError(
-                    "weighted players are restricted to parallel-edge and "
-                    "2-segment SPP networks"
-                )
-        else:
-            self._cost_unit, self._scaled_cost = unit_edge_costs(network.edges, len(weights))
+        segs = spp_segments(network) if any(w != 1 for w in weights) else ()
+        if segs is None or len(segs) > 2:
+            raise NetworkError("weighted players are restricted to parallel-edge and "
+                               "2-segment SPP networks")
         # one enumeration per terminal pair, shared by the players with it
         by_pair: dict[tuple[NodeId, NodeId], tuple[Strategy, ...]] = {}
         for p in self.specs:
@@ -430,12 +426,13 @@ class NetworkFormationGame(Game):
                 f"edges {sorted(unused)} lie on no player's source-target path"
             )
         super().__init__(spaces, weights, SocialCostKind.SUM)
+        self._cost_unit, self._scaled_cost = unit_edge_costs(network.edges, sum(self._load_weights))
 
     def edge_cost(self, edge_id: ResourceId) -> Fraction:
         return self._edge_cost[edge_id]
 
     @cached_property
-    def _path_costs(self) -> dict[int, tuple[int | Fraction, ...]]:
+    def _path_costs(self) -> dict[int, tuple[int, ...]]:
         """Each class's path costs by strategy index, in the cost unit,
         built on first use."""
         cost = self._scaled_cost
@@ -452,10 +449,7 @@ class NetworkFormationGame(Game):
         # each edge's share once, then each path's sum of shares
         w, cost = self._load_weights[pos], self._scaled_cost
         edges = self._class_edges[self._class_ids[pos]]
-        if self.is_unweighted:
-            share = {e: cost[e] // (loads.get(e, 0) + 1) for e in edges}
-        else:
-            share = {e: cost[e] * w / (loads.get(e, 0) + w) for e in edges}
+        share = {e: cost[e] * w // (loads.get(e, 0) + w) for e in edges}
         get = share.__getitem__
         return tuple(sum(map(get, path)) for path in self._spaces[pos])
 

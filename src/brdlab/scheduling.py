@@ -29,6 +29,7 @@ from .core import (
     ResourceId,
     SocialCostKind,
     UnsupportedModelError,
+    share_unit,
 )
 from .engine import DEFAULT_STATE_LIMIT
 from .oracle import reachable_ne
@@ -62,7 +63,7 @@ class SchedulingGame(Game):
 
     Linear costs are loads, integers in the load unit.  Conflicting costs
     are integers in U = den(B) * lcm(1..n), where c(k) = k * U + (B * U) // k
-    is exact as a load k <= n divides U.
+    is exact as a load k <= n divides U, for n up to `core.SHARE_CAP`.
     """
 
     def __init__(
@@ -91,16 +92,15 @@ class SchedulingGame(Game):
                 raise SchedulingError(
                     "the conflicting-congestion model requires unit jobs"
                 )
+        # the conflicting unit over the n unit jobs' total load n, capped
+        # before the strategy lists are built; B in it needs no per-load
+        # table, since the unit has O(n) bits
+        b = self.activation_cost
+        u = None if b is None else b.denominator * share_unit(len(lengths))
         spaces = [[(m,) for m in range(1, machine_count + 1)]] * len(lengths)
         super().__init__(spaces, lengths, SocialCostKind.MAKESPAN)
-        # B in the cost unit: no per-load table, since the unit has O(n) bits
-        self._scaled_b = None
-        b = self.activation_cost
-        if b is None:
-            self._cost_unit = self._load_unit
-        else:
-            u = self._cost_unit = b.denominator * math.lcm(*range(1, self.n + 1))
-            self._scaled_b = b.numerator * (u // b.denominator)
+        self._cost_unit = self._load_unit if u is None else u
+        self._scaled_b = None if u is None else b.numerator * (u // b.denominator)
 
     @property
     def is_conflicting(self) -> bool:

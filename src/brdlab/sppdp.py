@@ -15,10 +15,10 @@ sub-chains they pass it, shorter ones first:
 
 The programs count in one integer unit per instance, U = lcm(edge-cost
 denominators) * lcm(1..n), the unit `NetworkFormationGame` uses for unit
-weights (`networks.unit_edge_costs`): every marginal share (c_e * U) // k is
-exact.  Each player's pick costs are prefix-summed, so one (sub-chain, first
-mover) value costs O(1).  `DpTable.opt` and `optimum` are `Fraction`s, built
-once per table.
+weights (`networks.unit_edge_costs` at total load n): every marginal share
+(c_e * U) // k is exact.  Each player's pick costs are prefix-summed, so one
+(sub-chain, first mover) value costs O(1).  `DpTable.opt` and `optimum` are
+`Fraction`s, built once per table.
 
 Both key `opt` and `first_mover` by (s, t).  Each DP returns its value table
 together with a forced deviator skeleton; `replay` walks the skeleton and

@@ -2,16 +2,25 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from brdlab.core import InvalidProfileError, Profile, UnsupportedModelError
+from brdlab.core import (
+    SHARE_CAP,
+    GameError,
+    InvalidProfileError,
+    Profile,
+    UnsupportedModelError,
+    share_unit,
+)
 from brdlab.networks import NetworkFormationGame, PlayerSpec
 from brdlab.scheduling import SchedulingGame
 from helpers import (
     parallel_network,
+    rand_cost,
     random_coco_game,
     random_linear_game,
     random_profile,
@@ -198,12 +207,18 @@ def evaluation_pool(seed: int, rounds: int = 25):
     B = 6, where c(2) = 2 + 6/2 = 3 + 6/3 = c(3) ties exactly, some with
     B's denominator over 1..9 and loads up to 12), and two games whose
     integer cost unit is wide: 41 unit players on parallel edges with prime
-    cost denominators, and 56 unit jobs under a half-integer B."""
-    rng, more = random.Random(seed), random.Random(-seed)
+    cost denominators, and 56 unit jobs under a half-integer B.  Some
+    weighted network games draw weight denominators over 1..9, so that the
+    load unit and the total load W in it vary."""
+    rng, more, heavy = random.Random(seed), random.Random(-seed), random.Random(2 * seed)
     for _ in range(rounds):
         for make in (random_symmetric_game, random_weighted_game):
             game = make(rng)
             yield game, random_profile(rng, game)
+        weights = [F(heavy.randint(1, 9), heavy.randint(1, 9)) for _ in range(heavy.randint(2, 3))]
+        net = parallel_network([rand_cost(heavy) for _ in range(heavy.randint(2, 4))])
+        game = NetworkFormationGame(net, [PlayerSpec(0, 1, w) for w in weights])
+        yield game, random_profile(heavy, game)
         yield random_linear_game(rng)
         yield random_coco_game(rng, max_n=12, max_m=4)
         game = random_symmetric_game(more, tie_heavy=True)
@@ -362,3 +377,52 @@ class TestEvaluation:
                 for idx in range(len(game.strategy_space(player))):
                     assert relabeled.cost_to(pos, idx) == fresh.cost_to(pos, idx)
                 assert game.state_vector(relabeled, player) == game.state_vector(fresh, player)
+
+
+class TestShareCap:
+    """Network and coco games count in lcm(1..W), W the total load in the
+    load unit; past `SHARE_CAP` construction fails before that lcm."""
+
+    @pytest.fixture
+    def no_wide_lcm(self, monkeypatch):
+        # the lcm of any argument past the cap is the share unit being built
+        lcm = math.lcm
+
+        def guarded(*args):
+            assert max(args, default=0) <= SHARE_CAP, "lcm(1..W) computed past the cap"
+            return lcm(*args)
+
+        monkeypatch.setattr(math, "lcm", guarded)
+
+    def test_the_cap_itself_is_admitted(self, monkeypatch):
+        # count the lcm's arguments instead of computing it
+        monkeypatch.setattr(math, "lcm", lambda *args: len(args))
+        assert share_unit(SHARE_CAP) == SHARE_CAP
+
+    def test_weighted_network_game_past_the_cap(self, no_wide_lcm):
+        # load unit 65,536: weights 65,536 and 1 in it
+        specs = [PlayerSpec(0, 1), PlayerSpec(0, 1, F(1, SHARE_CAP))]
+        with pytest.raises(GameError, match="share cap"):
+            NetworkFormationGame(parallel_network(["1", "2"]), specs)
+
+    def test_unit_network_game_past_the_cap(self, no_wide_lcm):
+        specs = [PlayerSpec(0, 1)] * (SHARE_CAP + 1)
+        with pytest.raises(GameError, match="share cap"):
+            NetworkFormationGame(parallel_network(["1", "2"]), specs)
+
+    def test_coco_game_past_the_cap(self, no_wide_lcm):
+        with pytest.raises(GameError, match="share cap"):
+            SchedulingGame(2, [1] * (SHARE_CAP + 1), activation_cost=F(7, 2))
+
+    def test_weighted_game_at_w_19502_builds_exactly(self):
+        # W = 19,501 + 1 in the load unit 19,501, above fig8's largest W
+        # (19,109 at k = 97); shares are checked against plain Fractions
+        light = F(1, 19_501)
+        net = parallel_network([F(7, 3), F(5, 2)])
+        game = NetworkFormationGame(net, [PlayerSpec(0, 1), PlayerSpec(0, 1, light)])
+        assert sum(game._load_weights) == 19_502
+        assert game._cost_unit == 6 * share_unit(19_502)
+        for p in ((0, 0), (0, 1), (1, 0)):
+            for player in game.players:
+                assert game.player_cost(p, player) == reference_costs(game, p, player)[p[player - 1]]
+        assert game.best_response((1, 0), 2) == (1,)  # the light player joins player 1

@@ -6,6 +6,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from brdlab import fixtures
+from brdlab.core import GameError
 from brdlab.engine import run_brd
 from brdlab.fixtures import (
     FixtureError,
@@ -136,6 +138,13 @@ class TestFig7:
     def test_requires_r_above_three(self):
         with pytest.raises(FixtureError):
             fig7_weighted_local_pair(r=3)
+
+    def test_past_the_share_cap_fails_before_any_script(self, monkeypatch):
+        # the light player's weight 4/41 makes the load unit 41 and fig7b's
+        # total load 72,369 in it, past the share cap
+        monkeypatch.setattr(fixtures, "run_scripted", lambda *args: pytest.fail("a script ran"))
+        with pytest.raises(GameError, match="share cap"):
+            fig7_weighted_local_pair(r=41, eps=F(1, 100_000), big_cost=400)
 
 
 class TestFig8:

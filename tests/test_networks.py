@@ -27,7 +27,7 @@ from brdlab.networks import (
     single_edge,
     spp_segments,
 )
-from helpers import parallel_network, random_profile, random_symmetric_game
+from helpers import parallel_network, random_profile, random_symmetric_game, random_weighted_game
 
 
 def parallel_block(first_id: int, costs) -> Network:
@@ -265,15 +265,18 @@ class TestGameConstruction:
 
 class TestBrPath:
     def test_agrees_with_enumeration_everywhere(self):
-        rng = random.Random(31)
-        for _ in range(40):
-            game = _random_multi_target_game(rng)
-            p = random_profile(rng, game)
-            for i in game.players:
-                via_paths = {
-                    game.strategy_space(i)[k] for k in game.best_response(p, i)
-                }
-                assert set(game.br_path(p, i)) == via_paths
+        # weighted games too: br_path's Fraction shares are the independent
+        # route for the integer kernel's weighted shares
+        for make in (_random_multi_target_game, random_weighted_game):
+            rng = random.Random(31)
+            for _ in range(40):
+                game = make(rng)
+                p = random_profile(rng, game)
+                for i in game.players:
+                    via_paths = {
+                        game.strategy_space(i)[k] for k in game.best_response(p, i)
+                    }
+                    assert set(game.br_path(p, i)) == via_paths
 
     def test_lone_player(self):
         net = parallel_network(["1", "2"])

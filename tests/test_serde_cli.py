@@ -333,9 +333,33 @@ class TestCli:
         assert main(["run", str(instance), "--rule", "max-cost", "--out",
                      str(tmp_path / "trace.json")]) == 0
 
-    @pytest.mark.parametrize("params", [["n"], ["bogus=1"], ["n=,"]])
-    def test_bad_fixture_params_exit_2(self, params):
-        assert main(["fixture", "fig2", "--params", *params]) == 2
+    @pytest.mark.parametrize("params", [
+        ("fig2", "n", "key=value"),
+        ("fig2", "bogus=1", "'bogus'"),
+        ("fig2", "n=,", "bad rational"),
+        # a single weight is a number; fig6 says how to write a list of one
+        ("fig6", "a=1", "a=1,"),
+    ])
+    def test_bad_fixture_params_exit_2(self, params, capsys):
+        name, param, message = params
+        assert main(["fixture", name, "--params", param]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_total_load_past_the_share_cap_exits_2(self, tmp_path, capsys):
+        # the weight 1/1000000007 makes the load unit 1000000007, so the
+        # total load is about 10^9, far past the share cap
+        instance = tmp_path / "huge.json"
+        instance.write_text(json.dumps({
+            "model": "weighted-nfg",
+            "graph": {"nodes": [0, 1], "source": 0, "sink": 1,
+                      "edges": [{"id": 1, "tail": 0, "head": 1, "cost": "1/1"},
+                                {"id": 2, "tail": 0, "head": 1, "cost": "2/1"}]},
+            "players": [{"source": 0, "target": 1, "weight": "1/1"},
+                        {"source": 0, "target": 1, "weight": "1/1000000007"}],
+            "initial": {"1": [1], "2": [2]},
+        }))
+        assert main(["oracle", str(instance)]) == 2
+        assert "share cap" in capsys.readouterr().err
 
     def test_deterministic_bytes(self, tmp_path):
         a = self.fixture_file(tmp_path, "fig4")
