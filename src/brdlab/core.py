@@ -17,7 +17,10 @@ profiles can be shared freely across concurrent evaluations.
 Every cost and best-response reader answers from one `Evaluation` of the
 profile: its integer load map, built once, and per (player class, strategy)
 a lazily computed `Cell` holding the cost of every strategy against
-everyone else's loads.
+everyone else's loads.  A walk evaluates its first profile and derives each
+later one from its parent with `Evaluation.child`, which patches the loads
+and the parent's cells on the mover's old and new resources only; searches
+evaluate every profile they visit afresh.
 """
 
 from __future__ import annotations
@@ -64,10 +67,20 @@ class InvalidProfileError(GameError):
 
 
 def share_unit(total_load: int) -> int:
-    """lcm(1..W) for a total load W, which every load a player can join divides."""
+    """lcm(1..W) for a total load W, which every load a player can join
+    divides: the product of each prime's largest power up to W."""
     if total_load > SHARE_CAP:
         raise GameError(f"total load {total_load} in the load unit passes the share cap {SHARE_CAP}")
-    return math.lcm(*range(1, total_load + 1))
+    composite = bytearray(total_load + 1)
+    unit = 1
+    for p in range(2, total_load + 1):
+        if not composite[p]:
+            composite[p * p::p] = b"\x01" * len(range(p * p, total_load + 1, p))
+            power = p
+            while power * p <= total_load:
+                power *= p
+            unit *= power
+    return unit
 
 
 # one strategy index per player, ordered by player id: indices into each
@@ -89,13 +102,21 @@ class Evaluation:
     """One profile's load map, integers in the game's load unit, and each
     position's `Cell` on first request.  A cell depends only on the
     position's class and strategy, so clones on one strategy share it, and
-    so do relabelings of the profile (see `relabeled`)."""
+    so do relabelings of the profile (see `relabeled`).
+
+    A `child` evaluation also carries its parent's cells, and derives each
+    of its own from the parent's on first request."""
 
     def __init__(self, game: "Game", profile: Profile) -> None:
         self.game = game
         self.profile = profile
         self.loads = game._full_loads(profile)
         self._cells: dict[tuple[int, int], Cell] = {}
+        # a child's parent cells, the resources its move changed, and per
+        # strategy space the strategies through them
+        self._carried: dict[tuple[int, int], Cell] = {}
+        self._changed: frozenset[ResourceId] = frozenset()
+        self._touched: dict[int, tuple[int, ...]] = {}
 
     def relabeled(self, profile: Profile) -> "Evaluation":
         """An evaluation of `profile`, a permutation of this profile among
@@ -104,19 +125,55 @@ class Evaluation:
         ev.profile = profile
         return ev
 
-    def others(self, pos: int) -> dict[ResourceId, int]:
-        """Everyone else's loads: the full map without `pos`."""
-        loads = dict(self.loads)
-        w, space = self.game._load_weights[pos], self.game._spaces[pos]
-        for e in space[self.profile[pos]]:
+    def child(self, pos: int, idx: int) -> "Evaluation":
+        """The evaluation after the position moves to strategy `idx`: the
+        loads patched on her old and new resources, and this evaluation's
+        cells carried, each patched on first read.  A carried cell whose
+        (class, strategy) the move empties is never read."""
+        game, profile = self.game, self.profile
+        space, w = game._spaces[pos], game._load_weights[pos]
+        old, new = space[profile[pos]], space[idx]
+        ev = copy.copy(self)
+        ev.profile = game.with_choice(profile, pos + 1, idx)
+        loads = ev.loads = dict(self.loads)
+        for e in old:
             loads[e] -= w
-        return loads
+            if not loads[e]:
+                # the keys are the used resources: s-opt reads them as the
+                # active machines
+                del loads[e]
+        for e in new:
+            loads[e] = loads.get(e, 0) + w
+        ev._cells, ev._carried, ev._touched = {}, self._cells, {}
+        ev._changed = frozenset(old).symmetric_difference(new)
+        return ev
 
     def cell(self, pos: int) -> Cell:
         key = (self.game._class_ids[pos], self.profile[pos])
-        cell = self._cells.get(key)
-        if cell is None:
-            cell = self._cells[key] = self.game._br_against(pos + 1, self.others(pos))
+        return self._cells.get(key) or self._fill(key)
+
+    def _fill(self, key: tuple[int, int]) -> Cell:
+        """Compute and keep the cell of a (class, strategy) key that some
+        position holds: from the parent's cell when one is carried, else
+        afresh."""
+        game, parent = self.game, self._carried.get(key)
+        if parent is None:
+            cell = game._cell(key, self.loads)
+        else:
+            # only the strategies through a changed resource cost otherwise
+            space = id(game._spaces[key[0]])
+            touched = self._touched.get(space)
+            if touched is None:
+                users = game._users[space]
+                touched = self._touched[space] = tuple(
+                    {i for e in self._changed for i in users.get(e, ())})
+            cell = parent
+            if touched:
+                costs = list(parent.costs)
+                for i, cost in zip(touched, game._costs_against(*key, self.loads, touched)):
+                    costs[i] = cost
+                cell = _ranked(costs)
+        self._cells[key] = cell
         return cell
 
     def cost(self, pos: int) -> Cost:
@@ -131,12 +188,21 @@ class Evaluation:
         return self.profile[pos] not in self.cell(pos).br
 
 
+def _ranked(costs: list[int]) -> Cell:
+    """The cell of these costs: its best responses are every strategy
+    attaining the minimum."""
+    best = min(costs)
+    if costs.count(best) == 1:
+        return Cell(tuple(costs), (costs.index(best),))
+    return Cell(tuple(costs), tuple(i for i, c in enumerate(costs) if c == best))
+
+
 class Game(ABC):
     """Abstract congestion game over a fixed player list 1..n.
 
     Subclasses fix the resource model by implementing `_costs_against`:
-    the cost of each of a position's strategies against everyone else's
-    loads (the loads exclude the player herself), in multiples of
+    the cost to a position of moving to each of some of its strategies,
+    read from the full load map and the strategy it holds, in multiples of
     1/`_cost_unit`.
     """
 
@@ -153,18 +219,21 @@ class Game(ABC):
             raise GameError("a game needs at least one player")
         if len(spaces) != len(weights):
             raise GameError("one weight per player required")
+        # players handed one space object share one tuple of it
+        shared: dict[int, tuple[Strategy, ...]] = {}
         for space in spaces:
+            if id(space) in shared:
+                continue
             if not space:
                 raise GameError("every player needs a non-empty strategy space")
             for strategy in space:
                 if not strategy:
                     raise GameError("strategies must use at least one resource")
+            shared[id(space)] = tuple(tuple(s) for s in space)
         for w in weights:
             if w <= 0:
                 raise GameError(f"weights must be positive, got {w}")
-        self._spaces: tuple[tuple[Strategy, ...], ...] = tuple(
-            tuple(tuple(s) for s in space) for space in spaces
-        )
+        self._spaces: tuple[tuple[Strategy, ...], ...] = tuple(shared[id(s)] for s in spaces)
         self._weights = tuple(Fraction(w) for w in weights)
         self._kind = social_cost_kind
         # loads count in multiples of 1/_load_unit, so every weight is an integer
@@ -245,17 +314,31 @@ class Game(ABC):
         return loads
 
     @abstractmethod
-    def _costs_against(self, pos: int, loads: Mapping[ResourceId, int]) -> tuple[int, ...]:
-        """The cost of each of the position's strategies against everyone
-        else's `loads`, in multiples of 1/_cost_unit."""
+    def _costs_against(
+        self, pos: int, own: int, loads: Mapping[ResourceId, int], indices: Iterable[int]
+    ) -> list[int]:
+        """The cost to the position, holding strategy `own` in the full
+        `loads`, of each strategy in `indices` once she has moved to it, in
+        multiples of 1/_cost_unit."""
 
-    def _br_against(self, player: PlayerId, loads: Mapping[ResourceId, int]) -> Cell:
-        """The player's cell against everyone else's `loads`; the best
-        responses are every strategy attaining the minimum, the player's
-        current one included."""
-        costs = self._costs_against(player - 1, loads)
-        best = min(costs)
-        return Cell(costs, tuple(i for i, c in enumerate(costs) if c == best))
+    def _cell(self, key: tuple[int, int], loads: Mapping[ResourceId, int]) -> Cell:
+        """The cell of a (class, strategy) key in `loads`; the class is
+        named by its first position."""
+        pos, own = key
+        return _ranked(self._costs_against(pos, own, loads, range(len(self._spaces[pos]))))
+
+    @cached_property
+    def _users(self) -> dict[int, dict[ResourceId, list[int]]]:
+        """Per strategy space, keyed by its id, the indices of the
+        strategies using each resource."""
+        users: dict[int, dict[ResourceId, list[int]]] = {}
+        for space in self._spaces:
+            if id(space) not in users:
+                index = users[id(space)] = {}
+                for i, strategy in enumerate(space):
+                    for e in strategy:
+                        index.setdefault(e, []).append(i)
+        return users
 
     def evaluate(self, at: "Profile | Evaluation") -> Evaluation:
         """The evaluation every cost and best-response reader goes through;
@@ -289,15 +372,9 @@ class Game(ABC):
         """Ascending ids; clones on one strategy share a cell, so one test
         per occupied (class, strategy) answers for all of them."""
         ev = self.evaluate(at)
-        verdicts: dict[tuple[int, int], bool] = {}
-        out = []
-        for pos, key in enumerate(zip(self._class_ids, ev.profile)):
-            verdict = verdicts.get(key)
-            if verdict is None:
-                verdict = verdicts[key] = ev.is_suboptimal(pos)
-            if verdict:
-                out.append(pos + 1)
-        return tuple(out)
+        cells, fill = ev._cells, ev._fill
+        return tuple(pos + 1 for pos, key in enumerate(zip(self._class_ids, ev.profile))
+                     if key[1] not in (cells.get(key) or fill(key)).br)
 
     def is_nash(self, at: Profile | Evaluation) -> bool:
         return not self.suboptimal_players(at)

@@ -24,7 +24,9 @@ rule's moves, in the one `SearchMove` shape the oracle's moves share too.
 runs, scripts, witness replays and the SPP cleanup are movers over it.  Its
 `_apply_move` is the one legality check of a move (the mover must be
 suboptimal and move to one of her best responses), which `serde.verify_trace`
-shares so as to compare each replayed move with the recorded one.
+shares so as to compare each replayed move with the recorded one.  Both
+evaluate the first profile only: each move yields the child evaluation
+(`Evaluation.child`) that the next step reads.
 
 `parent_search` is the one depth-first reachability search with parent
 links, and `replay_links` the one witness replay over those links: both
@@ -233,26 +235,27 @@ def rule_successors(
 
 def _apply_move(
     ev: Evaluation, player: PlayerId, new_index: int, step: int
-) -> tuple[Profile, Move]:
+) -> tuple[Evaluation, Move]:
     """Move `player` to strategy `new_index`: the one legal best-response
-    move.  She must be suboptimal and `new_index` one of her best responses,
-    which makes the move a strict improvement; a move leaves everyone else's
-    loads as they were, so her cell gives both of her costs."""
+    move, which yields the child evaluation.  She must be suboptimal and
+    `new_index` one of her best responses, which makes the move a strict
+    improvement; a move leaves everyone else's loads as they were, so her
+    cell gives both of her costs."""
     game, profile = ev.game, ev.profile
     pos = game.position_of(player)
     if not ev.is_suboptimal(pos):
         raise ScriptError(f"player {player} is not suboptimal")
     if new_index not in ev.cell(pos).br:
         raise ScriptError(f"strategy index {new_index} is not a best response of player {player}")
-    after = game.with_choice(profile, player, new_index)
+    after = ev.child(pos, new_index)
     move = Move(
         step=step,
         player=player,
         old_strategy=game.strategy_of(profile, player),
-        new_strategy=game.strategy_of(after, player),
+        new_strategy=game.strategy_of(after.profile, player),
         cost_before=ev.cost(pos),
         cost_after=ev.cost_to(pos, new_index),
-        profile_digest=profile_digest(after),
+        profile_digest=profile_digest(after.profile),
     )
     return after, move
 
@@ -268,18 +271,18 @@ if TYPE_CHECKING:
 
 
 def walk(game: Game, p0: Profile, mover: Mover, max_steps: int = DEFAULT_MAX_STEPS) -> Trace:
-    """The one trace loop: evaluate the profile once, ask `mover(ev, step)`
-    for the next (player, strategy index) and apply it through `_apply_move`,
-    until the mover stops; errors rather than make more than `max_steps`."""
-    profile, moves = p0, []
+    """The one trace loop: evaluate `p0`, ask `mover(ev, step)` for the next
+    (player, strategy index) and apply it through `_apply_move`, whose child
+    evaluation is the next step's, until the mover stops; errors rather than
+    make more than `max_steps`."""
+    ev, moves = game.evaluate(p0), []
     while True:
-        ev = game.evaluate(profile)
         move = mover(ev, len(moves))
         if move is None:
-            return Trace(p0, tuple(moves), profile, game.is_nash(ev))
+            return Trace(p0, tuple(moves), ev.profile, game.is_nash(ev))
         if len(moves) >= max_steps:
             raise StepBudgetExceeded(f"no equilibrium within {max_steps} steps")
-        profile, record = _apply_move(ev, *move, len(moves))
+        ev, record = _apply_move(ev, *move, len(moves))
         moves.append(record)
 
 

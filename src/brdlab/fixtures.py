@@ -420,10 +420,12 @@ def fig7_weighted_local_pair(
     first so the stranded player's best response becomes the cheap edge.
     """
     eps, big = F(eps), F(big_cost)
-    # the stranded player's post-deviation comparison (2/r + eps)/(4/r + 2)
-    # < r/(r^2 + r + 3) needs r > 3 and eps < 2(r-3)/(r^2 + r + 3)
+    # once a unit player has left edge 2 for edge 3, the stranded player's
+    # share of the cheap edge, 2(2/r + eps)/(4/r + 2), must undercut her
+    # share 2r/(r^2 + r + 3) of edge 3: r > 3 and eps < 2(r-3)/(r(r^2 + r + 3))
     _require(r > 3, "need r > 3 for the extension game to reward the cheap edge")
-    _require(0 < eps < F(2 * (r - 3), r * r + r + 3), "eps too large for r")
+    bound = F(2 * (r - 3), r * (r * r + r + 3))
+    _require(0 < eps < bound, f"eps = {eps} is not in (0, {bound}) for r = {r}")
     _require(big >= 4 * r, "the stranding edge must dwarf every alternative")
     crowd = r * r + r
     _require_capped(crowd + r + 2, "players")

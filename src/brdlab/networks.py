@@ -439,19 +439,15 @@ class NetworkFormationGame(Game):
         return {c: tuple(sum(cost[e] for e in path) for path in self._spaces[c])
                 for c in set(self._class_ids)}
 
-    @cached_property
-    def _class_edges(self) -> dict[int, tuple[ResourceId, ...]]:
-        """The edges on each class's paths."""
-        return {c: tuple({e for path in self._spaces[c] for e in path})
-                for c in set(self._class_ids)}
-
-    def _costs_against(self, pos, loads):
-        # each edge's share once, then each path's sum of shares
-        w, cost = self._load_weights[pos], self._scaled_cost
-        edges = self._class_edges[self._class_ids[pos]]
-        share = {e: cost[e] * w // (loads.get(e, 0) + w) for e in edges}
+    def _costs_against(self, pos, own, loads, indices):
+        # each edge's share once, then each path's sum of shares; an edge of
+        # her own path holds her already
+        w, cost, space = self._load_weights[pos], self._scaled_cost, self._spaces[pos]
+        share = {e: cost[e] * w // (loads.get(e, 0) + w) for e in self._users[id(space)]}
+        for e in space[own]:
+            share[e] = cost[e] * w // loads[e]
         get = share.__getitem__
-        return tuple(sum(map(get, path)) for path in self._spaces[pos])
+        return [sum(map(get, space[i])) for i in indices]
 
     def _unit_resource_cost(self, resource: ResourceId, multiplicity: int) -> Fraction:
         return self._edge_cost[resource] / multiplicity
@@ -468,11 +464,13 @@ class NetworkFormationGame(Game):
         cross-checks the two on every enumerable game."""
         pos = self.position_of(player)
         spec = self.specs[pos]
-        loads = self.evaluate(profile).others(pos)
+        ev = self.evaluate(profile)
+        loads, own = ev.loads, self._spaces[pos][ev.profile[pos]]
         w = self._load_weights[pos]
 
         def marginal(e: Edge) -> Fraction:
-            return e.cost * w / (loads.get(e.id, 0) + w)
+            # an edge of her own path holds her already
+            return e.cost * w / (loads.get(e.id, 0) + (0 if e.id in own else w))
 
         dist: dict[NodeId, Fraction] = {spec.source: ZERO}
         done: set[NodeId] = set()

@@ -122,13 +122,14 @@ class SchedulingGame(Game):
             return load
         return load + self.activation_cost / load
 
-    def _costs_against(self, pos, loads):
-        w = self._load_weights[pos]
-        joined = [loads.get(m, 0) + w for m in range(1, self.machine_count + 1)]
+    def _costs_against(self, pos, own, loads, indices):
+        # strategy i is machine i + 1, and her own machine's load holds her
+        w, get = self._load_weights[pos], loads.get
+        joined = [get(i + 1, 0) + w if i != own else loads[i + 1] for i in indices]
         if self._scaled_b is None:
-            return tuple(joined)
+            return joined
         u, bu = self._cost_unit, self._scaled_b
-        return tuple(k * u + bu // k for k in joined)
+        return [k * u + bu // k for k in joined]
 
     def _unit_resource_cost(self, resource: ResourceId, multiplicity: int) -> Fraction:
         return self.job_cost_at_load(Fraction(multiplicity))

@@ -269,10 +269,11 @@ class ReplayError(ValueError):
 
 def verify_trace(game: Game, trace: Trace) -> None:
     """Replay every recorded move through the engine's one legal move,
-    `_apply_move`, and require the replayed move to equal the recorded one:
+    `_apply_move`, from one evaluation of the initial profile and then its
+    children, and require the replayed move to equal the recorded one:
     step, player, both strategies, both costs and the profile digest.  The
     terminal must match too, including its equilibrium flag."""
-    profile = trace.initial
+    ev = game.evaluate(trace.initial)
     for i, recorded in enumerate(trace.moves):
         player = recorded.player
         try:
@@ -282,15 +283,15 @@ def verify_trace(game: Game, trace: Trace) -> None:
                 f"step {i}: strategy {recorded.new_strategy} outside player {player}'s space"
             ) from None
         try:
-            profile, move = _apply_move(game.evaluate(profile), player, idx, i)
+            ev, move = _apply_move(ev, player, idx, i)
         except ScriptError as exc:
             raise ReplayError(f"step {i}: {exc}") from None
         if move != recorded:
             differ = [name for name, value in vars(move).items() if vars(recorded)[name] != value]
             raise ReplayError(f"step {i}: the recorded move differs in {', '.join(differ)}")
-    if profile != trace.terminal:
+    if ev.profile != trace.terminal:
         raise ReplayError("terminal profile mismatch")
-    if trace.terminal_is_ne != game.is_nash(profile):
+    if trace.terminal_is_ne != game.is_nash(ev):
         raise ReplayError("terminal equilibrium flag mismatch")
 
 

@@ -295,9 +295,12 @@ class MatchingPennies(Game):
     def __init__(self) -> None:
         super().__init__([[(0,), (1,)]] * 2, [F(1), F(2)], SocialCostKind.SUM)
 
-    def _costs_against(self, pos, loads):
-        # the loads exclude the mover: a loaded resource holds the other player
-        return tuple(int((loads.get(e, 0) > 0) == (pos == 1)) for (e,) in self._spaces[pos])
+    def _costs_against(self, pos, own, loads, indices):
+        # a resource holds the other player when it carries more than her own load
+        space, w = self._spaces[pos], self._load_weights[pos]
+        mine = space[own][0]
+        return [int((loads.get(e, 0) - (w if e == mine else 0) > 0) == (pos == 1))
+                for (e,) in map(space.__getitem__, indices)]
 
 
 def _chain(*blocks) -> tuple[tuple[SppEdge, ...], ...]:

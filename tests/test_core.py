@@ -2,22 +2,42 @@
 
 from __future__ import annotations
 
+import copy
 import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 
+from brdlab import core
 from brdlab.core import (
     SHARE_CAP,
+    Evaluation,
+    Game,
     GameError,
     InvalidProfileError,
     Profile,
     UnsupportedModelError,
     share_unit,
 )
-from brdlab.networks import NetworkFormationGame, PlayerSpec
+from brdlab.engine import LowestIdRule, run_brd
+from brdlab.fixtures import (
+    appB_coco,
+    fig2_maxcost,
+    fig3_minpath_chain,
+    fig4_minpath_exp,
+    fig5_ep_pair,
+    fig6_weighted_partition,
+    fig7_weighted_local_pair,
+    fig8_weighted_minpath,
+    fig9_sched_pair,
+)
+from brdlab.networks import Edge, Network, NetworkFormationGame, PlayerSpec
+from brdlab.rules import RULES, make_rule
 from brdlab.scheduling import SchedulingGame
+from brdlab.serde import verify_trace
+from brdlab.sppdp import dp_proper_intervals, dp_single_source, replay
 from helpers import (
     parallel_network,
     rand_cost,
@@ -200,6 +220,31 @@ class TestPlayerClasses:
         assert groups == [(0, 2), (1,)]
 
 
+class TestSharedSpaces:
+    """Players handed one strategy-space object share one tuple of it."""
+
+    def test_scheduling_jobs_share_the_machine_list(self):
+        tracemalloc.start()
+        try:
+            game = SchedulingGame(10_000, [1] * 300)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(space is game._spaces[0] for space in game._spaces)
+        assert len(game._spaces[0]) == 10_000
+        assert peak < 2_000_000
+
+    def test_network_players_share_their_pair_paths(self):
+        # two segments of two parallel edges: 0 -> 1 -> 2
+        net = Network(tuple(Edge(e, (e - 1) // 2, (e + 1) // 2, F(e)) for e in range(1, 5)),
+                      source=0, sink=2)
+        specs = [PlayerSpec(0, 2), PlayerSpec(0, 1), PlayerSpec(0, 2, F(2)), PlayerSpec(0, 1)]
+        game = NetworkFormationGame(net, specs)
+        assert game._spaces[0] is game._spaces[2] and game._spaces[1] is game._spaces[3]
+        assert game._spaces[0] is not game._spaces[1]
+        assert len(game._spaces[0]) == 4 and len(game._spaces[1]) == 2
+
+
 def evaluation_pool(seed: int, rounds: int = 25):
     """(game, profile) pairs: symmetric network games, plain and tie-heavy,
     weighted network games, SPP chains, linear scheduling games (some with
@@ -310,13 +355,13 @@ class TestEvaluation:
         shared = 0
         for game, p in evaluation_pool(seed=63):
             calls = []
-            br_against = game._br_against
+            fresh_cell = game._cell
 
-            def counted(player, loads, br_against=br_against, calls=calls):
-                calls.append(player)
-                return br_against(player, loads)
+            def counted(key, loads, fresh_cell=fresh_cell, calls=calls):
+                calls.append(key)
+                return fresh_cell(key, loads)
 
-            game._br_against = counted
+            game._cell = counted
             ev = game.evaluate(p)
             assert calls == []  # cells are computed on first request only
             game.suboptimal_players(ev)
@@ -332,24 +377,22 @@ class TestEvaluation:
         assert shared > 50
 
     def test_suboptimal_players_test_one_member_per_occupied_strategy(self, monkeypatch):
-        from brdlab.core import Evaluation
-
         calls = []
-        is_suboptimal = Evaluation.is_suboptimal
+        fill = Evaluation._fill
 
-        def counted(ev, pos):
-            calls.append(pos)
-            return is_suboptimal(ev, pos)
+        def counted(ev, key):
+            calls.append(key)
+            return fill(ev, key)
 
-        monkeypatch.setattr(Evaluation, "is_suboptimal", counted)
+        monkeypatch.setattr(Evaluation, "_fill", counted)
         rng = random.Random(66)
         pools = [random_coco_game(rng, max_n=40) for _ in range(30)]
         pools += list(evaluation_pool(seed=66, rounds=5))
         for game, p in pools:
-            ev = game.evaluate(p)
-            brute = tuple(i for i in game.players if p[i - 1] not in ev.cell(i - 1).br)
+            ref = game.evaluate(p)
+            brute = tuple(i for i in game.players if p[i - 1] not in ref.cell(i - 1).br)
             calls.clear()
-            assert game.suboptimal_players(ev) == brute
+            assert game.suboptimal_players(game.evaluate(p)) == brute
             occupied = {(game._class_ids[pos], idx) for pos, idx in enumerate(p)}
             assert len(calls) == len(occupied)
             if isinstance(game, SchedulingGame) and game.is_conflicting:
@@ -379,25 +422,129 @@ class TestEvaluation:
                 assert game.state_vector(relabeled, player) == game.state_vector(fresh, player)
 
 
+class TestChildEvaluation:
+    """A walk derives each step's evaluation from its parent's; it must read
+    exactly as a fresh evaluation of the same profile."""
+
+    def check(self, ev, stats):
+        game = ev.game
+        fresh = game.evaluate(ev.profile)
+        assert ev.profile == fresh.profile and ev.loads == fresh.loads
+        held = {key: pos for pos, key in enumerate(zip(game._class_ids, ev.profile))}
+        # the cells the walk read, derived from the parent's where carried
+        for key, cell in ev._cells.items():
+            assert cell == fresh.cell(held[key])
+            stats["carried"] += key in ev._carried
+        # every other cell, on a copy, so the walk's own reads stay as they were
+        probe = copy.copy(ev)
+        probe._cells = dict(ev._cells)
+        assert game.suboptimal_players(probe) == game.suboptimal_players(fresh)
+        assert game.social_cost(probe) == game.social_cost(fresh)
+        for pos in range(game.n):
+            assert probe.cell(pos) == fresh.cell(pos)
+
+    @pytest.fixture
+    def stats(self, monkeypatch):
+        """Check each evaluation a walk leaves for its child, and each one
+        tested for equilibrium, against a fresh one; count the carried cells
+        read and the moves into a (class, strategy) that an earlier move of
+        the same walk emptied."""
+        stats = {"steps": 0, "carried": 0, "reentered": 0}
+        child, is_nash = Evaluation.child, Game.is_nash
+
+        def checked_child(ev, pos, idx):
+            kid = child(ev, pos, idx)
+            self.check(ev, stats)
+            game = ev.game
+            held = set(zip(game._class_ids, ev.profile))
+            emptied = getattr(ev, "emptied", set()) | (held - set(zip(game._class_ids, kid.profile)))
+            if (game._class_ids[pos], idx) in emptied:
+                stats["reentered"] += 1
+            kid.emptied = emptied - {(game._class_ids[pos], idx)}
+            stats["steps"] += 1
+            return kid
+
+        def checked_is_nash(game, at):
+            if isinstance(at, Evaluation):
+                self.check(at, stats)
+            return is_nash(game, at)
+
+        monkeypatch.setattr(Evaluation, "child", checked_child)
+        monkeypatch.setattr(Game, "is_nash", checked_is_nash)
+        return stats
+
+    def run_every_rule(self, game, p0, seed):
+        for name in RULES:
+            rule = make_rule(name, seed=seed)
+            if not rule.accepts(game):
+                continue
+            trace = run_brd(game, p0, rule)
+            verify_trace(game, trace)
+
+    def test_child_matches_a_fresh_evaluation(self, stats):
+        games = {"linear": 0, "coco": 0, "network": 0, "weighted": 0}
+        for k, (game, p) in enumerate(evaluation_pool(seed=67, rounds=6)):
+            self.run_every_rule(game, p, seed=k)
+            if isinstance(game, SchedulingGame):
+                games["coco" if game.is_conflicting else "linear"] += 1
+            else:
+                games["network" if game.is_unweighted else "weighted"] += 1
+        assert min(games.values()) > 0
+        assert stats["steps"] > 1000 and stats["carried"] > 1000
+
+    def test_a_move_into_an_emptied_strategy(self, stats):
+        # B = 17/2: job 1 leaves machine 1 empty for machine 3, which fills
+        # up until a job from the crowded machine 2 re-enters machine 1
+        game = SchedulingGame(3, [1] * 17, activation_cost=F(17, 2))
+        p0 = (0, 2, 2) + (1,) * 14
+        trace = run_brd(game, p0, LowestIdRule())
+        assert trace.moves[0].old_strategy == (1,) and stats["reentered"] > 0
+        verify_trace(game, trace)
+        self.run_every_rule(game, p0, seed=0)
+
+    def test_fixture_scripts(self, stats):
+        # each fixture runs its scripts while it validates itself
+        fixtures = [fig2_maxcost(), fig3_minpath_chain(), fig4_minpath_exp(), *fig5_ep_pair(),
+                    fig6_weighted_partition(), *fig7_weighted_local_pair(), fig8_weighted_minpath(k=4),
+                    *fig9_sched_pair(), appB_coco(B=64)]
+        for k, fixture in enumerate(fixtures):
+            for key in fixture.scripts:
+                verify_trace(fixture.game, fixture.run_script(key))
+            self.run_every_rule(fixture.game, fixture.initial, seed=k)
+        assert stats["steps"] > 1000
+
+    def test_spp_replays(self, stats):
+        rng = random.Random(68)
+        for k in range(40):
+            make = (random_single_source_instance, random_proper_instance)[k % 2]
+            program = (dp_single_source, dp_proper_intervals)[k % 2]
+            inst = make(rng)
+            game, _ = inst.to_game()
+            verify_trace(game, replay(inst, program(inst), game))
+        assert stats["steps"] > 100
+
+
 class TestShareCap:
     """Network and coco games count in lcm(1..W), W the total load in the
     load unit; past `SHARE_CAP` construction fails before that lcm."""
 
     @pytest.fixture
     def no_wide_lcm(self, monkeypatch):
-        # the lcm of any argument past the cap is the share unit being built
-        lcm = math.lcm
+        # share_unit sieves 0..W: a sieve past the cap is the unit being built
+        def guarded(size):
+            assert size <= SHARE_CAP + 1, "lcm(1..W) computed past the cap"
+            return bytearray(size)
 
-        def guarded(*args):
-            assert max(args, default=0) <= SHARE_CAP, "lcm(1..W) computed past the cap"
-            return lcm(*args)
+        monkeypatch.setattr(core, "bytearray", guarded, raising=False)
 
-        monkeypatch.setattr(math, "lcm", guarded)
+    def test_share_unit_is_lcm_of_one_to_w(self):
+        unit = 1
+        for w in range(1, 2001):
+            unit = math.lcm(unit, w)
+            assert share_unit(w) == unit
 
-    def test_the_cap_itself_is_admitted(self, monkeypatch):
-        # count the lcm's arguments instead of computing it
-        monkeypatch.setattr(math, "lcm", lambda *args: len(args))
-        assert share_unit(SHARE_CAP) == SHARE_CAP
+    def test_the_cap_itself_is_admitted(self):
+        assert share_unit(SHARE_CAP) == math.lcm(*range(1, SHARE_CAP + 1))
 
     def test_weighted_network_game_past_the_cap(self, no_wide_lcm):
         # load unit 65,536: weights 65,536 and 1 in it

@@ -125,7 +125,7 @@ class TestApplyMove:
         with pytest.raises(ScriptError):
             _apply_move(ev, 1, 1, 0)  # 3 -> 2, while her best response costs 1
         after, move = _apply_move(ev, 1, 2, 0)
-        assert after == Profile((2,))
+        assert after.profile == Profile((2,))
         assert (move.old_strategy, move.new_strategy) == ((1,), (3,))
         assert (move.cost_before, move.cost_after) == (3, 1)
 

@@ -135,6 +135,15 @@ class TestFig7:
         assert fb.expected["best_sc"] == F(1, 2) + F(1, 100)
         assert fb.expected["v1_first_sc"] == 1
 
+    def test_eps_must_lie_below_the_bound_for_r(self):
+        # once a unit player has left edge 2, the stranded player must prefer
+        # the cheap edge: eps < 2(r-3)/(r(r^2 + r + 3)), 1/106 at r = 12
+        with pytest.raises(FixtureError, match=r"eps = 1/100 is not in \(0, 1/106\) for r = 12"):
+            fig7_weighted_local_pair(r=12)
+        for r in range(5, 12):
+            fa, fb = fig7_weighted_local_pair(r=r)
+            assert fb.expected["best_sc"] == F(2, r) + F(1, 100)
+
     def test_requires_r_above_three(self):
         with pytest.raises(FixtureError):
             fig7_weighted_local_pair(r=3)

@@ -339,6 +339,8 @@ class TestCli:
         ("fig2", "n=,", "bad rational"),
         # a single weight is a number; fig6 says how to write a list of one
         ("fig6", "a=1", "a=1,"),
+        # fig7b's optimal script needs eps below 1/106 at r = 12
+        ("fig7b", "r=12", "eps = 1/100 is not in (0, 1/106) for r = 12"),
     ])
     def test_bad_fixture_params_exit_2(self, params, capsys):
         name, param, message = params
