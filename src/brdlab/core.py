@@ -25,7 +25,6 @@ evaluate every profile they visit afresh.
 
 from __future__ import annotations
 
-import copy
 import math
 from abc import ABC, abstractmethod
 from enum import Enum
@@ -83,6 +82,12 @@ def share_unit(total_load: int) -> int:
     return unit
 
 
+def as_fraction(x: Fraction | int | str) -> Fraction:
+    """`x` as a `Fraction`, converted only when it is not one already, so
+    a weight read from a document is converted once."""
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
 # one strategy index per player, ordered by player id: indices into each
 # player's strategy space keep profiles cheap to hash and compare during
 # state-space search; `Game.strategy_of` recovers the resource tuple
@@ -118,12 +123,21 @@ class Evaluation:
         self._changed: frozenset[ResourceId] = frozenset()
         self._touched: dict[int, tuple[int, ...]] = {}
 
+    def _derived(self, profile: Profile, loads: dict[ResourceId, int],
+                 cells: dict, carried: dict, changed: frozenset[ResourceId],
+                 touched: dict) -> "Evaluation":
+        """An evaluation of the same game built field by field, without
+        `__init__`'s load pass: searches and walks make one per state."""
+        ev = object.__new__(Evaluation)
+        ev.game, ev.profile, ev.loads = self.game, profile, loads
+        ev._cells, ev._carried, ev._changed, ev._touched = cells, carried, changed, touched
+        return ev
+
     def relabeled(self, profile: Profile) -> "Evaluation":
         """An evaluation of `profile`, a permutation of this profile among
         interchangeable players: it has the same loads and cells."""
-        ev = copy.copy(self)
-        ev.profile = profile
-        return ev
+        return self._derived(profile, self.loads, self._cells, self._carried,
+                             self._changed, self._touched)
 
     def child(self, pos: int, idx: int) -> "Evaluation":
         """The evaluation after the position moves to strategy `idx`: the
@@ -133,9 +147,7 @@ class Evaluation:
         game, profile = self.game, self.profile
         space, w = game._spaces[pos], game._load_weights[pos]
         old, new = space[profile[pos]], space[idx]
-        ev = copy.copy(self)
-        ev.profile = game.with_choice(profile, pos + 1, idx)
-        loads = ev.loads = dict(self.loads)
+        loads = dict(self.loads)
         for e in old:
             loads[e] -= w
             if not loads[e]:
@@ -144,9 +156,8 @@ class Evaluation:
                 del loads[e]
         for e in new:
             loads[e] = loads.get(e, 0) + w
-        ev._cells, ev._carried, ev._touched = {}, self._cells, {}
-        ev._changed = frozenset(old).symmetric_difference(new)
-        return ev
+        return self._derived(game.with_choice(profile, pos + 1, idx), loads, {}, self._cells,
+                             frozenset(old).symmetric_difference(new), {})
 
     def cell(self, pos: int) -> Cell:
         key = (self.game._class_ids[pos], self.profile[pos])
@@ -234,7 +245,7 @@ class Game(ABC):
             if w <= 0:
                 raise GameError(f"weights must be positive, got {w}")
         self._spaces: tuple[tuple[Strategy, ...], ...] = tuple(shared[id(s)] for s in spaces)
-        self._weights = tuple(Fraction(w) for w in weights)
+        self._weights = tuple(map(as_fraction, weights))
         self._kind = social_cost_kind
         # loads count in multiples of 1/_load_unit, so every weight is an integer
         u = self._load_unit = math.lcm(*(w.denominator for w in self._weights))
@@ -352,10 +363,12 @@ class Game(ABC):
         return self.evaluate(at).cost(self.position_of(player))
 
     def social_cost(self, at: Profile | Evaluation) -> Cost:
-        ev = self.evaluate(at)
+        return Fraction(self._social_units(self.evaluate(at)), self._cost_unit)
+
+    def _social_units(self, ev: Evaluation) -> int:
+        """The social cost in multiples of 1/_cost_unit."""
         costs = [ev.cell(pos).costs[idx] for pos, idx in enumerate(ev.profile)]
-        return Fraction(sum(costs) if self._kind is SocialCostKind.SUM else max(costs),
-                        self._cost_unit)
+        return sum(costs) if self._kind is SocialCostKind.SUM else max(costs)
 
     # -- best responses -----------------------------------------------------
 

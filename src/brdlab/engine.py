@@ -33,7 +33,10 @@ links, and `replay_links` the one witness replay over those links: both
 `reachable_by_rule` here and `oracle.reachable_ne` run on them, over the
 rule's moves and over every best-response move respectively.  Their states
 are profiles, the plain index tuples of `core.Profile`, so a search keys,
-moves and reports them as they are.
+moves and reports them as they are.  `terminal_extremes` walks the same
+moves once for many roots: one post-order pass that values every state it
+finishes with the least and greatest cost of the terminals it reaches,
+which is all `oracle.game_inefficiency` reads.
 """
 
 from __future__ import annotations
@@ -394,6 +397,84 @@ def parent_search(
             parents[child] = (state, pos, idx)
             stack.append(child)
     return parents, tuple(sorted(terminals))
+
+
+# the least and greatest cost of the terminals a state reaches, None for none
+Extremes = tuple[Cost, Cost] | None
+
+
+def _span(a: Extremes, b: Extremes) -> Extremes:
+    if a is None or a is b:
+        return b
+    if b is None:
+        return a
+    return (a[0] if a[0] <= b[0] else b[0], a[1] if a[1] >= b[1] else b[1])
+
+
+def terminal_extremes(
+    root: Profile,
+    successors: Callable[[Profile], Sequence[SearchMove]],
+    cost: Callable[[Profile], Cost],
+    values: dict[Profile, Extremes],
+    state_limit: int,
+) -> Extremes:
+    """The least and greatest `cost` over the terminals reachable from
+    `root` (the states without moves), or None where it reaches none.
+
+    One iterative Tarjan pass: the members of a strongly connected component
+    reach the same terminals, so they share one value, which a state's
+    frame gathers from its finished children and hands to its parent.  Each
+    finished state's value goes into `values`, which a caller shares across
+    roots: a later pass reads a finished state there instead of opening it.
+    `successors` is called once per opened state, in depth-first order, so
+    a stateful rule's single-move pass is its run.  Raises
+    StateBudgetExceeded rather than open more than `state_limit` states in
+    one pass."""
+    if root in values:
+        return values[root]
+    # opened states by discovery order; opened and unfinished ones also sit
+    # on `component`, awaiting the root of their component
+    index = {root: 0}
+    component = [root]
+
+    def frame(state: Profile) -> list:
+        # [state, its moves left, its low link, the extremes gathered so far]
+        moves = successors(state)
+        if moves:
+            return [state, iter(moves), index[state], None]
+        c = cost(state)
+        return [state, iter(()), index[state], (c, c)]
+
+    frames = [frame(root)]
+    while frames:
+        top = frames[-1]
+        for _, _, child in top[1]:
+            if child in values:
+                top[3] = _span(top[3], values[child])
+            elif child in index:
+                # still open, so in this state's component
+                top[2] = min(top[2], index[child])
+            else:
+                if len(index) >= state_limit:
+                    raise StateBudgetExceeded(f"search exceeded the {state_limit}-state budget")
+                index[child] = len(index)
+                component.append(child)
+                frames.append(frame(child))
+                break
+        else:
+            frames.pop()
+            state, _, low, value = top
+            if low == index[state]:
+                while True:
+                    member = component.pop()
+                    values[member] = value
+                    if member is state:
+                        break
+            if frames:
+                parent = frames[-1]
+                parent[2] = min(parent[2], low)
+                parent[3] = _span(parent[3], value)
+    return values[root]
 
 
 def replay_links(

@@ -10,16 +10,22 @@ what makes instances with many clone players enumerable at desk scale.
 The search and the witness replay are the engine's `parent_search` and
 `replay_links`, the same ones `engine.reachable_by_rule` runs on.
 
-`rule_inefficiency` and `game_inefficiency` share one per-start routine:
-it searches the oracle's moves and the rule's, checks every rule move
-against the oracle's, and asserts the 1 <= alpha <= worst/best envelope.
-It returns what it searched, NE(p0) as a `ReachableSet` and NE_S(p0) as a
-`RuleReach`, each ranked by (social cost, profile), with alpha; the
-report is read off those two.  A stateful rule's search has one move per
-state, so it is the rule's run.
-The oracle's moves and a stateless rule's are memoized per call, so
-`game_inefficiency` expands each state once however many starts reach it,
-and a raw rule state reads the evaluation of its canonical profile.
+`rule_inefficiency` runs one per-start routine: it searches the oracle's
+moves and the rule's, checks every rule move against the oracle's, and
+asserts the 1 <= alpha <= worst/best envelope.  It returns what it
+searched, NE(p0) as a `ReachableSet` and NE_S(p0) as a `RuleReach`, each
+ranked by (social cost, profile), with alpha; the report is read off those
+two.  A stateful rule's search has one move per state, so it is the rule's
+run.
+
+`game_inefficiency` needs only the extremes of those sets, so it values
+states instead of listing them: one post-order pass over the same checked
+moves (`engine.terminal_extremes`) gives every state the cheapest and
+dearest equilibrium it reaches, and a start reads the oracle's pair at its
+canonical profile and the rule's worst at itself.  The oracle's moves and
+values, and a stateless rule's, are memoized per call, so each state is
+expanded and valued once however many starts reach it, and a raw rule
+state reads the evaluation of its canonical profile.
 
 Budgets are hard: exceeding the state limit raises; partial searches are
 never reported as results.
@@ -39,6 +45,7 @@ from .engine import (
     CycleDetected,
     DeviatorRule,
     EngineError,
+    Extremes,
     Link,
     Parents,
     RuleReach,
@@ -48,6 +55,7 @@ from .engine import (
     parent_search,
     replay_links,
     rule_successors,
+    terminal_extremes,
 )
 
 
@@ -201,10 +209,16 @@ class _Searches:
     stateless rule's moves for each raw profile (the engine's lowest-id
     tie-break need not commute with relabeling interchangeable players).
     Every rule move is checked to be an oracle move and every rule terminal
-    an oracle sink, which puts NE_S(p0) within NE(p0).  `state_limit`
-    bounds each search and the states each memo holds."""
+    an oracle sink, which puts NE_S(p0) within NE(p0).  `start` searches
+    both move relations from one start, for `rule_inefficiency`;
+    `game_inefficiency` values their states with `engine.terminal_extremes`
+    instead, reading each equilibrium's cost off `ne_units`.  `state_limit`
+    bounds each search and the states each memo holds.  The rule must
+    accept the game, which is checked once, before any search."""
 
     def __init__(self, game: Game, rule: DeviatorRule, state_limit: int) -> None:
+        if not rule.accepts(game):
+            raise EngineError(f"rule {rule.name} does not accept this game class")
         self.game = game
         self.rule = rule
         self.state_limit = state_limit
@@ -212,7 +226,8 @@ class _Searches:
         # canonical state -> (its oracle moves, their canonical children, its evaluation)
         self._oracle: dict[Profile, tuple[list[SearchMove], frozenset[Profile], Evaluation]] = {}
         self._rule: dict[Profile, tuple[SearchMove, ...]] = {}
-        self.ne_cost: dict[Profile, Cost] = {}
+        # canonical equilibrium -> its social cost, in the game's cost unit
+        self.ne_units: dict[Profile, int] = {}
 
     def _grow(self, memo: dict) -> None:
         if len(memo) >= self.state_limit:
@@ -225,7 +240,7 @@ class _Searches:
             ev = self.game.evaluate(key)
             moves = self.quotient.successors(ev)
             if not moves:
-                self.ne_cost[key] = self.game.social_cost(ev)
+                self.ne_units[key] = self.game._social_units(ev)
             entry = self._oracle[key] = (moves, frozenset(child for _, _, child in moves), ev)
         return entry
 
@@ -250,30 +265,37 @@ class _Searches:
                 self._rule[profile] = moves
         return moves
 
+    def units(self, profile: Profile) -> int:
+        """Social cost of an equilibrium the oracle has searched, in the
+        game's cost unit."""
+        return self.ne_units[self.quotient.canonical(profile)]
+
     def cost(self, profile: Profile) -> Cost:
-        """Social cost of an equilibrium the oracle has searched."""
-        return self.ne_cost[self.quotient.canonical(profile)]
+        return Fraction(self.units(profile), self.game._cost_unit)
 
     def start(self, p0: Profile) -> tuple[ReachableSet, RuleReach, Fraction]:
         """Search the oracle's and the rule's moves from the valid `p0`:
         NE(p0) and NE_S(p0), each ranked by (social cost, profile), and
         alpha, asserting the 1 <= alpha <= (worst/best over NE(p0)) envelope."""
         game, rule = self.game, self.rule
-        root = self.quotient.canonical(p0)
-        parents, ne_keys = parent_search(root, self.oracle_moves, self.state_limit)
-        if not rule.accepts(game):
-            raise EngineError(f"rule {rule.name} does not accept this game class")
+        parents, ne_keys = parent_search(self.quotient.canonical(p0), self.oracle_moves,
+                                         self.state_limit)
         rule.reset(game)
         links, terminals = parent_search(p0, self.rule_moves, self.state_limit)
-        reach = _reachable_set(game, p0, self.quotient, parents, ne_keys, self.ne_cost.__getitem__)
+        reach = _reachable_set(game, p0, self.quotient, parents, ne_keys, self.cost)
         if not terminals:
             raise CycleDetected("a best-response cycle reaches no equilibrium")
         rule_costs, terminals = zip(*sorted(zip(map(self.cost, terminals), terminals)))
         costs = reach.social_costs
-        alpha = rule_costs[-1] / costs[0]
-        if not costs[0] <= rule_costs[-1] <= costs[-1]:  # 1 <= alpha <= worst/best
-            raise AssertionError(f"inefficiency {alpha} outside [1, {costs[-1] / costs[0]}]")
-        return reach, RuleReach(terminals, len(links), p0, links), alpha
+        _check_envelope(costs[0], rule_costs[-1], costs[-1])
+        return reach, RuleReach(terminals, len(links), p0, links), rule_costs[-1] / costs[0]
+
+
+def _check_envelope(best: Cost | int, rule_worst: Cost | int, worst: Cost | int) -> None:
+    """1 <= alpha <= worst/best over NE(p0), for alpha = rule_worst/best."""
+    if not best <= rule_worst <= worst:
+        raise AssertionError(f"inefficiency {Fraction(rule_worst) / best} "
+                             f"outside [1, {Fraction(worst) / best}]")
 
 
 def rule_inefficiency(
@@ -329,19 +351,38 @@ def game_inefficiency(
     """Worst-case rule inefficiency over the supplied initial profiles, or
     over every profile of a tiny game when no source is given.
 
-    Each start runs the searches of `rule_inefficiency`, over moves memoized
-    once per call: the oracle's for each canonical profile, a stateless
-    rule's for each raw profile.  A stateful rule gets one run per start.
-    `state_limit` bounds the distinct states each memo holds, summed over
-    all starts.
+    Each start reads two values off one post-order pass
+    (`engine.terminal_extremes`): the cheapest and dearest equilibrium the
+    oracle's moves reach from its canonical profile, and the dearest one
+    the rule's moves reach from it.  The checks are those of
+    `rule_inefficiency`'s searches.  The oracle's values, and a stateless
+    rule's, are kept across starts, so each state is valued once however
+    many starts reach it; a stateful rule's pass is its run from the start.
+    `state_limit` bounds the states one pass opens and the distinct states
+    each memo of moves holds, summed over all starts.
     """
     profiles = profile_source if profile_source is not None else all_profiles(game)
     searches = _Searches(game, rule, state_limit)
-    worst: Fraction | None = None
+    canonical, ne_units = searches.quotient.canonical, searches.ne_units
+    oracle_values: dict[Profile, Extremes] = {}
+    rule_values: dict[Profile, Extremes] = {}
+    # the largest alpha so far, as (the rule's worst, the best) in the cost unit
+    alpha: tuple[int, int] | None = None
     for p0 in profiles:
         game.validate_profile(p0)
-        _, _, alpha = searches.start(p0)
-        worst = alpha if worst is None else max(worst, alpha)
-    if worst is None:
+        envelope = terminal_extremes(canonical(p0), searches.oracle_moves, ne_units.__getitem__,
+                                     oracle_values, state_limit)
+        rule.reset(game)
+        if not rule.is_stateless:
+            rule_values = {}
+        reach = terminal_extremes(p0, searches.rule_moves, searches.units, rule_values,
+                                  state_limit)
+        if envelope is None or reach is None:
+            raise CycleDetected("a best-response cycle reaches no equilibrium")
+        (best, worst), rule_worst = envelope, reach[1]
+        _check_envelope(best, rule_worst, worst)
+        if alpha is None or rule_worst * alpha[1] > alpha[0] * best:
+            alpha = (rule_worst, best)
+    if alpha is None:
         raise ValueError("profile source was empty")
-    return worst
+    return Fraction(*alpha)

@@ -29,6 +29,7 @@ from .core import (
     ResourceId,
     SocialCostKind,
     UnsupportedModelError,
+    as_fraction,
     share_unit,
 )
 from .engine import DEFAULT_STATE_LIMIT
@@ -76,7 +77,7 @@ class SchedulingGame(Game):
             raise SchedulingError("need at least one machine")
         if machine_count > STRATEGY_CAP:
             raise SchedulingError(f"more than {STRATEGY_CAP} machines")
-        lengths = [Fraction(x) for x in job_lengths]
+        lengths = [as_fraction(x) for x in job_lengths]
         if not lengths:
             raise SchedulingError("need at least one job")
         if any(x <= 0 for x in lengths):

@@ -303,6 +303,36 @@ class MatchingPennies(Game):
                 for (e,) in map(space.__getitem__, indices)]
 
 
+class EscapablePennies(Game):
+    """Matching pennies with two exits, weights 1 and 2; each resource
+    costs each player one amount free of the other player and another
+    beside her.  Player 1 takes A = {0, 2} or B = {1, 3} and wants to
+    meet player 2 on 0 or 1; player 2 takes X = {2}, Y = {3}, C = {0} or
+    D = {1} and wants to avoid her on 0 and 1 but meet her on 2 and 3.
+
+    Best responses cycle (A, C) -> (A, D) -> (B, D) -> (B, C) -> (A, C),
+    and player 2 can leave the cycle whenever she moves: to X from (A, C)
+    and to Y from (B, D).  The equilibria are (A, X) at cost 5 and (B, Y)
+    at cost 3, and every start reaches (A, X), the cycle or (B, Y).  The
+    exits come first in player 2's space, so her canonical pick leaves the
+    cycle at once."""
+
+    # per position and resource: (its cost free of the other player, beside her)
+    COSTS = ({0: (1, 0), 1: (3, 0), 2: (2, 4), 3: (2, 0)},
+             {0: (0, 1), 1: (0, 1), 2: (2, 0), 3: (2, 0)})
+
+    def __init__(self) -> None:
+        super().__init__([[(0, 2), (1, 3)], [(2,), (3,), (0,), (1,)]], [F(1), F(2)],
+                         SocialCostKind.SUM)
+
+    def _costs_against(self, pos, own, loads, indices):
+        space, w, costs = self._spaces[pos], self._load_weights[pos], self.COSTS[pos]
+        mine = space[own]
+        # a resource holds the other player when it carries more than her own load
+        return [sum(costs[e][loads.get(e, 0) - (w if e in mine else 0) > 0] for e in space[i])
+                for i in indices]
+
+
 def _chain(*blocks) -> tuple[tuple[SppEdge, ...], ...]:
     """Segments from (edge id, cost) pairs."""
     return tuple(tuple(SppEdge(e, F(c)) for e, c in block) for block in blocks)

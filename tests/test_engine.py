@@ -22,6 +22,7 @@ from brdlab.engine import (
     reachable_by_rule,
     run_brd,
     run_scripted,
+    terminal_extremes,
 )
 from brdlab.fixtures import fig2_maxcost
 from brdlab.networks import NetworkFormationGame, NfgStateVector, PlayerSpec
@@ -266,6 +267,69 @@ class TestParentSearch:
         assert len(parent_search("a", search_graph(graph), 6)[0]) == 6
         with pytest.raises(StateBudgetExceeded):
             parent_search("a", search_graph(graph), 5)
+
+
+class TestTerminalExtremes:
+    def test_agrees_with_plain_reachability_on_random_cyclic_graphs(self):
+        rng = random.Random(43)
+        for _ in range(200):
+            nodes = list(range(rng.randint(1, 12)))
+            graph = {v: [w for w in nodes if rng.random() < 0.2] for v in nodes}
+            for v in nodes:
+                if rng.random() < 0.3:
+                    graph[v] = []
+            cost = {v: rng.randint(1, 5) for v in nodes if not graph[v]}
+            opened = []
+
+            def successors(v):
+                opened.append(v)
+                return search_graph(graph)(v)
+
+            # one memo per graph, shared by every root: a later root may
+            # land in a component an earlier one finished
+            values = {}
+            rng.shuffle(nodes)
+            for root in nodes:
+                seen, stack = {root}, [root]
+                while stack:
+                    for w in graph[stack.pop()]:
+                        if w not in seen:
+                            seen.add(w)
+                            stack.append(w)
+                reached = [cost[v] for v in seen if not graph[v]]
+                expected = (min(reached), max(reached)) if reached else None
+                assert terminal_extremes(root, successors, cost.__getitem__, values, 100) == expected
+                assert values[root] == expected
+            # every state is opened once, over all the roots together
+            assert sorted(opened) == sorted(nodes)
+
+    def test_a_component_shares_its_value(self):
+        # a -> b -> c -> a, and b -> x, c -> y: every member reaches both exits
+        graph = {"a": "b", "b": "cx", "c": "ay", "x": "", "y": ""}
+        values = {}
+        cost = {"x": 3, "y": 7}.__getitem__
+        assert terminal_extremes("a", search_graph(graph), cost, values, 10) == (3, 7)
+        assert values == {"a": (3, 7), "b": (3, 7), "c": (3, 7), "x": (3, 3), "y": (7, 7)}
+
+    def test_closed_cycles_give_none(self):
+        graph = {"a": "b", "b": "a", "c": "a"}
+        values = {}
+        assert terminal_extremes("c", search_graph(graph), None, values, 10) is None
+        assert values == {"a": None, "b": None, "c": None}
+
+    def test_state_limit(self):
+        graph = {"a": "b", "b": "cx", "c": "ad", "d": "y", "x": "", "y": ""}
+        cost = {"x": 1, "y": 2}.__getitem__
+        assert terminal_extremes("a", search_graph(graph), cost, {}, 6) == (1, 2)
+        with pytest.raises(StateBudgetExceeded):
+            terminal_extremes("a", search_graph(graph), cost, {}, 5)
+        # the limit counts the states one pass opens, not those it reads:
+        # with d and y valued, a's pass opens a, b, c and x
+        values = {}
+        assert terminal_extremes("d", search_graph(graph), cost, values, 2) == (2, 2)
+        assert terminal_extremes("a", search_graph(graph), cost, values, 4) == (1, 2)
+        with pytest.raises(StateBudgetExceeded):
+            terminal_extremes("a", search_graph(graph), cost, {"d": (2, 2)}, 3)
 
 
 class TestStatefulRules:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -10,6 +11,7 @@ import pytest
 from brdlab.core import Profile
 from brdlab.engine import (
     CycleDetected,
+    EngineError,
     LowestIdRule,
     StateBudgetExceeded,
     reachable_by_rule,
@@ -25,9 +27,15 @@ from brdlab.oracle import (
     reachable_ne,
     rule_inefficiency,
 )
-from brdlab.rules import max_cost, min_path, random_rule, round_robin
+from brdlab.rules import max_cost, min_path, random_rule, round_robin, s_opt_rule
 from brdlab.serde import report_to_doc, dumps, verify_trace
-from helpers import MatchingPennies, parallel_network, random_profile, random_symmetric_game
+from helpers import (
+    EscapablePennies,
+    MatchingPennies,
+    parallel_network,
+    random_profile,
+    random_symmetric_game,
+)
 
 
 def brute_force_ne_costs(game, p0):
@@ -244,6 +252,27 @@ class TestGameInefficiency:
         fx = fig2_maxcost()
         with pytest.raises(ValueError, match="profile source was empty"):
             game_inefficiency(fx.game, max_cost(), [])
+
+    def test_rejected_rule_raises_before_any_start(self):
+        fx = fig2_maxcost()
+        for source in ([], None, [fx.initial]):
+            with pytest.raises(EngineError, match="does not accept"):
+                game_inefficiency(fx.game, s_opt_rule(), source)
+
+    @pytest.mark.parametrize("factory", [LowestIdRule, round_robin], ids=lambda f: f.__name__)
+    def test_cycles_that_escape_share_one_value(self, factory):
+        # every start off the two equilibria reaches a best-response cycle
+        # with exits to both, which the oracle's pass values as one component
+        game = EscapablePennies()
+        profiles = list(all_profiles(game))
+        for p0 in profiles:
+            assert set(reachable_ne(game, p0).social_costs) <= {3, 5}
+        alpha = game_inefficiency(game, factory())
+        assert alpha == per_start_alpha(game, factory, profiles) == F(5, 3)
+        # a later start reads values an earlier one's pass left, mid-cycle
+        # states included, in every order
+        for pair in itertools.product(profiles, repeat=2):
+            assert game_inefficiency(game, factory(), pair) == per_start_alpha(game, factory, pair)
 
     def test_single_profile_source_reduces(self):
         fx = fig2_maxcost()
