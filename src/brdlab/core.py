@@ -20,7 +20,10 @@ a lazily computed `Cell` holding the cost of every strategy against
 everyone else's loads.  A walk evaluates its first profile and derives each
 later one from its parent with `Evaluation.child`, which patches the loads
 and the parent's cells on the mover's old and new resources only; searches
-evaluate every profile they visit afresh.
+evaluate every profile they visit afresh.  Who is suboptimal is each
+model's `_suboptimal` verdict: by default one cell per occupied (class,
+strategy), while linear scheduling games, where a job pays her machine's
+load, decide it from the loads alone and build no cell.
 """
 
 from __future__ import annotations
@@ -382,9 +385,15 @@ class Game(ABC):
         return self.evaluate(at).is_suboptimal(self.position_of(player))
 
     def suboptimal_players(self, at: Profile | Evaluation) -> tuple[PlayerId, ...]:
-        """Ascending ids; clones on one strategy share a cell, so one test
-        per occupied (class, strategy) answers for all of them."""
-        ev = self.evaluate(at)
+        """Ascending ids, from the model's `_suboptimal` verdict: one cell
+        per occupied (class, strategy), or for linear scheduling the loads
+        alone."""
+        return self._suboptimal(self.evaluate(at))
+
+    def _suboptimal(self, ev: Evaluation) -> tuple[PlayerId, ...]:
+        """The suboptimal players' ids, ascending.  Clones on one strategy
+        share a cell, so one test per occupied (class, strategy) answers for
+        all of them."""
         cells, fill = ev._cells, ev._fill
         return tuple(pos + 1 for pos, key in enumerate(zip(self._class_ids, ev.profile))
                      if key[1] not in (cells.get(key) or fill(key)).br)

@@ -23,9 +23,9 @@ states instead of listing them: one post-order pass over the same checked
 moves (`engine.terminal_extremes`) gives every state the cheapest and
 dearest equilibrium it reaches, and a start reads the oracle's pair at its
 canonical profile and the rule's worst at itself.  The oracle's moves and
-values, and a stateless rule's, are memoized per call, so each state is
-expanded and valued once however many starts reach it, and a raw rule
-state reads the evaluation of its canonical profile.
+values, and a stateless rule's values, are memoized per call, so each
+state is expanded and valued once however many starts reach it, and a raw
+rule state reads the evaluation of its canonical profile.
 
 Budgets are hard: exceeding the state limit raises; partial searches are
 never reported as results.
@@ -204,17 +204,19 @@ class InefficiencyReport:
 
 
 class _Searches:
-    """One game's best-response moves, memoized across start profiles: the
-    oracle's moves and evaluation for each canonical profile, and a
-    stateless rule's moves for each raw profile (the engine's lowest-id
-    tie-break need not commute with relabeling interchangeable players).
-    Every rule move is checked to be an oracle move and every rule terminal
-    an oracle sink, which puts NE_S(p0) within NE(p0).  `start` searches
-    both move relations from one start, for `rule_inefficiency`;
-    `game_inefficiency` values their states with `engine.terminal_extremes`
-    instead, reading each equilibrium's cost off `ne_units`.  `state_limit`
-    bounds each search and the states each memo holds.  The rule must
-    accept the game, which is checked once, before any search."""
+    """One game's best-response moves: the oracle's moves and evaluation
+    for each canonical profile, memoized across start profiles, and a
+    rule's moves out of each raw profile (the engine's lowest-id tie-break
+    need not commute with relabeling interchangeable players), which every
+    search reads once per state, so they are not kept.  Every rule move is
+    checked to be an oracle move and every rule terminal an oracle sink,
+    which puts NE_S(p0) within NE(p0).  `start` searches both move
+    relations from one start, for `rule_inefficiency`; `game_inefficiency`
+    values their states with `engine.terminal_extremes` instead, reading
+    each equilibrium's cost off `ne_units`.  `state_limit` bounds each
+    search, the oracle's memo and the raw states a stateless rule's moves
+    are read for.  The rule must accept the game, which is checked once,
+    before any search."""
 
     def __init__(self, game: Game, rule: DeviatorRule, state_limit: int) -> None:
         if not rule.accepts(game):
@@ -225,18 +227,19 @@ class _Searches:
         self.quotient = _Quotient(game)
         # canonical state -> (its oracle moves, their canonical children, its evaluation)
         self._oracle: dict[Profile, tuple[list[SearchMove], frozenset[Profile], Evaluation]] = {}
-        self._rule: dict[Profile, tuple[SearchMove, ...]] = {}
+        # the raw states a stateless rule's moves were read for
+        self._rule_states = 0
         # canonical equilibrium -> its social cost, in the game's cost unit
         self.ne_units: dict[Profile, int] = {}
 
-    def _grow(self, memo: dict) -> None:
-        if len(memo) >= self.state_limit:
+    def _grow(self, size: int) -> None:
+        if size >= self.state_limit:
             raise StateBudgetExceeded(f"search exceeded the {self.state_limit}-state budget")
 
     def _expand(self, key: Profile) -> tuple[list[SearchMove], frozenset[Profile], Evaluation]:
         entry = self._oracle.get(key)
         if entry is None:
-            self._grow(self._oracle)
+            self._grow(len(self._oracle))
             ev = self.game.evaluate(key)
             moves = self.quotient.successors(ev)
             if not moves:
@@ -250,19 +253,18 @@ class _Searches:
     def rule_moves(self, profile: Profile) -> tuple[SearchMove, ...]:
         """The rule's moves out of the raw state `profile`, read from its
         canonical profile's evaluation: to every best response for a
-        stateless rule, memoized, and to the canonical one for a stateful
-        rule, whose search is then its run.  Each child must be the child of
-        an oracle move, and a state without moves an oracle sink."""
-        moves = self._rule.get(profile)
-        if moves is None:
-            canonical, stateless = self.quotient.canonical, self.rule.is_stateless
-            _, kids, ev = self._expand(canonical(profile))
-            moves = rule_successors(ev.relabeled(profile), self.rule, branch_all=stateless)
-            if (kids and not moves) or any(canonical(child) not in kids for _, _, child in moves):
-                raise AssertionError("rule reached an equilibrium outside NE(p0)")
-            if stateless:
-                self._grow(self._rule)
-                self._rule[profile] = moves
+        stateless rule, counted against the state limit, and to the
+        canonical one for a stateful rule, whose search is then its run.
+        Each child must be the child of an oracle move, and a state without
+        moves an oracle sink."""
+        canonical, stateless = self.quotient.canonical, self.rule.is_stateless
+        _, kids, ev = self._expand(canonical(profile))
+        moves = rule_successors(ev.relabeled(profile), self.rule, branch_all=stateless)
+        if (kids and not moves) or any(canonical(child) not in kids for _, _, child in moves):
+            raise AssertionError("rule reached an equilibrium outside NE(p0)")
+        if stateless:
+            self._grow(self._rule_states)
+            self._rule_states += 1
         return moves
 
     def units(self, profile: Profile) -> int:
@@ -358,8 +360,9 @@ def game_inefficiency(
     `rule_inefficiency`'s searches.  The oracle's values, and a stateless
     rule's, are kept across starts, so each state is valued once however
     many starts reach it; a stateful rule's pass is its run from the start.
-    `state_limit` bounds the states one pass opens and the distinct states
-    each memo of moves holds, summed over all starts.
+    `state_limit` bounds the states one pass opens, the oracle's memo of
+    moves, and the raw states a stateless rule's moves are read for, each
+    summed over all starts.
     """
     profiles = profile_source if profile_source is not None else all_profiles(game)
     searches = _Searches(game, rule, state_limit)

@@ -132,6 +132,19 @@ class SchedulingGame(Game):
         u, bu = self._cost_unit, self._scaled_b
         return [k * u + bu // k for k in joined]
 
+    def _suboptimal(self, ev: Evaluation) -> tuple[PlayerId, ...]:
+        # linear: a job of weight w on machine a improves exactly when some
+        # other machine's load plus w is below L_a.  A job on a least-loaded
+        # machine never can, and any other job's best other machine is a
+        # least-loaded one, so the least load decides every verdict
+        if self._scaled_b is not None:
+            return super()._suboptimal(ev)
+        loads = ev.loads
+        # the keys are the used machines: an unused one has load 0
+        least = min(loads.values()) if len(loads) == self.machine_count else 0
+        return tuple(pos + 1 for pos, (w, idx) in enumerate(zip(self._load_weights, ev.profile))
+                     if least + w < loads[idx + 1])
+
     def _unit_resource_cost(self, resource: ResourceId, multiplicity: int) -> Fraction:
         return self.job_cost_at_load(Fraction(multiplicity))
 

@@ -245,6 +245,10 @@ class TestSharedSpaces:
         assert len(game._spaces[0]) == 4 and len(game._spaces[1]) == 2
 
 
+def _is_linear(game: Game) -> bool:
+    return isinstance(game, SchedulingGame) and not game.is_conflicting
+
+
 def evaluation_pool(seed: int, rounds: int = 25):
     """(game, profile) pairs: symmetric network games, plain and tie-heavy,
     weighted network games, SPP chains, linear scheduling games (some with
@@ -366,13 +370,16 @@ class TestEvaluation:
             assert calls == []  # cells are computed on first request only
             game.suboptimal_players(ev)
             keys = {(game._class_ids[pos], idx) for pos, idx in enumerate(p)}
-            assert len(calls) == len(keys)
+            # linear scheduling decides from the loads and builds no cell
+            assert len(calls) == (0 if _is_linear(game) else len(keys))
             for cls in game.player_classes():
                 for a in cls:
                     for b in cls:
                         if a < b and p[a] == p[b]:
                             assert ev.cell(a) is ev.cell(b)
                             shared += 1
+            for pos in range(game.n):
+                ev.cell(pos)
             assert len(calls) == len(keys)
         assert shared > 50
 
@@ -388,16 +395,23 @@ class TestEvaluation:
         rng = random.Random(66)
         pools = [random_coco_game(rng, max_n=40) for _ in range(30)]
         pools += list(evaluation_pool(seed=66, rounds=5))
+        linear = 0
         for game, p in pools:
             ref = game.evaluate(p)
             brute = tuple(i for i in game.players if p[i - 1] not in ref.cell(i - 1).br)
             calls.clear()
             assert game.suboptimal_players(game.evaluate(p)) == brute
             occupied = {(game._class_ids[pos], idx) for pos, idx in enumerate(p)}
+            if _is_linear(game):
+                # a job's cost is its machine's load: the loads decide
+                linear += 1
+                assert calls == []
+                continue
             assert len(calls) == len(occupied)
             if isinstance(game, SchedulingGame) and game.is_conflicting:
                 # unit jobs form one class: one test per occupied machine
                 assert len(calls) == len(set(p))
+        assert linear >= 10
 
     def test_relabeled_evaluation_reads_like_a_fresh_one(self):
         rng = random.Random(64)

@@ -243,7 +243,7 @@ class TestGameInefficiency:
         with pytest.raises(StateBudgetExceeded):
             game_inefficiency(fx.game, max_cost(), state_limit=3)
         # the limit counts the states of all starts together: no start's own
-        # search visits more than 12 states, the rule's memo ends at 243
+        # search visits more than 12 states, the rule's moves are read for 243
         with pytest.raises(StateBudgetExceeded):
             game_inefficiency(fx.game, max_cost(), state_limit=242)
         assert game_inefficiency(fx.game, max_cost(), state_limit=243) == 5

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brdlab.core import UnsupportedModelError
+from brdlab.core import Evaluation, UnsupportedModelError
+from brdlab.engine import run_brd
+from brdlab.rules import RULES, make_rule
 from brdlab.scheduling import (
     SchedulingError,
     SchedulingGame,
@@ -239,3 +241,88 @@ class TestMachineGuard:
             SchedulingGame(STRATEGY_CAP + 1, [1, 1])
         with pytest.raises(SchedulingError):
             SchedulingGame(1_000_000_000, [1])
+
+
+def _cell_verdict(game: SchedulingGame, profile) -> tuple[int, ...]:
+    """The default verdict: each job's cell in a fresh evaluation."""
+    ev = Evaluation(game, profile)
+    return tuple(i for i in game.players if profile[i - 1] not in ev.cell(i - 1).br)
+
+
+def tie_heavy_linear_pool(seed: int, rounds: int = 400):
+    """Linear games on 1-5 machines with small lengths, so that a job's
+    load on another machine often equals her own (L_j + w == L_a), and
+    profiles drawn over a subset of the machines, so that some stay empty."""
+    rng = random.Random(seed)
+    for _ in range(rounds):
+        m = rng.randint(1, 5)
+        lengths = [rng.choice((1, 1, 2, 3, F(1, 2), F(3, 2))) for _ in range(rng.randint(1, 9))]
+        game = SchedulingGame(m, lengths)
+        used = rng.sample(range(m), rng.randint(1, m))
+        yield game, tuple(rng.choice(used) for _ in lengths)
+
+
+class TestLinearVerdict:
+    def test_loads_decide_as_the_cells_do_under_ties(self):
+        ties = single = empty = suboptimal = 0
+        for game, p in tie_heavy_linear_pool(seed=191):
+            ev = game.evaluate(p)
+            sub = game.suboptimal_players(ev)
+            assert not ev._cells  # decided from the loads alone
+            assert sub == _cell_verdict(game, p)
+            loads = game.loads(ev)
+            for player in game.players:
+                own = game.machine_of(p, player)
+                others = [x for j, x in enumerate(loads, 1) if j != own]
+                if others and min(others) + game.weight(player) == loads[own - 1]:
+                    ties += 1
+            single += game.machine_count == 1
+            empty += 0 in loads
+            suboptimal += bool(sub)
+        assert ties > 100 and single > 30 and empty > 100 and suboptimal > 100
+
+    def test_every_step_of_a_linear_run_decides_as_the_cells_do(self, monkeypatch):
+        decide = SchedulingGame._suboptimal
+        derived = []
+
+        def checked(game, ev):
+            sub = decide(game, ev)
+            assert sub == _cell_verdict(game, ev.profile)
+            assert ev.loads == Evaluation(game, ev.profile).loads
+            derived.append(bool(ev._carried))
+            return sub
+
+        monkeypatch.setattr(SchedulingGame, "_suboptimal", checked)
+        rng = random.Random(192)
+        ran = set()
+        for _ in range(30):
+            m = rng.randint(1, 8)
+            lengths = [rng.choice((1, 1, 2, 3, F(1, 2), F(7, 3)))
+                       for _ in range(rng.randint(1, 25))]
+            game = SchedulingGame(m, lengths)
+            # jobs start on at most half the machines, so runs are long
+            p0 = tuple(rng.randrange((m + 1) // 2) for _ in lengths)
+            for name in RULES:
+                rule = make_rule(name, seed=rng.randrange(1000))
+                if rule.accepts(game):
+                    ran.add(name)
+                    assert run_brd(game, p0, rule).terminal_is_ne
+        assert ran == {"max-cost", "max-improvement", "longest-job", "round-robin", "random"}
+        assert sum(derived) > 500
+
+    def test_children_that_empty_a_machine_decide_as_the_cells_do(self):
+        # a best-response move never empties a linear machine: a job alone
+        # already pays the least she can pay anywhere.  Arbitrary moves do,
+        # and their children drop the emptied machine's load
+        rng = random.Random(193)
+        emptied = 0
+        for game, p in tie_heavy_linear_pool(seed=194, rounds=100):
+            ev = game.evaluate(p)
+            for _ in range(10):
+                pos, idx = rng.randrange(game.n), rng.randrange(game.machine_count)
+                child = ev.child(pos, idx)
+                emptied += len(child.loads) < len(ev.loads)
+                ev = child
+                assert game.suboptimal_players(ev) == _cell_verdict(game, ev.profile)
+                assert not ev._cells
+        assert emptied > 50
