@@ -17,8 +17,9 @@ Tie semantics: the engine breaks rule ties by lowest player id, and a chosen
 player's tied best responses by the game's canonical pick.  Branching over
 best-response ties (the "breaking ties arbitrarily" in the move, not the
 rule) is what `reachable_by_rule` explores to compute the full set of
-equilibria a rule can reach.  `rule_successors` is the one definition of a
-rule's moves, in the one `SearchMove` shape the oracle's moves share too.
+equilibria a rule can reach.  `rule_choice` is the one checked reading of
+a rule's choice set, and `rule_successors` the rule's moves out of one
+evaluated profile, in the one `SearchMove` shape the oracle's moves share.
 
 `walk` is the one trace loop, with one step budget for the whole walk:
 runs, scripts, witness replays and the SPP cleanup are movers over it.  Its
@@ -66,7 +67,9 @@ class CycleDetected(EngineError):
 
 
 class RuleViolation(EngineError):
-    """A rule chose a player outside the suboptimal set, or no player."""
+    """A rule chose a player outside the suboptimal set, or no player, or
+    (being stateless) only some of the interchangeable players on one
+    strategy."""
 
 
 class ScriptError(EngineError):
@@ -110,7 +113,13 @@ def state_vectors(game: Game, at: Profile | Evaluation,
 
 
 class DeviatorRule(ABC):
-    """Selects the next deviating player among the suboptimal ones."""
+    """Selects the next deviating player among the suboptimal ones.
+
+    A stateless rule must treat interchangeable players (one weight, one
+    strategy space) on one strategy alike, whatever their labels: it
+    chooses all or none of them.  Local rules do, as state vectors carry no
+    label.  The oracle asks once per canonical profile, and raises
+    RuleViolation on a choice that splits such a group."""
 
     name: str = "rule"
     # False for rules that carry run state (a cursor, a seeded generator)
@@ -213,6 +222,17 @@ def _check_rule_output(
 SearchMove = tuple[int, int, Profile]
 
 
+def rule_choice(ev: Evaluation, rule: DeviatorRule) -> tuple[PlayerId, ...]:
+    """`rule`'s choice set at the evaluated profile, checked against its
+    suboptimal players; empty exactly at an equilibrium."""
+    suboptimal = ev.game.suboptimal_players(ev)
+    if not suboptimal:
+        return ()
+    choice = tuple(rule.choose(ev, suboptimal))
+    _check_rule_output(choice, suboptimal, rule)
+    return choice
+
+
 def rule_successors(
     ev: Evaluation, rule: DeviatorRule, branch_all: bool = False
 ) -> tuple[SearchMove, ...]:
@@ -222,13 +242,10 @@ def rule_successors(
     The lowest-id member of the rule's choice set moves, to the canonical
     best response or, with `branch_all`, to every best response.
     """
-    game = ev.game
-    suboptimal = game.suboptimal_players(ev)
-    if not suboptimal:
+    choice = rule_choice(ev, rule)
+    if not choice:
         return ()
-    choice = tuple(rule.choose(ev, suboptimal))
-    _check_rule_output(choice, suboptimal, rule)
-    player = min(choice)
+    game, player = ev.game, min(choice)
     if branch_all:
         targets = game.best_response(ev, player)
     else:

@@ -24,8 +24,10 @@ moves (`engine.terminal_extremes`) gives every state the cheapest and
 dearest equilibrium it reaches, and a start reads the oracle's pair at its
 canonical profile and the rule's worst at itself.  The oracle's moves and
 values, and a stateless rule's values, are memoized per call, so each
-state is expanded and valued once however many starts reach it, and a raw
-rule state reads the evaluation of its canonical profile.
+state is expanded and valued once however many starts reach it.  A
+stateless rule is asked once per canonical profile too, and a raw rule
+state's moves are read off the chosen (class, strategy) groups (see
+`_Searches.rule_moves`).
 
 Budgets are hard: exceeding the state limit raises; partial searches are
 never reported as results.
@@ -37,6 +39,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 from .core import Cost, Evaluation, Game, PlayerId, Profile
@@ -49,11 +52,13 @@ from .engine import (
     Link,
     Parents,
     RuleReach,
+    RuleViolation,
     SearchMove,
     StateBudgetExceeded,
     Trace,
     parent_search,
     replay_links,
+    rule_choice,
     rule_successors,
     terminal_extremes,
 )
@@ -64,16 +69,26 @@ class _Quotient:
 
     def __init__(self, game: Game) -> None:
         self.classes = game.player_classes()
+        self.canonical = self._canonicalizer()
 
-    def canonical(self, profile: Profile) -> Profile:
-        out = list(profile)
-        for cls in self.classes:
-            if len(cls) == 1:
-                continue
-            values = sorted(profile[p] for p in cls)
-            for pos, value in zip(cls, values):
-                out[pos] = value
-        return tuple(out)
+    def _canonicalizer(self) -> Callable[[Profile], Profile]:
+        """The canonical encoding, built once per game: each class's
+        strategy indices sorted over its positions."""
+        multi = [(cls, itemgetter(*cls)) for cls in self.classes if len(cls) > 1]
+        if not multi:
+            return tuple
+        if len(self.classes) == 1:
+            # one class holds every player, in position order
+            return lambda profile: tuple(sorted(profile))
+
+        def canonical(profile: Profile) -> Profile:
+            out = list(profile)
+            for cls, get in multi:
+                for pos, value in zip(cls, sorted(get(profile))):
+                    out[pos] = value
+            return tuple(out)
+
+        return canonical
 
     def successors(self, ev: Evaluation) -> list[SearchMove]:
         """Every oracle move out of the evaluated canonical profile, as
@@ -203,14 +218,20 @@ class InefficiencyReport:
     rule_visited: int
 
 
+# a stateless rule's choice at a canonical state: each chosen (class,
+# strategy) group -> that group's best responses
+Choice = dict[tuple[int, int], tuple[int, ...]]
+
+
 class _Searches:
     """One game's best-response moves: the oracle's moves and evaluation
     for each canonical profile, memoized across start profiles, and a
     rule's moves out of each raw profile (the engine's lowest-id tie-break
-    need not commute with relabeling interchangeable players), which every
-    search reads once per state, so they are not kept.  Every rule move is
-    checked to be an oracle move and every rule terminal an oracle sink,
-    which puts NE_S(p0) within NE(p0).  `start` searches both move
+    need not commute with relabeling interchangeable players).  A stateless
+    rule's choice is memoized per canonical profile, next to its oracle
+    entry; raw profiles are only counted.  Every rule move is checked to be
+    an oracle move and every rule terminal an oracle sink, which puts
+    NE_S(p0) within NE(p0).  `start` searches both move
     relations from one start, for `rule_inefficiency`; `game_inefficiency`
     values their states with `engine.terminal_extremes` instead, reading
     each equilibrium's cost off `ne_units`.  `state_limit` bounds each
@@ -227,6 +248,8 @@ class _Searches:
         self.quotient = _Quotient(game)
         # canonical state -> (its oracle moves, their canonical children, its evaluation)
         self._oracle: dict[Profile, tuple[list[SearchMove], frozenset[Profile], Evaluation]] = {}
+        # canonical state -> a stateless rule's choice there
+        self._chosen: dict[Profile, Choice] = {}
         # the raw states a stateless rule's moves were read for
         self._rule_states = 0
         # canonical equilibrium -> its social cost, in the game's cost unit
@@ -250,16 +273,47 @@ class _Searches:
     def oracle_moves(self, key: Profile) -> list[SearchMove]:
         return self._expand(key)[0]
 
+    def _choice(self, key: Profile, ev: Evaluation) -> Choice:
+        """The stateless rule's checked choice at the canonical state `key`
+        with evaluation `ev`, memoized.  Clones on one strategy share a
+        cell, so they are suboptimal together; the choice must take all or
+        none of them, or its lowest id would hang on their labels."""
+        choice = self._chosen.get(key)
+        if choice is None:
+            players = rule_choice(ev, self.rule)
+            class_ids = self.game._class_ids
+            choice = {(class_ids[p - 1], key[p - 1]): ev.cell(p - 1).br for p in players}
+            members = sum(1 for group in zip(class_ids, key) if group in choice)
+            if members != len(set(players)):
+                raise RuleViolation(f"rule {self.rule.name} chose some but not all of the "
+                                    "interchangeable players on one strategy")
+            self._chosen[key] = choice
+        return choice
+
     def rule_moves(self, profile: Profile) -> tuple[SearchMove, ...]:
         """The rule's moves out of the raw state `profile`, read from its
-        canonical profile's evaluation: to every best response for a
-        stateless rule, counted against the state limit, and to the
-        canonical one for a stateful rule, whose search is then its run.
-        Each child must be the child of an oracle move, and a state without
-        moves an oracle sink."""
+        canonical profile's oracle entry.  For a stateless rule, counted
+        against the state limit, the lowest position in a chosen (class,
+        strategy) group moves to each of the group's best responses: the
+        moves `rule_successors(ev.relabeled(profile), rule, branch_all=True)`
+        gives, as the choice relabels with the clones.  A stateful rule
+        makes its canonical move, so its search is its run.  Each child
+        must be the child of an oracle move, and a state without moves an
+        oracle sink."""
         canonical, stateless = self.quotient.canonical, self.rule.is_stateless
-        _, kids, ev = self._expand(canonical(profile))
-        moves = rule_successors(ev.relabeled(profile), self.rule, branch_all=stateless)
+        key = canonical(profile)
+        _, kids, ev = self._expand(key)
+        if stateless:
+            moves: tuple[SearchMove, ...] = ()
+            game, choice = self.game, self._choice(key, ev)
+            for pos, group in enumerate(zip(game._class_ids, profile)):
+                targets = choice.get(group)
+                if targets is not None:
+                    moves = tuple((pos, idx, game.with_choice(profile, pos + 1, idx))
+                                  for idx in targets)
+                    break
+        else:
+            moves = rule_successors(ev.relabeled(profile), self.rule)
         if (kids and not moves) or any(canonical(child) not in kids for _, _, child in moves):
             raise AssertionError("rule reached an equilibrium outside NE(p0)")
         if stateless:

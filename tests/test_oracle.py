@@ -11,15 +11,20 @@ import pytest
 from brdlab.core import Profile
 from brdlab.engine import (
     CycleDetected,
+    DeviatorRule,
     EngineError,
     LowestIdRule,
+    RuleViolation,
     StateBudgetExceeded,
     reachable_by_rule,
+    rule_successors,
     run_brd,
 )
 from brdlab.fixtures import fig2_maxcost, fig6_weighted_partition, fig7_weighted_local_pair
 from brdlab.networks import NetworkFormationGame, PlayerSpec
 from brdlab.oracle import (
+    DEFAULT_STATE_LIMIT,
+    _Searches,
     all_profiles,
     best_reachable,
     game_inefficiency,
@@ -27,12 +32,22 @@ from brdlab.oracle import (
     reachable_ne,
     rule_inefficiency,
 )
-from brdlab.rules import max_cost, min_path, random_rule, round_robin, s_opt_rule
+from brdlab.rules import (
+    longest_job,
+    max_cost,
+    max_improvement,
+    min_path,
+    random_rule,
+    round_robin,
+    s_opt_rule,
+)
+from brdlab.scheduling import SchedulingGame
 from brdlab.serde import report_to_doc, dumps, verify_trace
 from helpers import (
     EscapablePennies,
     MatchingPennies,
     parallel_network,
+    random_coco_game,
     random_profile,
     random_symmetric_game,
 )
@@ -182,9 +197,10 @@ class TestRuleInefficiency:
         assert dumps(a) == dumps(b)
 
 
-# min-path and max-cost are local; lowest-id is stateless but not equivariant
-# under relabeling interchangeable players; round-robin carries run state
-RULE_FACTORIES = [min_path, max_cost, LowestIdRule, round_robin]
+# min-path, max-cost and max-improvement are local; lowest-id is stateless
+# but its pick is not equivariant under relabeling interchangeable players;
+# round-robin carries run state
+RULE_FACTORIES = [min_path, max_cost, max_improvement, LowestIdRule, round_robin]
 
 
 def reference_alpha(game, rule, p0):
@@ -309,3 +325,75 @@ class TestGameInefficiency:
         assert rule_inefficiency(game, Profile((0, 0, 1)), max_cost()).alpha == 1
         assert game_inefficiency(game, max_cost()) == 2
 
+
+def symmetric_pool(rng):
+    return random_symmetric_game(rng, tie_heavy=rng.random() < 0.5)
+
+
+def coco_pool(rng):
+    return random_coco_game(rng, max_n=6, max_m=3)[0]
+
+
+def linear_pool(rng):
+    """Linear scheduling with 3-6 jobs of lengths 1, 2 or 5/2 on 2-3
+    machines: repeated lengths make classes of several jobs."""
+    lengths = [rng.choice((F(1), F(2), F(5, 2))) for _ in range(rng.randint(3, 6))]
+    return SchedulingGame(rng.randint(2, 3), lengths)
+
+
+# every shipped stateless rule on each pool it applies to
+LIFT_CASES = [
+    (symmetric_pool, min_path), (symmetric_pool, max_cost),
+    (symmetric_pool, max_improvement), (symmetric_pool, LowestIdRule),
+    (coco_pool, s_opt_rule), (coco_pool, max_cost),
+    (coco_pool, max_improvement), (coco_pool, LowestIdRule),
+    (linear_pool, longest_job), (linear_pool, max_cost), (linear_pool, max_improvement),
+]
+
+
+class TestStatelessChoiceLift:
+    """A stateless rule chooses once per canonical profile, and each raw
+    profile's moves are read off that choice.  Both inefficiency entry
+    points must agree with the raw-profile reference, `reachable_by_rule`,
+    which evaluates and asks the rule at every raw profile afresh."""
+
+    @pytest.mark.parametrize("pool, factory", LIFT_CASES,
+                             ids=lambda f: f.__name__)
+    def test_matches_the_raw_profile_reference(self, pool, factory):
+        rng = random.Random(41)
+        for _ in range(6):
+            game = pool(rng)
+            rule = factory()
+            searches = _Searches(game, rule, DEFAULT_STATE_LIMIT)
+            for p in [random_profile(rng, game) for _ in range(20)]:
+                # the same moves in the same order, so searches visit alike
+                assert searches.rule_moves(p) == \
+                    rule_successors(game.evaluate(p), rule, branch_all=True)
+            starts = [random_profile(rng, game) for _ in range(6)]
+            assert game_inefficiency(game, factory(), starts) == \
+                per_start_alpha(game, factory, starts)
+            for p0 in starts:
+                report = rule_inefficiency(game, p0, factory())
+                reach = reachable_by_rule(game, p0, factory())
+                costs, terminals = zip(*sorted(zip(map(game.social_cost, reach.terminals),
+                                                   reach.terminals)))
+                assert report.rule_visited == reach.visited
+                assert report.rule_ne_costs == costs
+                assert report.rule_witness == reach.witness(game, terminals[-1])
+
+    def test_a_choice_that_splits_clones_on_one_strategy_is_rejected(self):
+        class LowestOnly(DeviatorRule):
+            """The lowest suboptimal id alone, whatever her clones do."""
+
+            name = "lowest-only"
+
+            def choose(self, ev, suboptimal):
+                return (min(suboptimal),)
+
+        # costs 4, 2, 2: players 1 and 2 share the dear edge and are both
+        # suboptimal, and the rule chooses player 1 alone
+        game = NetworkFormationGame(parallel_network([4, 2, 2]), [PlayerSpec(0, 1)] * 3)
+        with pytest.raises(RuleViolation, match="interchangeable"):
+            rule_inefficiency(game, Profile((0, 0, 1)), LowestOnly())
+        with pytest.raises(RuleViolation, match="interchangeable"):
+            game_inefficiency(game, LowestOnly())
