@@ -10,7 +10,9 @@ exact; every public cost, load and state-vector field is a `Fraction`,
 built where it is read.
 
 A strategy profile is the plain tuple of each player's strategy index, so it
-is immutable and hashable, and searches key their states by it directly.
+is immutable and hashable, and searches key their states by it directly;
+`strategy_index` maps a resource tuple back to its index through one dict
+per strategy space.
 Every operation here is a pure function of (game, profile), so games and
 profiles can be shared freely across concurrent evaluations.
 
@@ -244,11 +246,11 @@ class Game(ABC):
                 if not strategy:
                     raise GameError("strategies must use at least one resource")
             shared[id(space)] = tuple(tuple(s) for s in space)
-        for w in weights:
-            if w <= 0:
-                raise GameError(f"weights must be positive, got {w}")
         self._spaces: tuple[tuple[Strategy, ...], ...] = tuple(shared[id(s)] for s in spaces)
         self._weights = tuple(map(as_fraction, weights))
+        for w in self._weights:
+            if w.numerator <= 0:
+                raise GameError(f"weights must be positive, got {w}")
         self._kind = social_cost_kind
         # loads count in multiples of 1/_load_unit, so every weight is an integer
         u = self._load_unit = math.lcm(*(w.denominator for w in self._weights))
@@ -265,7 +267,7 @@ class Game(ABC):
         return tuple(range(1, self.n + 1))
 
     def position_of(self, player: PlayerId) -> int:
-        if not 1 <= player <= self.n:
+        if not 1 <= player <= len(self._spaces):
             raise InvalidProfileError(f"unknown player id {player}")
         return player - 1
 
@@ -297,16 +299,30 @@ class Game(ABC):
             ordered = [tuple(s) for s in assignment]
         if len(ordered) != self.n:
             raise InvalidProfileError("profile must assign every player")
-        indices = []
-        for player, strategy in zip(self.players, ordered):
-            space = self.strategy_space(player)
-            try:
-                indices.append(space.index(tuple(strategy)))
-            except ValueError:
-                raise InvalidProfileError(
-                    f"player {player} assigned a strategy outside her space: {strategy}"
-                ) from None
-        return tuple(indices)
+        return tuple(map(self.strategy_index, self.players, ordered))
+
+    def strategy_index(self, player: PlayerId, strategy: Iterable[ResourceId]) -> int:
+        """The index of the strategy with these resources in the player's
+        space, from one map per space."""
+        index = self._indices[id(self._spaces[self.position_of(player)])]
+        key = tuple(strategy)
+        try:
+            return index[key]
+        except (KeyError, TypeError):  # an unhashable strategy is unknown too
+            raise InvalidProfileError(
+                f"player {player} assigned a strategy outside her space: {strategy}"
+            ) from None
+
+    @cached_property
+    def _indices(self) -> dict[int, dict[Strategy, int]]:
+        """Per strategy space, keyed by its id, each strategy's first index."""
+        indices: dict[int, dict[Strategy, int]] = {}
+        for space in self._spaces:
+            if id(space) not in indices:
+                index = indices[id(space)] = {}
+                for i, strategy in enumerate(space):
+                    index.setdefault(strategy, i)
+        return indices
 
     def validate_profile(self, profile: Profile) -> None:
         if len(profile) != self.n:
@@ -442,9 +458,11 @@ class Game(ABC):
 
     @cached_property
     def _class_ids(self) -> tuple[int, ...]:
-        """Each position's class, named by its first position."""
+        """Each position's class, named by its first position.  Weights
+        compare as their integer load weights, which the one load unit
+        makes equal exactly when the weights are."""
         first: dict[tuple, int] = {}
         return tuple(
             first.setdefault((w, space), pos)
-            for pos, (w, space) in enumerate(zip(self._weights, self._spaces))
+            for pos, (w, space) in enumerate(zip(self._load_weights, self._spaces))
         )

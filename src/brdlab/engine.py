@@ -352,8 +352,8 @@ def script_mover(script: Sequence[ScriptMove], then: Mover | None = None) -> Mov
             if forced is None:
                 return player, game.canonical_br_pick(ev, player)
             try:
-                idx = game.strategy_space(player).index(tuple(forced))
-            except ValueError:
+                idx = game.strategy_index(player, forced)
+            except ValueError:  # an unknown player, too
                 raise ScriptError(
                     f"scripted strategy {forced} outside player {player}'s space"
                 ) from None

@@ -416,7 +416,8 @@ def game_inefficiency(
     many starts reach it; a stateful rule's pass is its run from the start.
     `state_limit` bounds the states one pass opens, the oracle's memo of
     moves, and the raw states a stateless rule's moves are read for, each
-    summed over all starts.
+    summed over all starts.  A supplied start is validated; the profiles
+    of a tiny game are valid as enumerated.
     """
     profiles = profile_source if profile_source is not None else all_profiles(game)
     searches = _Searches(game, rule, state_limit)
@@ -426,7 +427,9 @@ def game_inefficiency(
     # the largest alpha so far, as (the rule's worst, the best) in the cost unit
     alpha: tuple[int, int] | None = None
     for p0 in profiles:
-        game.validate_profile(p0)
+        if profile_source is not None:
+            # `all_profiles` yields valid profiles only
+            game.validate_profile(p0)
         envelope = terminal_extremes(canonical(p0), searches.oracle_moves, ne_units.__getitem__,
                                      oracle_values, state_limit)
         rule.reset(game)

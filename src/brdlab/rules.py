@@ -3,9 +3,10 @@
 Local rules are preorders over state vectors (see `engine.LocalRule`).  Each
 comes with two keys: a vector key, the rule's definition, which the locality
 audits score, and a cell key, which runs and searches score.  The cell key
-reads the evaluation's integer cells and equals the vector key times the
-game's cost (or load) unit on every suboptimal player, so it keeps every
-order and every tie.  Round-robin and the seeded random rule are global
+reads the evaluation's integer cells (on linear scheduling games, max-cost's
+and max-improvement's read the load map alone) and equals the vector key
+times the game's cost (or load) unit on every suboptimal player, so it keeps
+every order and every tie.  Round-robin and the seeded random rule are global
 rules carrying explicit, replayable state.  `RULES` maps the stable
 command-line identifiers to factories.
 """
@@ -47,6 +48,26 @@ def _improvement(ev: Evaluation):
     return key
 
 
+def _is_linear(game: Game) -> bool:
+    return isinstance(game, SchedulingGame) and not game.is_conflicting
+
+
+def _machine_load(ev: Evaluation):
+    """A linear scheduling job's current cost: her machine's load, read
+    from the load map without a cell."""
+    loads, profile = ev.loads, ev.profile
+    return lambda pos: loads[profile[pos] + 1]
+
+
+def _load_drop(ev: Evaluation):
+    """A suboptimal linear scheduling job's improvement, from the loads: her
+    best response joins a least-loaded machine, which is not hers, so the
+    drop is L_a - least - w."""
+    game, loads, profile = ev.game, ev.loads, ev.profile
+    least, weights = game._least_load(ev), game._load_weights
+    return lambda pos: loads[profile[pos] + 1] - least - weights[pos]
+
+
 def max_cost() -> LocalRule:
     """Highest current cost first."""
 
@@ -55,7 +76,8 @@ def max_cost() -> LocalRule:
             return lambda v: game.job_cost_at_load(_own_load(v))
         return lambda v: v.current_cost
 
-    return LocalRule("max-cost", build, cell_key=lambda game: _own_cost)
+    return LocalRule("max-cost", build,
+                     cell_key=lambda game: _machine_load if _is_linear(game) else _own_cost)
 
 
 def min_path() -> LocalRule:
@@ -94,7 +116,8 @@ def max_improvement() -> LocalRule:
 
         return key
 
-    return LocalRule("max-improvement", build, cell_key=lambda game: _improvement)
+    return LocalRule("max-improvement", build,
+                     cell_key=lambda game: _load_drop if _is_linear(game) else _improvement)
 
 
 def longest_job() -> LocalRule:

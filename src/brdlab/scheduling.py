@@ -80,7 +80,7 @@ class SchedulingGame(Game):
         lengths = [as_fraction(x) for x in job_lengths]
         if not lengths:
             raise SchedulingError("need at least one job")
-        if any(x <= 0 for x in lengths):
+        if any(x.numerator <= 0 for x in lengths):
             raise SchedulingError("job lengths must be positive")
         self.machine_count = machine_count
         self.activation_cost: Fraction | None = (
@@ -139,11 +139,15 @@ class SchedulingGame(Game):
         # least-loaded one, so the least load decides every verdict
         if self._scaled_b is not None:
             return super()._suboptimal(ev)
-        loads = ev.loads
-        # the keys are the used machines: an unused one has load 0
-        least = min(loads.values()) if len(loads) == self.machine_count else 0
+        loads, least = ev.loads, self._least_load(ev)
         return tuple(pos + 1 for pos, (w, idx) in enumerate(zip(self._load_weights, ev.profile))
                      if least + w < loads[idx + 1])
+
+    def _least_load(self, ev: Evaluation) -> int:
+        """The least machine load, in the load unit."""
+        loads = ev.loads
+        # the keys are the used machines: an unused one has load 0
+        return min(loads.values()) if len(loads) == self.machine_count else 0
 
     def _unit_resource_cost(self, resource: ResourceId, multiplicity: int) -> Fraction:
         return self.job_cost_at_load(Fraction(multiplicity))

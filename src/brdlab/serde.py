@@ -4,13 +4,22 @@ Rationals are encoded as "p/q" strings so no precision is lost in JSON
 numbers; documents reject unknown fields and parse-serialize-parse is the
 identity on values.  Strategies serialize as edge-id lists for network
 games and machine indices for scheduling games.
+
+`dumps` writes a document of dicts with string keys, lists, strings, ints,
+bools and None as exactly the bytes of `json.dumps(doc, indent=2,
+sort_keys=True)` plus a newline: keys sorted, two-space indents, and every
+string ASCII-escaped by the standard library's own escaper.  Rationals
+still parse exactly: a plain "p/q", "-p/q" or integer string of ASCII
+digits goes straight to its integers, and every other form takes the
+`Fraction` string route with its errors.
 """
 
 from __future__ import annotations
 
-import json
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Any, Mapping
+from json.encoder import encode_basestring_ascii
+from typing import Any, Callable
 
 from .core import Game, InvalidProfileError, Profile, Strategy
 from .engine import Move, ScriptError, Trace, _apply_move
@@ -29,9 +38,16 @@ def _is_int(value: Any) -> bool:
 
 
 def parse_rational(value: Any) -> Fraction:
-    if _is_int(value):
-        return Fraction(value)
     if isinstance(value, str):
+        # "p/q", "-p/q" and integers in ASCII digits, straight to their ints
+        num, slash, den = value.partition("/")
+        digits = num[1:] if num[:1] == "-" else num
+        if value.isascii() and digits.isdigit() and (den.isdigit() or not slash):
+            try:
+                return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+            # past its digit limit, int raises ValueError
+            except (ValueError, ZeroDivisionError) as exc:
+                raise FormatError(f"bad rational {value!r}") from exc
         # no exponents: "1e999999999" would have Fraction build an integer
         # of a billion digits
         if "e" in value.lower():
@@ -40,6 +56,8 @@ def parse_rational(value: Any) -> Fraction:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise FormatError(f"bad rational {value!r}") from exc
+    if _is_int(value):
+        return Fraction(value)
     raise FormatError(f"rationals must be 'p/q' strings, got {value!r}")
 
 
@@ -47,13 +65,12 @@ def fmt_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _fields(doc: Any, allowed: set[str], where: str) -> Mapping[str, Any]:
+def _fields(doc: Any, allowed: frozenset[str], where: str) -> Mapping[str, Any]:
     """`doc` itself, once it is a JSON object without unknown fields."""
     if not isinstance(doc, Mapping):
         raise FormatError(f"{where} must be a JSON object")
-    unknown = set(doc) - allowed
-    if unknown:
-        raise FormatError(f"unknown fields in {where}: {sorted(unknown)}")
+    if not doc.keys() <= allowed:
+        raise FormatError(f"unknown fields in {where}: {sorted(doc.keys() - allowed)}")
     return doc
 
 
@@ -137,26 +154,42 @@ def encode_strategy(game: Game, strategy: Strategy) -> Any:
     return list(strategy)
 
 
-def decode_strategy(game: Game, raw: Any) -> Strategy:
-    if isinstance(game, SchedulingGame):
-        if not _is_int(raw):
-            raise FormatError("scheduling strategies are machine indices")
-        return (raw,)
+def _machine(raw: Any) -> Strategy:
+    if not _is_int(raw):
+        raise FormatError("scheduling strategies are machine indices")
+    return (raw,)
+
+
+def _path(raw: Any) -> Strategy:
     if not isinstance(raw, list) or not all(map(_is_int, raw)):
         raise FormatError("network strategies are edge-id lists")
     return tuple(raw)
 
 
+def _strategy_decoder(game: Game) -> Callable[[Any], Strategy]:
+    """The decoder of the game's strategies, chosen once per document."""
+    return _machine if isinstance(game, SchedulingGame) else _path
+
+
+_INSTANCE = frozenset({"model", "graph", "machines", "B", "players", "initial"})
+_GRAPH = frozenset({"nodes", "source", "sink", "edges"})
+_EDGE = frozenset({"id", "tail", "head", "cost"})
+_PLAYER = frozenset({"source", "target", "weight"})
+_JOB = frozenset({"length"})
+_TRACE = frozenset({"initial", "moves", "terminal", "terminal_is_ne"})
+_MOVE = frozenset({"step", "player", "old", "new", "cost_before", "cost_after", "profile"})
+
+
 def instance_from_doc(doc: Mapping[str, Any]) -> tuple[Game, Profile]:
-    _fields(doc, {"model", "graph", "machines", "B", "players", "initial"}, "instance")
+    _fields(doc, _INSTANCE, "instance")
     model = doc.get("model")
     players = _get(doc, "players", list, "instance", [])
     if model in ("nfg", "weighted-nfg"):
         graph = _get(doc, "graph", object, "a network instance")
-        _fields(graph, {"nodes", "source", "sink", "edges"}, "graph")
+        _fields(graph, _GRAPH, "graph")
         edges = []
         for e in _get(graph, "edges", list, "graph", []):
-            _fields(e, {"id", "tail", "head", "cost"}, "edge")
+            _fields(e, _EDGE, "edge")
             edges.append(Edge(
                 _get(e, "id", int, "edge"),
                 _get(e, "tail", int, "edge"),
@@ -175,7 +208,7 @@ def instance_from_doc(doc: Mapping[str, Any]) -> tuple[Game, Profile]:
             raise FormatError("graph nodes must list once each node the edges and terminals use")
         specs = []
         for p in players:
-            _fields(p, {"source", "target", "weight"}, "player")
+            _fields(p, _PLAYER, "player")
             specs.append(PlayerSpec(
                 _get(p, "source", int, "player"),
                 _get(p, "target", int, "player"),
@@ -187,7 +220,7 @@ def instance_from_doc(doc: Mapping[str, Any]) -> tuple[Game, Profile]:
     elif model in ("sched", "coco"):
         machines = _get(doc, "machines", int, "a scheduling instance")
         lengths = [
-            parse_rational(_fields(p, {"length"}, "player").get("length", 1)) for p in players
+            parse_rational(_fields(p, _JOB, "player").get("length", 1)) for p in players
         ]
         activation = None
         if model == "coco":
@@ -205,11 +238,12 @@ def _profile_of(game: Game, raw: Any, where: str) -> Profile:
     if not isinstance(raw, Mapping):
         raise FormatError(f"{where} must be a JSON object")
     ids = {str(i): i for i in game.players}
+    decode = _strategy_decoder(game)
     assignment = {}
     for key, strategy in raw.items():
         if key not in ids:
             raise FormatError(f"bad player id {key!r} in {where}")
-        assignment[ids[key]] = decode_strategy(game, strategy)
+        assignment[ids[key]] = decode(strategy)
     if len(assignment) != game.n:
         raise FormatError(f"{where} must assign exactly the players 1..n")
     try:
@@ -242,18 +276,18 @@ def trace_to_doc(game: Game, trace: Trace) -> dict[str, Any]:
 
 
 def trace_from_doc(game: Game, doc: Mapping[str, Any]) -> Trace:
-    _fields(doc, {"initial", "moves", "terminal", "terminal_is_ne"}, "trace")
+    _fields(doc, _TRACE, "trace")
     initial = _profile_of(game, _get(doc, "initial", object, "trace"), "trace initial profile")
+    decode = _strategy_decoder(game)
     moves = []
     for m in _get(doc, "moves", list, "trace", []):
-        _fields(m, {"step", "player", "old", "new", "cost_before", "cost_after", "profile"},
-                "move")
+        _fields(m, _MOVE, "move")
         moves.append(
             Move(
                 step=_get(m, "step", int, "move"),
                 player=_get(m, "player", int, "move"),
-                old_strategy=decode_strategy(game, _get(m, "old", object, "move")),
-                new_strategy=decode_strategy(game, _get(m, "new", object, "move")),
+                old_strategy=decode(_get(m, "old", object, "move")),
+                new_strategy=decode(_get(m, "new", object, "move")),
                 cost_before=parse_rational(_get(m, "cost_before", object, "move")),
                 cost_after=parse_rational(_get(m, "cost_after", object, "move")),
                 profile_digest=_get(m, "profile", str, "move"),
@@ -277,7 +311,7 @@ def verify_trace(game: Game, trace: Trace) -> None:
     for i, recorded in enumerate(trace.moves):
         player = recorded.player
         try:
-            idx = game.strategy_space(player).index(recorded.new_strategy)
+            idx = game.strategy_index(player, recorded.new_strategy)
         except ValueError:  # an unknown player, too
             raise ReplayError(
                 f"step {i}: strategy {recorded.new_strategy} outside player {player}'s space"
@@ -315,4 +349,42 @@ def report_to_doc(game: Game, report: InefficiencyReport) -> dict[str, Any]:
 
 
 def dumps(doc: Mapping[str, Any]) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The document's JSON text: `json.dumps(doc, indent=2, sort_keys=True)`
+    and a newline."""
+    return _text(doc, "\n") + "\n"
+
+
+# the JSON text of each scalar type of a document, by exact type
+_SCALARS: dict[type, Callable[[Any], str]] = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _text(value: Any, newline: str) -> str:
+    """`value`'s JSON text, whose nested lines start with `newline`.
+    Containers write their scalar members inline."""
+    scalar = _SCALARS.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    inner, get = newline + "  ", _SCALARS.get
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = []
+        for key in sorted(value):
+            member = value[key]
+            scalar = get(type(member))
+            # the escaper raises TypeError on a key that is not a string
+            items.append(encode_basestring_ascii(key) + ": "
+                         + (scalar(member) if scalar is not None else _text(member, inner)))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [scalar(member) if (scalar := get(type(member))) is not None
+                 else _text(member, inner) for member in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

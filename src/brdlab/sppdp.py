@@ -334,7 +334,7 @@ def replay(instance: SppInstance, table: DpTable, game: NetworkFormationGame) ->
             return None
         player = suboptimal[0]
         strategy = _flock_strategy(instance, ev, player, table.resolved)
-        return player, game.strategy_space(player).index(strategy)
+        return player, game.strategy_index(player, strategy)
 
     return walk(game, p0, script_mover(table.skeleton, flock), DEFAULT_MAX_STEPS)
 

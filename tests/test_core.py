@@ -219,6 +219,60 @@ class TestPlayerClasses:
         groups = sorted(game.player_classes())
         assert groups == [(0, 2), (1,)]
 
+    def test_load_weights_give_the_partition_of_the_weights(self):
+        """Classes compare integer load weights; the reference groups the
+        `Fraction` weights themselves."""
+        rng = random.Random(29)
+        games = []
+        for _ in range(40):
+            games.append(random_weighted_game(rng))
+            lengths = [rng.choice((1, 2, F(1, 2), F(2, 4), F(3, 2), F(7, 3), F(14, 6)))
+                       for _ in range(rng.randint(1, 9))]
+            games.append(SchedulingGame(rng.randint(1, 4), lengths))
+        merged = 0
+        for game in games:
+            reference: dict = {}
+            for pos, (w, space) in enumerate(zip(game._weights, game._spaces)):
+                reference.setdefault((w, space), []).append(pos)
+            assert game.player_classes() == tuple(map(tuple, reference.values()))
+            merged += len(reference) < game.n
+        assert merged > 30
+
+
+class TestStrategyIndex:
+    """One map per strategy space replaces the linear search of the space."""
+
+    def pool(self):
+        rng = random.Random(31)
+        for _ in range(20):
+            yield random_symmetric_game(rng)
+            yield random_weighted_game(rng)
+            yield random_linear_game(rng)[0]
+
+    def test_matches_the_linear_search(self):
+        for game in self.pool():
+            for player in game.players:
+                space = game.strategy_space(player)
+                for strategy in space:
+                    assert game.strategy_index(player, strategy) == space.index(strategy)
+                    assert game.strategy_index(player, list(strategy)) == space.index(strategy)
+                for outside in ((), (0,), (10**6,), tuple(reversed(space[-1])) + (10**6,)):
+                    assert outside not in space
+                    with pytest.raises(InvalidProfileError):
+                        game.strategy_index(player, outside)
+
+    def test_unknown_and_unhashable_strategies(self):
+        game = two_edge_game(n=2)
+        assert game.profile_from_strategies({1: [2], 2: (1,)}) == (1, 0)
+        for strategy in ([9], [[1]], [{1: 2}]):
+            # an unhashable member once ended in the linear search's ValueError
+            with pytest.raises(InvalidProfileError, match="outside her space"):
+                game.profile_from_strategies([strategy, (1,)])
+            with pytest.raises(InvalidProfileError, match="outside her space"):
+                game.profile_from_strategies({1: (1,), 2: strategy})
+        with pytest.raises(InvalidProfileError, match="unknown player id 3"):
+            game.strategy_index(3, (1,))
+
 
 class TestSharedSpaces:
     """Players handed one strategy-space object share one tuple of it."""

@@ -140,7 +140,7 @@ class TestRunScripted:
     def test_illegal_entries_rejected(self):
         game = NetworkFormationGame(parallel_network(["2", "2", "3"]), [PlayerSpec(0, 1)])
         p0 = game.profile_from_strategies([(1,)])
-        for script in ([(1, None)], [(1, (3,))], [(1, (9,))]):
+        for script in ([(1, None)], [(1, (3,))], [(1, (9,))], [(1, ([1],))], [(1, [[3]])]):
             with pytest.raises(ScriptError):
                 run_scripted(game, p0, script)
         with pytest.raises(InvalidProfileError):

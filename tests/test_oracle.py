@@ -8,7 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from brdlab.core import Profile
+from brdlab.core import InvalidProfileError, Profile
 from brdlab.engine import (
     CycleDetected,
     DeviatorRule,
@@ -253,6 +253,17 @@ class TestGameInefficiency:
         for fx in (fig6_weighted_partition(), *fig7_weighted_local_pair()):
             alpha = game_inefficiency(fx.game, factory(), [fx.initial])
             assert alpha == per_start_alpha(fx.game, factory, [fx.initial])
+
+    @pytest.mark.parametrize("bad, message", [
+        ((0, 0), "length"),
+        ((0, 0, 0, 0, 3), "player 5 holds strategy index 3"),
+        # the canonical profile would move the index to player 1
+        ((0, 0, 0, 0, -1), "player 5 holds strategy index -1"),
+    ])
+    def test_a_supplied_start_is_validated_as_given(self, bad, message):
+        fx = fig2_maxcost()
+        with pytest.raises(InvalidProfileError, match=message):
+            game_inefficiency(fx.game, max_cost(), [fx.initial, bad])
 
     def test_state_limit_bounds_the_shared_graph(self):
         fx = fig2_maxcost()

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brdlab.core import Evaluation, UnsupportedModelError
-from brdlab.engine import run_brd
+from brdlab.engine import run_brd, state_vectors
 from brdlab.rules import RULES, make_rule
 from brdlab.scheduling import (
     SchedulingError,
@@ -280,6 +280,35 @@ class TestLinearVerdict:
             empty += 0 in loads
             suboptimal += bool(sub)
         assert ties > 100 and single > 30 and empty > 100 and suboptimal > 100
+
+    def test_load_keys_rank_as_the_vector_keys_do_under_ties(self):
+        """max-cost and max-improvement score a linear game's jobs from the
+        loads alone: each job's key is its vector key in the load unit, and
+        peeling off each choice set in turn gives the vector keys' preorder
+        over the suboptimal jobs, ties included."""
+        rules = ("max-cost", "max-improvement")
+        tied = dict.fromkeys(rules, 0)
+        for game, p in tie_heavy_linear_pool(seed=195):
+            ev = game.evaluate(p)
+            suboptimal = game.suboptimal_players(ev)
+            if not suboptimal:
+                continue
+            vectors = state_vectors(game, ev, suboptimal)
+            for name in rules:
+                rule = make_rule(name)
+                key, vector_key = rule._cell_key(game)(ev), rule._key_builder(game)
+                for i in suboptimal:
+                    assert key(i - 1) == vector_key(vectors[i]) * game._load_unit
+                by_vectors = rule.vector_chooser(game)
+                rest = suboptimal
+                while rest:
+                    chosen = rule.choose(ev, rest)
+                    picks = by_vectors([vectors[i] for i in rest])
+                    assert chosen == tuple(rest[k] for k in picks), (name, game, p)
+                    tied[name] += 1 < len(chosen) < len(rest)
+                    rest = tuple(i for i in rest if i not in chosen)
+            assert not ev._cells  # scored from the loads alone
+        assert min(tied.values()) > 50, tied
 
     def test_every_step_of_a_linear_run_decides_as_the_cells_do(self, monkeypatch):
         decide = SchedulingGame._suboptimal

@@ -15,7 +15,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import brdlab
@@ -60,6 +60,100 @@ class TestRationals:
 
         value = F(num, den)
         assert parse_rational(fmt_rational(value)) == value
+
+
+def reference_parse_rational(value):
+    """The reference: `parse_rational` without its integer route, so every
+    string goes through `Fraction`'s string parser."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return F(value)
+    if isinstance(value, str):
+        if "e" in value.lower():
+            raise FormatError(f"bad rational {value!r}: exponents are not accepted")
+        try:
+            return F(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise FormatError(f"bad rational {value!r}") from exc
+    raise FormatError(f"rationals must be 'p/q' strings, got {value!r}")
+
+
+def _outcome(parse, value):
+    """The parsed value and its type, or the FormatError's message."""
+    try:
+        got = parse(value)
+    except FormatError as exc:
+        return "error", str(exc)
+    return "value", got, type(got)
+
+
+# ASCII and other Unicode digits (Arabic-Indic, fullwidth, a superscript that
+# is a digit but not a decimal), and every other character a rational's
+# string form may hold
+RATIONAL_CHARS = st.sampled_from([*"0123456789", "\u0663", "\uff11", "\u00b2",
+                                  *"_+-.eE/", " ", "\t", "\n"])
+
+
+class TestParseRationalAgainstReference:
+    @given(text=st.text(RATIONAL_CHARS, max_size=12)
+           | st.from_regex(r"\A-?0*[0-9]{1,6}(/0*[0-9]{1,6})?\Z"))
+    @example(text="0/0")
+    @example(text="007/010")
+    @example(text="-0/5")
+    @example(text="-00")
+    @example(text="--3")
+    @example(text="-/3")
+    @example(text="3/")
+    @example(text="+3/4")
+    @example(text="3/-4")
+    @example(text=" 3/4")
+    @example(text="1_000/3")
+    @example(text="\u0663/\u0664")
+    @example(text="")
+    @settings(max_examples=600, deadline=None)
+    def test_strings(self, text):
+        assert _outcome(parse_rational, text) == _outcome(reference_parse_rational, text)
+
+    @pytest.mark.parametrize("text", [
+        "1" * 4300, "1" * 4301, "-" + "9" * 5000 + "/7", "3/" + "1" * 4301, "7" * 4301 + "/0",
+    ])
+    def test_past_the_int_digit_limit(self, text):
+        assert _outcome(parse_rational, text) == _outcome(reference_parse_rational, text)
+
+    @pytest.mark.parametrize("value", [True, False, 0.5, 2.0, None, 0, -7, 10**30, [], {}])
+    def test_other_json_values(self, value):
+        assert _outcome(parse_rational, value) == _outcome(reference_parse_rational, value)
+
+
+def reference_dumps(doc):
+    """The writer's contract: the standard library's indented, key-sorted,
+    ASCII-escaped text and a newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+# every character, surrogates and control characters included
+JSON_TEXT = st.text(st.characters(exclude_categories=()), max_size=8)
+JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | JSON_TEXT,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(JSON_TEXT, children, max_size=4),
+    max_leaves=30,
+)
+
+
+class TestWriterAgainstJson:
+    @given(doc=JSON_TREES)
+    @example(doc={})
+    @example(doc=[[], {}, [[{}]], {"": {"": []}}])
+    @example(doc={"\ud800": "\udfff\x00\x1f\x7f\u00e9\u2028", "b": [True, False, None, -0]})
+    @settings(max_examples=400, deadline=None)
+    def test_bytes_match(self, doc):
+        assert dumps(doc) == reference_dumps(doc)
+
+    @pytest.mark.parametrize("doc", [F(1, 2), {1, 2}, 1.5, {1: "x"}, {"a": [object()]}])
+    def test_values_outside_the_document_types_raise_type_error(self, doc):
+        with pytest.raises(TypeError):
+            dumps(doc)
 
 
 class TestInstanceRoundTrip:
@@ -252,6 +346,23 @@ class TestCli:
         sched = self.fixture_file(tmp_path, "fig9a")  # not a network game
         assert main(["dp", str(sched), "--mode", "single-source"]) == 2
         assert "needs a network formation instance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, tamper, message", [
+        ("fig2", {"player": 9}, "step 0: strategy (3,) outside player 9's space"),
+        ("fig2", {"new": [99]}, "step 0: strategy (99,) outside player 1's space"),
+        ("fig9a", {"new": 99}, "step 0: strategy (99,) outside player 1's space"),
+        ("fig9a", {"player": 0}, "step 0: strategy (3,) outside player 0's space"),
+    ])
+    def test_unknown_player_or_strategy_in_a_trace_exits_2(self, tmp_path, name, tamper,
+                                                            message):
+        instance = self.fixture_file(tmp_path, name)
+        trace = tmp_path / "trace.json"
+        assert main(["run", str(instance), "--rule", "max-cost", "--out", str(trace)]) == 0
+        doc = json.loads(trace.read_text())
+        doc["moves"][0].update(tamper)
+        trace.write_text(dumps(doc))
+        code, out, err = _call(["check", str(trace), str(instance)])
+        assert (code, out, err) == (2, "", f"replay failed: {message}\n")
 
     def test_invalid_instance_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -476,9 +587,23 @@ def _golden_run(argv, out):
         return code, None
     text = out.read_text()
     doc = json.loads(text)
-    assert dumps(doc) == text
+    assert reference_dumps(doc) == text
     doc.pop("game", None)
-    return code, hashlib.sha256(dumps(doc).encode()).hexdigest()
+    return code, hashlib.sha256(reference_dumps(doc).encode()).hexdigest()
+
+
+@pytest.fixture
+def writer_checked(monkeypatch):
+    """Every document the command line writes, as built, checked against
+    the reference writer."""
+    from brdlab import cli
+
+    def checked(doc):
+        text = dumps(doc)
+        assert text == reference_dumps(doc)
+        return text
+
+    monkeypatch.setattr(cli, "dumps", checked)
 
 
 def _call(argv):
@@ -521,7 +646,7 @@ class TestParserReuse:
 
 
 class TestGoldenCli:
-    def test_oracle_and_ineff_outputs(self, tmp_path):
+    def test_oracle_and_ineff_outputs(self, tmp_path, writer_checked):
         got = {}
         for name, expected in GOLDEN.items():
             instance = tmp_path / f"{name}.json"
@@ -626,7 +751,7 @@ GOLDEN_RUN = {
 
 
 class TestGoldenRun:
-    def test_run_outputs(self, tmp_path):
+    def test_run_outputs(self, tmp_path, writer_checked):
         got = {}
         for name, (game, p0) in _run_instances().items():
             instance = tmp_path / f"{name}.json"
