@@ -22,10 +22,14 @@ a lazily computed `Cell` holding the cost of every strategy against
 everyone else's loads.  A walk evaluates its first profile and derives each
 later one from its parent with `Evaluation.child`, which patches the loads
 and the parent's cells on the mover's old and new resources only; searches
-evaluate every profile they visit afresh.  Who is suboptimal is each
-model's `_suboptimal` verdict: by default one cell per occupied (class,
-strategy), while linear scheduling games, where a job pays her machine's
-load, decide it from the loads alone and build no cell.
+evaluate every profile they visit afresh, and the oracle's searches build
+a state past the start without validating it again, since it is the child
+of a move.  Who is suboptimal, and where each suboptimal (class, strategy)
+may move, is each model's one verdict per profile, `_moving_groups`, which
+`suboptimal_players` and the oracle's moves read: by default one cell per
+occupied (class, strategy), while scheduling games, where a job's cost is a
+function of her machine's load, decide it from the loads alone and build
+no cell.
 """
 
 from __future__ import annotations
@@ -127,6 +131,7 @@ class Evaluation:
         self._carried: dict[tuple[int, int], Cell] = {}
         self._changed: frozenset[ResourceId] = frozenset()
         self._touched: dict[int, tuple[int, ...]] = {}
+        self._groups: list[tuple[int, tuple[int, ...]]] | None = None
 
     def _derived(self, profile: Profile, loads: dict[ResourceId, int],
                  cells: dict, carried: dict, changed: frozenset[ResourceId],
@@ -136,6 +141,7 @@ class Evaluation:
         ev = object.__new__(Evaluation)
         ev.game, ev.profile, ev.loads = self.game, profile, loads
         ev._cells, ev._carried, ev._changed, ev._touched = cells, carried, changed, touched
+        ev._groups = None
         return ev
 
     def relabeled(self, profile: Profile) -> "Evaluation":
@@ -202,6 +208,14 @@ class Evaluation:
 
     def is_suboptimal(self, pos: int) -> bool:
         return self.profile[pos] not in self.cell(pos).br
+
+    def moving_groups(self) -> list[tuple[int, tuple[int, ...]]]:
+        """The game's `_moving_groups` verdict on this profile, computed on
+        first request: the oracle's moves, the suboptimal players and a
+        rule's choice at a state all read it."""
+        if self._groups is None:
+            self._groups = self.game._moving_groups(self)
+        return self._groups
 
 
 def _ranked(costs: list[int]) -> Cell:
@@ -401,18 +415,45 @@ class Game(ABC):
         return self.evaluate(at).is_suboptimal(self.position_of(player))
 
     def suboptimal_players(self, at: Profile | Evaluation) -> tuple[PlayerId, ...]:
-        """Ascending ids, from the model's `_suboptimal` verdict: one cell
-        per occupied (class, strategy), or for linear scheduling the loads
+        """Ascending ids, from the model's `_moving_groups` verdict: one
+        cell per occupied (class, strategy), or for scheduling the loads
         alone."""
         return self._suboptimal(self.evaluate(at))
 
     def _suboptimal(self, ev: Evaluation) -> tuple[PlayerId, ...]:
-        """The suboptimal players' ids, ascending.  Clones on one strategy
-        share a cell, so one test per occupied (class, strategy) answers for
-        all of them."""
-        cells, fill = ev._cells, ev._fill
-        return tuple(pos + 1 for pos, key in enumerate(zip(self._class_ids, ev.profile))
-                     if key[1] not in (cells.get(key) or fill(key)).br)
+        """The suboptimal players' ids, ascending: every holder of a moving
+        group."""
+        class_ids, profile = self._class_ids, ev.profile
+        moving = {(class_ids[pos], profile[pos]) for pos, _ in ev.moving_groups()}
+        if not moving:
+            return ()
+        return tuple(pos + 1 for pos, key in enumerate(zip(class_ids, profile)) if key in moving)
+
+    def _moving_groups(self, ev: Evaluation) -> list[tuple[int, tuple[int, ...]]]:
+        """Each occupied (class, strategy) whose holders are suboptimal, as
+        its first position and its best responses, in `_heads` order: the
+        one best-response verdict per profile that `suboptimal_players` and
+        the oracle's moves read.  Clones on one strategy share a cell, so
+        one cell per occupied (class, strategy) decides for all of them."""
+        profile, cells, fill, class_ids = ev.profile, ev._cells, ev._fill, self._class_ids
+        groups = []
+        for pos in self._heads(profile):
+            key = (class_ids[pos], profile[pos])
+            br = (cells.get(key) or fill(key)).br
+            if key[1] not in br:
+                groups.append((pos, br))
+        return groups
+
+    def _heads(self, profile: Profile) -> list[int]:
+        """The first position on each occupied (class, strategy), class by
+        class and then by first holder: the order of the oracle's moves,
+        which fixes its parent links and witnesses."""
+        first: dict[tuple[int, int], int] = {}
+        for pos, key in enumerate(zip(self._class_ids, profile)):
+            if key not in first:
+                first[key] = pos
+        # a stable sort keeps each class's first holders in position order
+        return sorted(first.values(), key=self._class_ids.__getitem__)
 
     def is_nash(self, at: Profile | Evaluation) -> bool:
         return not self.suboptimal_players(at)

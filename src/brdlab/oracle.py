@@ -94,23 +94,15 @@ class _Quotient:
         """Every oracle move out of the evaluated canonical profile, as
         (position, strategy index, canonical child): one representative
         mover per (class, strategy) whose holder is suboptimal, to each of
-        her best responses.  Empty exactly at equilibria."""
-        profile = ev.profile
+        her best responses, read off the game's `_moving_groups`.  Empty
+        exactly at equilibria."""
+        profile, canonical = ev.profile, self.canonical
         moves = []
-        for cls in self.classes:
-            seen: set[int] = set()
-            for pos in cls:
-                idx = profile[pos]
-                if idx in seen:
-                    continue
-                seen.add(idx)
-                br = ev.cell(pos).br
-                if idx in br:
-                    continue
-                for target in br:
-                    child = list(profile)
-                    child[pos] = target
-                    moves.append((pos, target, self.canonical(tuple(child))))
+        for pos, br in ev.moving_groups():
+            for target in br:
+                child = list(profile)
+                child[pos] = target
+                moves.append((pos, target, canonical(tuple(child))))
         return moves
 
     @cached_property
@@ -178,8 +170,9 @@ def reachable_ne(
     reachable profile space; raises CycleDetected when it is empty."""
     game.validate_profile(p0)
     quotient = _Quotient(game)
+    # every state past the start is the child of a move, so valid as it is
     parents, ne_keys = parent_search(
-        quotient.canonical(p0), lambda p: quotient.successors(game.evaluate(p)), state_limit
+        quotient.canonical(p0), lambda p: quotient.successors(Evaluation(game, p)), state_limit
     )
     return _reachable_set(game, p0, quotient, parents, ne_keys, game.social_cost)
 
@@ -227,9 +220,14 @@ class _Searches:
     """One game's best-response moves: the oracle's moves and evaluation
     for each canonical profile, memoized across start profiles, and a
     rule's moves out of each raw profile (the engine's lowest-id tie-break
-    need not commute with relabeling interchangeable players).  A stateless
-    rule's choice is memoized per canonical profile, next to its oracle
-    entry; raw profiles are only counted.  Every rule move is checked to be
+    need not commute with relabeling interchangeable players).  Both read
+    the game's one verdict per canonical profile, `Game._moving_groups`,
+    which on scheduling games builds no cell.  A canonical profile is
+    evaluated without validation: the start is validated by the caller,
+    and every other one is the child of a move.  A stateless rule's choice
+    is memoized per canonical profile, next to its oracle entry, with each
+    chosen group's best responses read off the same verdict; raw profiles
+    are only counted.  Every rule move is checked to be
     an oracle move and every rule terminal an oracle sink, which puts
     NE_S(p0) within NE(p0).  `start` searches both move
     relations from one start, for `rule_inefficiency`; `game_inefficiency`
@@ -263,7 +261,9 @@ class _Searches:
         entry = self._oracle.get(key)
         if entry is None:
             self._grow(len(self._oracle))
-            ev = self.game.evaluate(key)
+            # a start is validated by the caller, and every other state is
+            # the child of a move
+            ev = Evaluation(self.game, key)
             moves = self.quotient.successors(ev)
             if not moves:
                 self.ne_units[key] = self.game._social_units(ev)
@@ -275,14 +275,20 @@ class _Searches:
 
     def _choice(self, key: Profile, ev: Evaluation) -> Choice:
         """The stateless rule's checked choice at the canonical state `key`
-        with evaluation `ev`, memoized.  Clones on one strategy share a
-        cell, so they are suboptimal together; the choice must take all or
-        none of them, or its lowest id would hang on their labels."""
+        with evaluation `ev`, memoized, with each chosen group's best
+        responses from `_moving_groups`.  Clones on one strategy are
+        suboptimal together; the choice must take all or none of them, or
+        its lowest id would hang on their labels."""
         choice = self._chosen.get(key)
         if choice is None:
             players = rule_choice(ev, self.rule)
             class_ids = self.game._class_ids
-            choice = {(class_ids[p - 1], key[p - 1]): ev.cell(p - 1).br for p in players}
+            chosen = {(class_ids[p - 1], key[p - 1]) for p in players}
+            choice = {}
+            for pos, br in ev.moving_groups():
+                group = (class_ids[pos], key[pos])
+                if group in chosen:
+                    choice[group] = br
             members = sum(1 for group in zip(class_ids, key) if group in choice)
             if members != len(set(players)):
                 raise RuleViolation(f"rule {self.rule.name} chose some but not all of the "

@@ -6,6 +6,10 @@ jobs are unit length, machines carry an activation cost B shared equally, and
 a job on a machine with load L pays c(L) = L + B/L, so congestion both hurts
 (load) and helps (smaller activation share).
 
+Both models decide best responses from the machine loads alone, in one
+verdict (`SchedulingGame._load_verdict`), so `suboptimal_players`, the
+oracle's moves and an equilibrium's makespan build no cell.
+
 The structural theory for the conflicting model lives here too: the optimal
 per-load cost l*, the stay-active criterion for a machine, the count of
 active machines in a best reachable equilibrium, and the machine-choosing
@@ -17,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .core import (
     STRATEGY_CAP,
@@ -123,25 +127,75 @@ class SchedulingGame(Game):
             return load
         return load + self.activation_cost / load
 
+    def _full_loads(self, profile: Profile) -> dict[ResourceId, int]:
+        # strategy i is machine i + 1 alone
+        loads: dict[ResourceId, int] = {}
+        get = loads.get
+        for w, idx in zip(self._load_weights, profile, strict=True):
+            loads[idx + 1] = get(idx + 1, 0) + w
+        return loads
+
     def _costs_against(self, pos, own, loads, indices):
         # strategy i is machine i + 1, and her own machine's load holds her
         w, get = self._load_weights[pos], loads.get
         joined = [get(i + 1, 0) + w if i != own else loads[i + 1] for i in indices]
-        if self._scaled_b is None:
-            return joined
-        u, bu = self._cost_unit, self._scaled_b
-        return [k * u + bu // k for k in joined]
+        return joined if self._scaled_b is None else list(map(self._unit_cost, joined))
+
+    def _load_verdict(
+        self, ev: Evaluation, positions: Iterable[int]
+    ) -> tuple[list[int], list[int]]:
+        """The suboptimal jobs among `positions`, in their order, and each
+        machine's join rank, from the loads alone.
+
+        A job on machine a moves exactly when joining her cheapest other
+        machine costs less than staying.  Joining ranks the machines alike
+        for every job: by load L_i in the linear model, where a job of
+        weight w pays L_i + w, and by c(L_i + 1) in the conflicting one,
+        whose jobs are all unit jobs.  So the two least ranks decide every
+        job's cheapest other machine, in O(m) per profile."""
+        loads, profile, linear = ev.loads, ev.profile, self._scaled_b is None
+        load = [loads.get(i, 0) for i in range(1, self.machine_count + 1)]
+        rank = load if linear else [self._unit_cost(k + 1) for k in load]
+        if len(rank) == 1:
+            return [], rank
+        least, second = sorted(rank)[:2]
+        # per used machine, the cost of staying less the cheapest other rank
+        stay = loads if linear else {a: self._unit_cost(L) for a, L in loads.items()}
+        gap = {a - 1: cost - (second if rank[a - 1] == least else least)
+               for a, cost in stay.items()}
+        if linear:
+            weights = self._load_weights
+            return [pos for pos in positions if weights[pos] < gap[profile[pos]]], rank
+        return [pos for pos in positions if gap[profile[pos]] > 0], rank
 
     def _suboptimal(self, ev: Evaluation) -> tuple[PlayerId, ...]:
-        # linear: a job of weight w on machine a improves exactly when some
-        # other machine's load plus w is below L_a.  A job on a least-loaded
-        # machine never can, and any other job's best other machine is a
-        # least-loaded one, so the least load decides every verdict
-        if self._scaled_b is not None:
-            return super()._suboptimal(ev)
-        loads, least = ev.loads, self._least_load(ev)
-        return tuple(pos + 1 for pos, (w, idx) in enumerate(zip(self._load_weights, ev.profile))
-                     if least + w < loads[idx + 1])
+        # every job is tested, which costs less than finding the groups
+        movers, _ = self._load_verdict(ev, range(len(ev.profile)))
+        return tuple(pos + 1 for pos in movers)
+
+    def _moving_groups(self, ev: Evaluation) -> list[tuple[int, tuple[int, ...]]]:
+        profile = ev.profile
+        movers, rank = self._load_verdict(ev, self._heads(profile))
+        groups, lowest, least = [], None, min(rank)
+        for pos in movers:
+            idx = profile[pos]
+            if rank[idx] != least:
+                # a mover off the least-ranked machines joins one of them
+                lowest = lowest or tuple(i for i, r in enumerate(rank) if r == least)
+                groups.append((pos, lowest))
+            else:
+                best = min(r for i, r in enumerate(rank) if i != idx)
+                groups.append((pos, tuple(i for i, r in enumerate(rank) if r == best and i != idx)))
+        return groups
+
+    def _unit_cost(self, load: int) -> int:
+        """c(L) of a conflicting-model job on a machine of load L > 0."""
+        return load * self._cost_unit + self._scaled_b // load
+
+    def _social_units(self, ev: Evaluation) -> int:
+        # the makespan: the dearest used machine's cost, which its jobs pay
+        loads = ev.loads.values()
+        return max(loads) if self._scaled_b is None else max(map(self._unit_cost, loads))
 
     def _least_load(self, ev: Evaluation) -> int:
         """The least machine load, in the load unit."""

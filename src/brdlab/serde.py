@@ -21,7 +21,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable
 
-from .core import Game, InvalidProfileError, Profile, Strategy
+from .core import Game, Profile, Strategy
 from .engine import Move, ScriptError, Trace, _apply_move
 from .networks import Edge, Network, NetworkFormationGame, PlayerSpec
 from .oracle import InefficiencyReport
@@ -238,18 +238,22 @@ def _profile_of(game: Game, raw: Any, where: str) -> Profile:
     if not isinstance(raw, Mapping):
         raise FormatError(f"{where} must be a JSON object")
     ids = {str(i): i for i in game.players}
-    decode = _strategy_decoder(game)
-    assignment = {}
+    decode, spaces, indices = _strategy_decoder(game), game._spaces, game._indices
+    choices: dict[int, int | None] = {}
     for key, strategy in raw.items():
         if key not in ids:
             raise FormatError(f"bad player id {key!r} in {where}")
-        assignment[ids[key]] = decode(strategy)
-    if len(assignment) != game.n:
+        player = ids[key]
+        # straight to its index in the player's space, None outside it
+        choices[player] = indices[id(spaces[player - 1])].get(decode(strategy))
+    if len(choices) != game.n:
         raise FormatError(f"{where} must assign exactly the players 1..n")
-    try:
-        return game.profile_from_strategies(assignment)
-    except InvalidProfileError as exc:
-        raise FormatError(str(exc)) from exc
+    profile = tuple(map(choices.__getitem__, game.players))
+    if None in profile:
+        player = profile.index(None) + 1
+        strategy = decode(raw[str(player)])
+        raise FormatError(f"player {player} assigned a strategy outside her space: {strategy}")
+    return profile  # type: ignore[return-value]
 
 
 # -- traces ------------------------------------------------------------------------

@@ -424,8 +424,8 @@ class TestEvaluation:
             assert calls == []  # cells are computed on first request only
             game.suboptimal_players(ev)
             keys = {(game._class_ids[pos], idx) for pos, idx in enumerate(p)}
-            # linear scheduling decides from the loads and builds no cell
-            assert len(calls) == (0 if _is_linear(game) else len(keys))
+            # scheduling decides from the loads and builds no cell
+            assert len(calls) == (0 if isinstance(game, SchedulingGame) else len(keys))
             for cls in game.player_classes():
                 for a in cls:
                     for b in cls:
@@ -449,23 +449,22 @@ class TestEvaluation:
         rng = random.Random(66)
         pools = [random_coco_game(rng, max_n=40) for _ in range(30)]
         pools += list(evaluation_pool(seed=66, rounds=5))
-        linear = 0
+        linear = coco = 0
         for game, p in pools:
             ref = game.evaluate(p)
             brute = tuple(i for i in game.players if p[i - 1] not in ref.cell(i - 1).br)
             calls.clear()
             assert game.suboptimal_players(game.evaluate(p)) == brute
             occupied = {(game._class_ids[pos], idx) for pos, idx in enumerate(p)}
-            if _is_linear(game):
-                # a job's cost is its machine's load: the loads decide
-                linear += 1
+            if isinstance(game, SchedulingGame):
+                # a job's cost is a function of her machine's load: the
+                # loads decide
+                linear += not game.is_conflicting
+                coco += game.is_conflicting
                 assert calls == []
                 continue
             assert len(calls) == len(occupied)
-            if isinstance(game, SchedulingGame) and game.is_conflicting:
-                # unit jobs form one class: one test per occupied machine
-                assert len(calls) == len(set(p))
-        assert linear >= 10
+        assert linear >= 10 and coco >= 30
 
     def test_relabeled_evaluation_reads_like_a_fresh_one(self):
         rng = random.Random(64)

@@ -24,6 +24,7 @@ from brdlab.fixtures import fig2_maxcost, fig6_weighted_partition, fig7_weighted
 from brdlab.networks import NetworkFormationGame, PlayerSpec
 from brdlab.oracle import (
     DEFAULT_STATE_LIMIT,
+    _Quotient,
     _Searches,
     all_profiles,
     best_reachable,
@@ -48,8 +49,10 @@ from helpers import (
     MatchingPennies,
     parallel_network,
     random_coco_game,
+    random_linear_game,
     random_profile,
     random_symmetric_game,
+    random_weighted_game,
 )
 
 
@@ -112,6 +115,46 @@ class TestReachableNe:
         fx = fig2_maxcost()
         with pytest.raises(StateBudgetExceeded):
             reachable_ne(fx.game, fx.initial, state_limit=3)
+
+    def test_moves_come_in_the_class_by_class_order(self):
+        """The moves out of a profile, order included, are those of a loop
+        over each class's first holder of each strategy, reading her cell:
+        the order fixes the parent links, the visit counts and the
+        witnesses.  Weighted and linear games interleave their classes."""
+        rng = random.Random(17)
+        interleaved = 0
+        for _ in range(150):
+            game = rng.choice((random_weighted_game, random_symmetric_game))(rng)
+            pools = [(game, random_profile(rng, game)), random_linear_game(rng),
+                     random_coco_game(rng, max_n=10, max_m=4)]
+            for game, p in pools:
+                quotient = _Quotient(game)
+                for profile in (p, quotient.canonical(p)):
+                    ev = game.evaluate(profile)
+                    assert quotient.successors(ev) == reference_successors(quotient, ev)
+                ids = game._class_ids
+                interleaved += list(ids) != sorted(ids)
+        assert interleaved > 50
+
+
+def reference_successors(quotient, ev):
+    """The oracle's moves as a loop over the classes, each strategy's first
+    holder in position order, reading each holder's cell."""
+    profile, moves = ev.profile, []
+    for cls in quotient.classes:
+        seen = set()
+        for pos in cls:
+            idx = profile[pos]
+            if idx in seen:
+                continue
+            seen.add(idx)
+            br = ev.cell(pos).br
+            if idx not in br:
+                for target in br:
+                    child = list(profile)
+                    child[pos] = target
+                    moves.append((pos, target, quotient.canonical(tuple(child))))
+    return moves
 
 
 class TestBestAndWitness:

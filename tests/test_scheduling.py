@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brdlab.core import Evaluation, UnsupportedModelError
+from brdlab.core import Evaluation, Game, UnsupportedModelError
 from brdlab.engine import run_brd, state_vectors
+from brdlab.fixtures import appB_coco, fig9_sched_pair
+from brdlab.oracle import reachable_ne, rule_inefficiency
 from brdlab.rules import RULES, make_rule
 from brdlab.scheduling import (
     SchedulingError,
@@ -355,3 +357,131 @@ class TestLinearVerdict:
                 assert game.suboptimal_players(ev) == _cell_verdict(game, ev.profile)
                 assert not ev._cells
         assert emptied > 50
+
+
+def tie_heavy_coco_pool(seed: int, rounds: int = 300):
+    """Conflicting games on 1-6 machines, half with an integer B, where
+    c(x) = c(y) whenever x * y = B, and half with a half-integer B, and
+    profiles drawn over a subset of the machines, so that some stay empty."""
+    rng = random.Random(seed)
+    for _ in range(rounds):
+        m = rng.randint(1, 6)
+        b = F(rng.randint(1, 30)) if rng.random() < 0.5 else F(2 * rng.randint(1, 30) + 1, 2)
+        game = SchedulingGame(m, [1] * rng.randint(1, 14), activation_cost=b)
+        used = rng.sample(range(m), rng.randint(1, m))
+        yield game, tuple(rng.choice(used) for _ in range(game.n))
+
+
+def _cell_groups(game: SchedulingGame, profile):
+    """The default verdict's moving groups, from the cells of a fresh
+    evaluation."""
+    return Game._moving_groups(game, Evaluation(game, profile))
+
+
+def _join_cost(game: SchedulingGame, loads, machine: int) -> F:
+    """What one more unit job would pay on the machine."""
+    return game.job_cost_at_load(loads[machine - 1] + 1)
+
+
+class TestMovingGroups:
+    """`SchedulingGame._moving_groups` decides from the loads what the cell
+    verdict decides: the same groups, best responses and order."""
+
+    def test_groups_equal_the_cell_groups_under_ties(self):
+        # own_least: a unit job leaves a machine whose join cost is least
+        counts = dict.fromkeys(("single", "empty", "tied", "own_least", "moving"), 0)
+        pools = [tie_heavy_linear_pool(seed=196), tie_heavy_coco_pool(seed=197)]
+        for game, p in (item for pool in pools for item in pool):
+            ev = Evaluation(game, p)
+            groups = game._moving_groups(ev)
+            assert not ev._cells  # decided from the loads alone
+            assert groups == _cell_groups(game, p), (game.activation_cost, p)
+            assert game.suboptimal_players(ev) == Game._suboptimal(game, Evaluation(game, p))
+            loads = game.loads(ev)
+            for pos, br in groups:
+                counts["own_least"] += game.is_conflicting and (
+                    _join_cost(game, loads, p[pos] + 1) <= _join_cost(game, loads, br[0] + 1))
+                counts["tied"] += len(br) > 1
+            counts["single"] += game.machine_count == 1
+            counts["empty"] += 0 in loads
+            counts["moving"] += bool(groups)
+        assert min(counts.values()) > 20, counts
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 30), st.booleans(),
+           st.lists(st.integers(0, 5), min_size=1, max_size=20))
+    def test_coco_groups_equal_the_cell_groups(self, m, b, half, machines):
+        game = SchedulingGame(m, [1] * len(machines),
+                              activation_cost=F(2 * b + 1, 2) if half else F(b))
+        p = tuple(x % m for x in machines)
+        ev = Evaluation(game, p)
+        assert list(ev.loads.items()) == list(Game._full_loads(game, p).items())
+        assert game._moving_groups(ev) == _cell_groups(game, p)
+        assert game._social_units(ev) == Game._social_units(game, Evaluation(game, p))
+        assert not ev._cells
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6), st.lists(st.tuples(st.integers(1, 4), st.integers(1, 2),
+                                                 st.integers(0, 5)), min_size=1, max_size=12))
+    def test_linear_groups_equal_the_cell_groups(self, m, jobs):
+        # lengths over a few values, so that jobs share classes and loads tie
+        game = SchedulingGame(m, [F(num, den) for num, den, _ in jobs])
+        p = tuple(x % m for _, _, x in jobs)
+        ev = Evaluation(game, p)
+        assert list(ev.loads.items()) == list(Game._full_loads(game, p).items())
+        assert game._moving_groups(ev) == _cell_groups(game, p)
+        assert game._social_units(ev) == Game._social_units(game, Evaluation(game, p))
+        assert not ev._cells
+
+
+def _through_cells(monkeypatch):
+    """Send scheduling games down the default cell-based verdict."""
+    monkeypatch.setattr(SchedulingGame, "_moving_groups", Game._moving_groups)
+    monkeypatch.setattr(SchedulingGame, "_suboptimal", Game._suboptimal)
+    monkeypatch.setattr(SchedulingGame, "_social_units", Game._social_units)
+
+
+def _searched(game, p0):
+    reach = reachable_ne(game, p0)
+    witnesses = [reach.witness(target) for target in reach.ne_profiles]
+    return reach._parents, reach.ne_profiles, reach.social_costs, reach.stats, witnesses
+
+
+class TestSearchesThroughBothVerdicts:
+    """The oracle's searches visit, link and witness the same states
+    whether the loads or the cells decide."""
+
+    def _instances(self, max_n: int = 10):
+        fa, fb = fig9_sched_pair()
+        fixtures = [(spec.game, spec.initial) for spec in (fa, fb, appB_coco())]
+        pools = [*tie_heavy_linear_pool(seed=198, rounds=60),
+                 *tie_heavy_coco_pool(seed=199, rounds=60)]
+        return fixtures + [(game, p) for game, p in pools if game.n <= max_n]
+
+    def test_reachable_ne_is_the_same(self, monkeypatch):
+        instances = self._instances()
+        kernel = [_searched(game, p0) for game, p0 in instances]
+        _through_cells(monkeypatch)
+        cells = [_searched(game, p0) for game, p0 in instances]
+        assert kernel == cells
+        assert sum(len(parents) > 20 for parents, *_ in kernel) > 15
+
+    def test_rule_inefficiency_is_the_same(self, monkeypatch):
+        instances = [(game, p0, name) for game, p0 in self._instances(max_n=6)
+                     for name in ("s-opt", "max-cost", "longest-job")
+                     if make_rule(name).accepts(game)]
+        kernel = [rule_inefficiency(game, p0, make_rule(name)) for game, p0, name in instances]
+        _through_cells(monkeypatch)
+        cells = [rule_inefficiency(game, p0, make_rule(name)) for game, p0, name in instances]
+        assert kernel == cells
+        assert {name for *_, name in instances} == {"s-opt", "max-cost", "longest-job"}
+
+    def test_the_oracle_builds_no_cell(self, monkeypatch):
+        def refused(ev, key):
+            raise AssertionError("a cell was built")
+
+        instances = self._instances()
+        monkeypatch.setattr(Evaluation, "_fill", refused)
+        for game, p0 in instances:
+            reach = reachable_ne(game, p0)
+            assert all(game.is_nash(profile) for profile in reach.ne_profiles)

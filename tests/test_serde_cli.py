@@ -124,6 +124,75 @@ class TestParseRationalAgainstReference:
         assert _outcome(parse_rational, value) == _outcome(reference_parse_rational, value)
 
 
+def reference_profile_of(game, raw, where):
+    """The decoding route `_profile_of` replaces: each strategy to its
+    resource tuple, then one `Game.strategy_index` per player."""
+    from brdlab.core import InvalidProfileError
+    from brdlab.serde import _strategy_decoder
+
+    if not isinstance(raw, dict):
+        raise FormatError(f"{where} must be a JSON object")
+    ids = {str(i): i for i in game.players}
+    decode = _strategy_decoder(game)
+    assignment = {}
+    for key, strategy in raw.items():
+        if key not in ids:
+            raise FormatError(f"bad player id {key!r} in {where}")
+        assignment[ids[key]] = decode(strategy)
+    if len(assignment) != game.n:
+        raise FormatError(f"{where} must assign exactly the players 1..n")
+    try:
+        return game.profile_from_strategies(assignment)
+    except InvalidProfileError as exc:
+        raise FormatError(str(exc)) from exc
+
+
+# strategies as a document may hold them: machine indices and edge lists in
+# and out of range, and values of every other JSON type
+RAW_STRATEGIES = (st.integers(-2, 6) | st.integers(10**20, 10**20 + 1) | st.booleans()
+                  | st.none() | st.text(max_size=2)
+                  | st.lists(st.integers(-1, 8) | st.booleans() | st.text(max_size=1),
+                             max_size=4))
+
+
+class TestProfileDecoderAgainstReference:
+    """One decoder per document maps each raw strategy straight to its
+    index, with the old route's outcome: the same profile, or the same
+    error for the first fault in the same order."""
+
+    GAMES = {
+        "sched": SchedulingGame(3, [1, 2, 3]),
+        "coco": SchedulingGame(4, [1, 1, 1], activation_cost=5),
+        "fig3": fig3_minpath_chain().game,
+        "fig2": fig2_maxcost().game,
+    }
+
+    @given(name=st.sampled_from(sorted(GAMES)),
+           raw=st.dictionaries(st.sampled_from(["1", "2", "3", "4", "0", " 1", "01"]),
+                               RAW_STRATEGIES, max_size=5))
+    @settings(max_examples=600, deadline=None)
+    def test_raw_profiles(self, name, raw):
+        from brdlab.serde import _profile_of
+
+        game = self.GAMES[name]
+        assert (_outcome(lambda doc: _profile_of(game, doc, "initial profile"), raw)
+                == _outcome(lambda doc: reference_profile_of(game, doc, "initial profile"), raw))
+
+    def test_valid_profiles(self):
+        from brdlab.serde import _profile_of, profile_to_doc
+
+        rng = random.Random(81)
+        for game in self.GAMES.values():
+            for _ in range(50):
+                doc = profile_to_doc(game, random_profile(rng, game))
+                assert _profile_of(game, doc, "p") == reference_profile_of(game, doc, "p")
+                # the lowest faulty player names the error, as before
+                for player in rng.sample(game.players, min(2, game.n)):
+                    doc[str(player)] = [99] if isinstance(doc[str(player)], list) else 99
+                    assert (_outcome(lambda d: _profile_of(game, d, "p"), doc)
+                            == _outcome(lambda d: reference_profile_of(game, d, "p"), doc))
+
+
 def reference_dumps(doc):
     """The writer's contract: the standard library's indented, key-sorted,
     ASCII-escaped text and a newline."""
