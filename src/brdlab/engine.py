@@ -34,10 +34,11 @@ links, and `replay_links` the one witness replay over those links: both
 `reachable_by_rule` here and `oracle.reachable_ne` run on them, over the
 rule's moves and over every best-response move respectively.  Their states
 are profiles, the plain index tuples of `core.Profile`, so a search keys,
-moves and reports them as they are.  `terminal_extremes` walks the same
-moves once for many roots: one post-order pass that values every state it
-finishes with the least and greatest cost of the terminals it reaches,
-which is all `oracle.game_inefficiency` reads.
+moves and reports them as they are.  `fold` walks the same moves once for
+many roots: one post-order pass that values every state it finishes by
+combining the leaf values of the states without moves that it reaches,
+with a memo shared across roots; `oracle.game_inefficiency` runs all its
+passes on it.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from __future__ import annotations
 import hashlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Hashable, Sequence
+from typing import TYPE_CHECKING, Callable, Hashable, Sequence, TypeVar
 
 from .core import Cost, Evaluation, Game, GameError, PlayerId, Profile, Strategy
 
@@ -384,6 +385,8 @@ def run_scripted(
 # how a search first reached a state: (parent, mover's position, new index)
 Link = tuple[Profile, int, int]
 Parents = dict[Profile, Link | None]
+# a fold's value per state
+V = TypeVar("V")
 
 
 def parent_search(
@@ -416,37 +419,28 @@ def parent_search(
     return parents, tuple(sorted(terminals))
 
 
-# the least and greatest cost of the terminals a state reaches, None for none
-Extremes = tuple[Cost, Cost] | None
-
-
-def _span(a: Extremes, b: Extremes) -> Extremes:
-    if a is None or a is b:
-        return b
-    if b is None:
-        return a
-    return (a[0] if a[0] <= b[0] else b[0], a[1] if a[1] >= b[1] else b[1])
-
-
-def terminal_extremes(
+def fold(
     root: Profile,
     successors: Callable[[Profile], Sequence[SearchMove]],
-    cost: Callable[[Profile], Cost],
-    values: dict[Profile, Extremes],
+    leaf: Callable[[Profile], V | None],
+    combine: Callable[[V, V], V],
+    values: dict[Profile, V | None],
     state_limit: int,
-) -> Extremes:
-    """The least and greatest `cost` over the terminals reachable from
-    `root` (the states without moves), or None where it reaches none.
+) -> V | None:
+    """The `combine` of the `leaf` values of the states without moves that
+    `root` reaches, or None where it reaches none (a `leaf` of None counts
+    as none).
 
     One iterative Tarjan pass: the members of a strongly connected component
-    reach the same terminals, so they share one value, which a state's
-    frame gathers from its finished children and hands to its parent.  Each
-    finished state's value goes into `values`, which a caller shares across
-    roots: a later pass reads a finished state there instead of opening it.
-    `successors` is called once per opened state, in depth-first order, so
-    a stateful rule's single-move pass is its run.  Raises
-    StateBudgetExceeded rather than open more than `state_limit` states in
-    one pass."""
+    reach the same states, so they share one value, which a state's frame
+    gathers from its finished children and hands to its parent.  So
+    `combine` must be order-free: commutative, associative and idempotent,
+    as a (min, max) span is.  Each finished state's value goes into
+    `values`, which a caller shares across roots: a later pass reads a
+    finished state there instead of opening it.  `successors` is called
+    once per opened state, in depth-first order, so a stateful rule's
+    single-move pass is its run.  Raises StateBudgetExceeded rather than
+    open more than `state_limit` states in one pass."""
     if root in values:
         return values[root]
     # opened states by discovery order; opened and unfinished ones also sit
@@ -455,19 +449,20 @@ def terminal_extremes(
     component = [root]
 
     def frame(state: Profile) -> list:
-        # [state, its moves left, its low link, the extremes gathered so far]
+        # [state, its moves left, its low link, the value gathered so far]
         moves = successors(state)
         if moves:
             return [state, iter(moves), index[state], None]
-        c = cost(state)
-        return [state, iter(()), index[state], (c, c)]
+        return [state, iter(()), index[state], leaf(state)]
 
     frames = [frame(root)]
     while frames:
         top = frames[-1]
         for _, _, child in top[1]:
             if child in values:
-                top[3] = _span(top[3], values[child])
+                value = values[child]
+                if value is not None:
+                    top[3] = value if top[3] is None else combine(top[3], value)
             elif child in index:
                 # still open, so in this state's component
                 top[2] = min(top[2], index[child])
@@ -490,7 +485,8 @@ def terminal_extremes(
             if frames:
                 parent = frames[-1]
                 parent[2] = min(parent[2], low)
-                parent[3] = _span(parent[3], value)
+                if value is not None:
+                    parent[3] = value if parent[3] is None else combine(parent[3], value)
     return values[root]
 
 

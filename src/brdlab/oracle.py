@@ -19,15 +19,19 @@ two.  A stateful rule's search has one move per state, so it is the rule's
 run.
 
 `game_inefficiency` needs only the extremes of those sets, so it values
-states instead of listing them: one post-order pass over the same checked
-moves (`engine.terminal_extremes`) gives every state the cheapest and
+states instead of listing them, on the engine's one `fold` over the same
+checked moves: its span combine gives every state the cheapest and
 dearest equilibrium it reaches, and a start reads the oracle's pair at its
-canonical profile and the rule's worst at itself.  The oracle's moves and
-values, and a stateless rule's values, are memoized per call, so each
-state is expanded and valued once however many starts reach it.  A
-stateless rule is asked once per canonical profile too, and a raw rule
-state's moves are read off the chosen (class, strategy) groups (see
-`_Searches.rule_moves`).
+canonical profile and the rule's worst.  A stateless rule is asked once
+per canonical profile, and its worst is read on canonical profiles too
+wherever its choice ignores labels: where it chooses one (class,
+strategy) group or none at every state a start reaches, every relabeling
+of the start reaches the same canonical states.  Elsewhere the engine's
+lowest-id tie-break among several chosen groups hangs on labels, and the
+start's raw profiles are searched, their moves read off the chosen groups
+(see `_Searches.rule_moves`).  Every value, and the oracle's moves, are
+memoized per call, so each state is expanded and valued once however
+many starts reach it.
 
 Budgets are hard: exceeding the state limit raises; partial searches are
 never reported as results.
@@ -48,7 +52,6 @@ from .engine import (
     CycleDetected,
     DeviatorRule,
     EngineError,
-    Extremes,
     Link,
     Parents,
     RuleReach,
@@ -56,11 +59,11 @@ from .engine import (
     SearchMove,
     StateBudgetExceeded,
     Trace,
+    fold,
     parent_search,
     replay_links,
     rule_choice,
     rule_successors,
-    terminal_extremes,
 )
 
 
@@ -215,6 +218,26 @@ class InefficiencyReport:
 # strategy) group -> that group's best responses
 Choice = dict[tuple[int, int], tuple[int, ...]]
 
+# the least and greatest social cost, in the game's cost unit, of the
+# equilibria a state reaches; None for none
+Extremes = tuple[int, int] | None
+# a stateless rule's value at a canonical state: its span, and whether
+# every relabeling of the state reaches that span (see `game_inefficiency`)
+CanonicalValue = tuple[Extremes, bool]
+
+
+def _span(a: Extremes, b: Extremes) -> Extremes:
+    """The span of two spans: the oracle's and the rule's combine."""
+    if a is None or a is b:
+        return b
+    if b is None:
+        return a
+    return (a[0] if a[0] <= b[0] else b[0], a[1] if a[1] >= b[1] else b[1])
+
+
+def _canonical_span(a: CanonicalValue, b: CanonicalValue) -> CanonicalValue:
+    return _span(a[0], b[0]), a[1] and b[1]
+
 
 class _Searches:
     """One game's best-response moves: the oracle's moves and evaluation
@@ -227,15 +250,16 @@ class _Searches:
     and every other one is the child of a move.  A stateless rule's choice
     is memoized per canonical profile, next to its oracle entry, with each
     chosen group's best responses read off the same verdict; raw profiles
-    are only counted.  Every rule move is checked to be
-    an oracle move and every rule terminal an oracle sink, which puts
-    NE_S(p0) within NE(p0).  `start` searches both move
+    are only counted.  Where that choice is one group or none, its moves
+    are also given canonically (`canonical_rule_moves`).  Every rule move
+    is checked to be an oracle move and every rule terminal an oracle
+    sink, which puts NE_S(p0) within NE(p0).  `start` searches both move
     relations from one start, for `rule_inefficiency`; `game_inefficiency`
-    values their states with `engine.terminal_extremes` instead, reading
-    each equilibrium's cost off `ne_units`.  `state_limit` bounds each
-    search, the oracle's memo and the raw states a stateless rule's moves
-    are read for.  The rule must accept the game, which is checked once,
-    before any search."""
+    values their states with `engine.fold` instead, reading each
+    equilibrium's cost off `ne_units`.  `state_limit` bounds each search,
+    the oracle's memo and the raw states a stateless rule's moves are read
+    for.  The rule must accept the game, which is checked once, before any
+    search."""
 
     def __init__(self, game: Game, rule: DeviatorRule, state_limit: int) -> None:
         if not rule.accepts(game):
@@ -296,36 +320,71 @@ class _Searches:
             self._chosen[key] = choice
         return choice
 
-    def rule_moves(self, profile: Profile) -> tuple[SearchMove, ...]:
-        """The rule's moves out of the raw state `profile`, read from its
-        canonical profile's oracle entry.  For a stateless rule, counted
-        against the state limit, the lowest position in a chosen (class,
-        strategy) group moves to each of the group's best responses: the
-        moves `rule_successors(ev.relabeled(profile), rule, branch_all=True)`
-        gives, as the choice relabels with the clones.  A stateful rule
-        makes its canonical move, so its search is its run.  Each child
-        must be the child of an oracle move, and a state without moves an
-        oracle sink."""
-        canonical, stateless = self.quotient.canonical, self.rule.is_stateless
-        key = canonical(profile)
-        _, kids, ev = self._expand(key)
-        if stateless:
-            moves: tuple[SearchMove, ...] = ()
-            game, choice = self.game, self._choice(key, ev)
-            for pos, group in enumerate(zip(game._class_ids, profile)):
-                targets = choice.get(group)
-                if targets is not None:
-                    moves = tuple((pos, idx, game.with_choice(profile, pos + 1, idx))
-                                  for idx in targets)
-                    break
-        else:
-            moves = rule_successors(ev.relabeled(profile), self.rule)
+    def _lifted(self, profile: Profile, choice: Choice) -> tuple[SearchMove, ...]:
+        """The moves a stateless rule's `choice` gives out of `profile`,
+        which may be raw: the lowest position in a chosen (class, strategy)
+        group moves to each of the group's best responses."""
+        game = self.game
+        for pos, group in enumerate(zip(game._class_ids, profile)):
+            targets = choice.get(group)
+            if targets is not None:
+                return tuple((pos, idx, game.with_choice(profile, pos + 1, idx))
+                             for idx in targets)
+        return ()
+
+    def _checked(self, moves: tuple[SearchMove, ...],
+                 kids: frozenset[Profile]) -> tuple[SearchMove, ...]:
+        """`moves`, each of whose children must be the child of an oracle
+        move (`kids`); no moves must mean an oracle sink."""
+        canonical = self.quotient.canonical
         if (kids and not moves) or any(canonical(child) not in kids for _, _, child in moves):
             raise AssertionError("rule reached an equilibrium outside NE(p0)")
-        if stateless:
-            self._grow(self._rule_states)
-            self._rule_states += 1
         return moves
+
+    def rule_moves(self, profile: Profile) -> tuple[SearchMove, ...]:
+        """The rule's checked moves out of the raw state `profile`, read
+        from its canonical profile's oracle entry.  A stateless rule's are
+        its choice there, lifted: the moves
+        `rule_successors(ev.relabeled(profile), rule, branch_all=True)`
+        gives, as the choice relabels with the clones; each such raw state
+        counts against the state limit.  A stateful rule makes its
+        canonical move, so its search is its run."""
+        key = self.quotient.canonical(profile)
+        _, kids, ev = self._expand(key)
+        if not self.rule.is_stateless:
+            return self._checked(rule_successors(ev.relabeled(profile), self.rule), kids)
+        moves = self._checked(self._lifted(profile, self._choice(key, ev)), kids)
+        self._grow(self._rule_states)
+        self._rule_states += 1
+        return moves
+
+    def canonical_rule_moves(self, key: Profile) -> tuple[SearchMove, ...]:
+        """A stateless rule's checked moves out of the canonical state
+        `key`, to canonical children, where it chooses one (class,
+        strategy) group: every relabeling of `key` makes these moves, up
+        to relabeling.  No moves where it chooses several groups, since
+        the engine's lowest id picks among them by label."""
+        _, kids, ev = self._expand(key)
+        choice = self._choice(key, ev)
+        if len(choice) > 1:
+            return ()
+        canonical = self.quotient.canonical
+        return self._checked(tuple((pos, idx, canonical(child))
+                                   for pos, idx, child in self._lifted(key, choice)), kids)
+
+    def canonical_rule_leaf(self, key: Profile) -> CanonicalValue:
+        """The value of a canonical state without `canonical_rule_moves`:
+        an equilibrium's span, or, where the rule chooses several groups,
+        no span and not label-free."""
+        if self._chosen[key]:
+            return None, False
+        return self.span(key), True
+
+    def span(self, profile: Profile) -> Extremes:
+        """The span of a profile the oracle found to be an equilibrium: its
+        social cost twice, in the game's cost unit."""
+        units = self.units(profile)
+        return units, units
 
     def units(self, profile: Profile) -> int:
         """Social cost of an equilibrium the oracle has searched, in the
@@ -413,36 +472,67 @@ def game_inefficiency(
     """Worst-case rule inefficiency over the supplied initial profiles, or
     over every profile of a tiny game when no source is given.
 
-    Each start reads two values off one post-order pass
-    (`engine.terminal_extremes`): the cheapest and dearest equilibrium the
-    oracle's moves reach from its canonical profile, and the dearest one
-    the rule's moves reach from it.  The checks are those of
-    `rule_inefficiency`'s searches.  The oracle's values, and a stateless
-    rule's, are kept across starts, so each state is valued once however
-    many starts reach it; a stateful rule's pass is its run from the start.
-    `state_limit` bounds the states one pass opens, the oracle's memo of
-    moves, and the raw states a stateless rule's moves are read for, each
-    summed over all starts.  A supplied start is validated; the profiles
-    of a tiny game are valid as enumerated.
+    Each start reads the oracle's cheapest and dearest equilibrium at its
+    canonical profile, and the rule's dearest, off passes of `engine.fold`
+    with the span combine.  A stateful rule's pass is its run from the
+    start.  A stateless rule is first folded over canonical profiles, each
+    valued (span, label-free): no chosen group is an equilibrium, one
+    chosen group moves to its best responses as every relabeling does, and
+    several make a leaf that is not label-free, since the engine's lowest
+    id picks among them by label; label-freedom ANDs over every state
+    reached.  A label-free start reads the rule's worst there; any other is
+    searched over raw profiles, where a raw state whose canonical profile
+    is label-free is a leaf valued from the canonical pass.  So the rule is
+    asked at the same canonical states as a raw search of every start
+    would ask it.  The checks are those of `rule_inefficiency`'s searches.
+    Every value but a stateful rule's is kept across starts, so each state
+    is valued once however many starts reach it.  `state_limit` bounds the
+    states one pass opens, the oracle's memo of moves, and the raw states
+    a stateless rule's moves are read for, each summed over all starts.  A
+    supplied start is validated; the profiles of a tiny game are valid as
+    enumerated.
     """
     profiles = profile_source if profile_source is not None else all_profiles(game)
     searches = _Searches(game, rule, state_limit)
-    canonical, ne_units = searches.quotient.canonical, searches.ne_units
+    canonical, span = searches.quotient.canonical, searches.span
     oracle_values: dict[Profile, Extremes] = {}
+    canonical_values: dict[Profile, CanonicalValue | None] = {}
     rule_values: dict[Profile, Extremes] = {}
+
+    def canonical_value(key: Profile) -> CanonicalValue | None:
+        # a stateless rule's canonical pass; its memo is read first, as the
+        # oracle's is below
+        return canonical_values.get(key) or fold(
+            key, searches.canonical_rule_moves, searches.canonical_rule_leaf, _canonical_span,
+            canonical_values, state_limit)
+
+    def raw_moves(profile: Profile) -> tuple[SearchMove, ...]:
+        # a raw state whose canonical profile is label-free is a leaf
+        value = canonical_value(canonical(profile))
+        return () if value is None or value[1] else searches.rule_moves(profile)
+
+    def raw_leaf(profile: Profile) -> Extremes:
+        value = canonical_values[canonical(profile)]
+        return value and value[0]
+
     # the largest alpha so far, as (the rule's worst, the best) in the cost unit
     alpha: tuple[int, int] | None = None
     for p0 in profiles:
         if profile_source is not None:
             # `all_profiles` yields valid profiles only
             game.validate_profile(p0)
-        envelope = terminal_extremes(canonical(p0), searches.oracle_moves, ne_units.__getitem__,
-                                     oracle_values, state_limit)
+        # a memo is read first; its None falls through to the fold, which returns it
+        key = canonical(p0)
+        envelope = oracle_values.get(key) or fold(key, searches.oracle_moves, span, _span,
+                                                  oracle_values, state_limit)
         rule.reset(game)
         if not rule.is_stateless:
-            rule_values = {}
-        reach = terminal_extremes(p0, searches.rule_moves, searches.units, rule_values,
-                                  state_limit)
+            reach = fold(p0, searches.rule_moves, span, _span, {}, state_limit)
+        elif (value := canonical_value(key)) is None or value[1]:
+            reach = value and value[0]
+        else:
+            reach = rule_values.get(p0) or fold(p0, raw_moves, raw_leaf, _span, rule_values,
+                                                state_limit)
         if envelope is None or reach is None:
             raise CycleDetected("a best-response cycle reaches no equilibrium")
         (best, worst), rule_worst = envelope, reach[1]

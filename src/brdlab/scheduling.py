@@ -169,7 +169,10 @@ class SchedulingGame(Game):
         return [pos for pos in positions if gap[profile[pos]] > 0], rank
 
     def _suboptimal(self, ev: Evaluation) -> tuple[PlayerId, ...]:
-        # every job is tested, which costs less than finding the groups
+        if ev._groups is not None:
+            # the searches' evaluations hold the groups: read their holders
+            return super()._suboptimal(ev)
+        # a walk's have none, and testing every job costs less than finding them
         movers, _ = self._load_verdict(ev, range(len(ev.profile)))
         return tuple(pos + 1 for pos in movers)
 

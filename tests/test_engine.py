@@ -21,11 +21,12 @@ from brdlab.engine import (
     parent_search,
     reachable_by_rule,
     run_brd,
+    fold,
     run_scripted,
-    terminal_extremes,
 )
 from brdlab.fixtures import fig2_maxcost
 from brdlab.networks import NetworkFormationGame, NfgStateVector, PlayerSpec
+from brdlab.oracle import _span
 from brdlab.rules import max_cost, min_path, random_rule, round_robin
 from brdlab.scheduling import SchedStateVector, SchedulingGame
 from brdlab.serde import verify_trace
@@ -269,7 +270,101 @@ class TestParentSearch:
             parent_search("a", search_graph(graph), 5)
 
 
+def terminal_extremes(root, successors, cost, values, state_limit):
+    """The oracle's use of the fold: the least and greatest `cost` over the
+    terminals `root` reaches."""
+    return fold(root, successors, lambda v: (cost(v), cost(v)), _span, values, state_limit)
+
+
+def reachable(graph, root):
+    seen, stack = {root}, [root]
+    while stack:
+        for w in graph[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+class TestFold:
+    def test_a_custom_leaf_and_combine(self):
+        # the set of terminals reached, by union, with the odd ones left out
+        # by a leaf of None
+        rng = random.Random(47)
+        for _ in range(200):
+            nodes = list(range(rng.randint(1, 12)))
+            graph = {v: [w for w in nodes if rng.random() < 0.2] for v in nodes}
+            for v in nodes:
+                if rng.random() < 0.3:
+                    graph[v] = []
+
+            def leaf(v):
+                return None if v % 2 else frozenset({v})
+
+            values = {}
+            for root in rng.sample(nodes, len(nodes)):
+                even = frozenset(v for v in reachable(graph, root) if not graph[v] and not v % 2)
+                got = fold(root, search_graph(graph), leaf, frozenset.union, values, 100)
+                assert got == (even or None)
+
+    def test_a_component_shares_one_value(self):
+        # a -> b -> c -> a with exits b -> x and c -> y, and d -> c from outside
+        graph = {"a": "b", "b": "cx", "c": "ay", "d": "c", "x": "", "y": ""}
+        values = {}
+        leaf = {"x": (1,), "y": (2,)}.__getitem__
+        assert fold("a", search_graph(graph), leaf, lambda a, b: tuple(sorted({*a, *b})),
+                    values, 10) == (1, 2)
+        assert values["a"] is values["b"] is values["c"]
+        # a later root reads the component's one value
+        assert fold("d", search_graph(graph), leaf, None, values, 10) is values["a"]
+
+    def test_the_memo_is_reused_across_roots(self):
+        graph = {"a": "bc", "b": "d", "c": "d", "d": "e", "e": "", "f": "ae"}
+        opened = []
+
+        def successors(v):
+            opened.append(v)
+            return search_graph(graph)(v)
+
+        values = {}
+        leaf = {"e": 1}.__getitem__
+        assert fold("b", successors, leaf, max, values, 10) == 1
+        assert opened == ["b", "d", "e"]
+        assert fold("f", successors, leaf, max, values, 10) == 1
+        assert opened == ["b", "d", "e", "f", "a", "c"]
+        # a finished root is read, not opened
+        assert fold("a", successors, leaf, max, values, 1) == 1
+        assert len(opened) == 6
+
+    def test_the_budget_raises_at_the_exact_count(self):
+        # a chain of 50 states, then a diamond of 4
+        graph = {i: [i + 1] for i in range(49)}
+        graph.update({49: [50, 51], 50: [52], 51: [52], 52: []})
+        leaf = {52: 0}.__getitem__
+        assert fold(0, search_graph(graph), leaf, max, {}, 53) == 0
+        with pytest.raises(StateBudgetExceeded):
+            fold(0, search_graph(graph), leaf, max, {}, 52)
+        # the budget counts the states one pass opens, not those it reads
+        values = {}
+        assert fold(40, search_graph(graph), leaf, max, values, 13) == 0
+        assert fold(0, search_graph(graph), leaf, max, values, 40) == 0
+        with pytest.raises(StateBudgetExceeded):
+            fold(0, search_graph(graph), leaf, max, {40: 0}, 39)
+
+    def test_a_long_path_folds_without_recursion(self):
+        n = 200_000
+
+        def successors(i):
+            return [(0, 0, i + 1)] if i < n else []
+
+        values = {}
+        assert fold(0, successors, lambda i: (i, i), _span, values, n + 1) == (n, n)
+        assert len(values) == n + 1
+
+
 class TestTerminalExtremes:
+    """The oracle's span, one use of the fold."""
+
     def test_agrees_with_plain_reachability_on_random_cyclic_graphs(self):
         rng = random.Random(43)
         for _ in range(200):

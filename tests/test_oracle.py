@@ -53,6 +53,7 @@ from helpers import (
     random_profile,
     random_symmetric_game,
     random_weighted_game,
+    rand_cost,
 )
 
 
@@ -312,11 +313,14 @@ class TestGameInefficiency:
         fx = fig2_maxcost()
         with pytest.raises(StateBudgetExceeded):
             game_inefficiency(fx.game, max_cost(), state_limit=3)
-        # the limit counts the states of all starts together: no start's own
-        # search visits more than 12 states, the rule's moves are read for 243
+        # the limit counts the states of all starts together: the oracle's
+        # memo holds all 21 canonical profiles of fig2, though no start's own
+        # search visits more than 12 states; max-cost's choice there is one
+        # group or none, so its pass runs on those 21 too and reads no raw
+        # state of the 243 starts
         with pytest.raises(StateBudgetExceeded):
-            game_inefficiency(fx.game, max_cost(), state_limit=242)
-        assert game_inefficiency(fx.game, max_cost(), state_limit=243) == 5
+            game_inefficiency(fx.game, max_cost(), state_limit=20)
+        assert game_inefficiency(fx.game, max_cost(), state_limit=21) == 5
 
     def test_empty_profile_source_raises(self):
         fx = fig2_maxcost()
@@ -330,9 +334,12 @@ class TestGameInefficiency:
                 game_inefficiency(fx.game, s_opt_rule(), source)
 
     @pytest.mark.parametrize("factory", [LowestIdRule, round_robin], ids=lambda f: f.__name__)
-    def test_cycles_that_escape_share_one_value(self, factory):
+    def test_cycles_that_escape_share_one_value(self, factory, monkeypatch):
         # every start off the two equilibria reaches a best-response cycle
-        # with exits to both, which the oracle's pass values as one component
+        # with exits to both, which the oracle's pass values as one component;
+        # one player at most moves at a time, so lowest-id's canonical pass
+        # values it too, and no raw state is read
+        read = count_raw_states(monkeypatch)
         game = EscapablePennies()
         profiles = list(all_profiles(game))
         for p0 in profiles:
@@ -343,6 +350,7 @@ class TestGameInefficiency:
         # states included, in every order
         for pair in itertools.product(profiles, repeat=2):
             assert game_inefficiency(game, factory(), pair) == per_start_alpha(game, factory, pair)
+        assert bool(read) == (factory is round_robin)
 
     def test_single_profile_source_reduces(self):
         fx = fig2_maxcost()
@@ -379,6 +387,46 @@ class TestGameInefficiency:
         assert rule_inefficiency(game, Profile((0, 0, 1)), max_cost()).alpha == 1
         assert game_inefficiency(game, max_cost()) == 2
 
+    def test_label_free_starts_read_no_raw_state(self, monkeypatch):
+        # generic costs: on parallel links max-cost's most expensive holders
+        # sit on one edge, so its choice is one group everywhere
+        read = count_raw_states(monkeypatch)
+        rng = random.Random(51)
+        for _ in range(12):
+            costs = [rand_cost(rng) for _ in range(rng.randint(2, 3))]
+            game = NetworkFormationGame(parallel_network(costs),
+                                        [PlayerSpec(0, 1)] * rng.randint(2, 4))
+            profiles = list(all_profiles(game))
+            assert game_inefficiency(game, max_cost()) == \
+                per_start_alpha(game, max_cost, profiles)
+        assert read == []
+
+    def test_labelled_clones_still_read_raw_states(self, monkeypatch):
+        # costs 4, 2, 2: the clones on the dear edge and the one on a cheap
+        # edge are chosen together from (1, 0, 0), whose canonical (0, 0, 1)
+        # moves by label; every relabeling of it is searched raw
+        read = count_raw_states(monkeypatch)
+        game = NetworkFormationGame(parallel_network([4, 2, 2]), [PlayerSpec(0, 1)] * 3)
+        assert game_inefficiency(game, max_cost()) == 2
+        assert Profile((1, 0, 0)) in read
+        for rule, alpha in ((min_path, 1), (max_improvement, 1)):
+            assert game_inefficiency(game, rule()) == alpha == \
+                per_start_alpha(game, rule, all_profiles(game))
+
+
+def count_raw_states(monkeypatch):
+    """The raw states whose rule moves the inefficiency searches read, in
+    the order they read them."""
+    read = []
+    rule_moves = _Searches.rule_moves
+
+    def counted(self, profile):
+        read.append(profile)
+        return rule_moves(self, profile)
+
+    monkeypatch.setattr(_Searches, "rule_moves", counted)
+    return read
+
 
 def symmetric_pool(rng):
     return random_symmetric_game(rng, tie_heavy=rng.random() < 0.5)
@@ -395,10 +443,17 @@ def linear_pool(rng):
     return SchedulingGame(rng.randint(2, 3), lengths)
 
 
+def weighted_pool(rng):
+    """Weighted games, whose best responses may cycle."""
+    return random_weighted_game(rng)
+
+
 # every shipped stateless rule on each pool it applies to
 LIFT_CASES = [
     (symmetric_pool, min_path), (symmetric_pool, max_cost),
     (symmetric_pool, max_improvement), (symmetric_pool, LowestIdRule),
+    (weighted_pool, min_path), (weighted_pool, max_cost),
+    (weighted_pool, max_improvement), (weighted_pool, LowestIdRule),
     (coco_pool, s_opt_rule), (coco_pool, max_cost),
     (coco_pool, max_improvement), (coco_pool, LowestIdRule),
     (linear_pool, longest_job), (linear_pool, max_cost), (linear_pool, max_improvement),
@@ -419,10 +474,19 @@ class TestStatelessChoiceLift:
             game = pool(rng)
             rule = factory()
             searches = _Searches(game, rule, DEFAULT_STATE_LIMIT)
+            canonical = searches.quotient.canonical
             for p in [random_profile(rng, game) for _ in range(20)]:
                 # the same moves in the same order, so searches visit alike
-                assert searches.rule_moves(p) == \
-                    rule_successors(game.evaluate(p), rule, branch_all=True)
+                moves = rule_successors(game.evaluate(p), rule, branch_all=True)
+                assert searches.rule_moves(p) == moves
+                # where the choice is one group or none, every relabeling
+                # moves to the canonical pass's children
+                lifted = searches.canonical_rule_moves(canonical(p))
+                if len(searches._chosen[canonical(p)]) <= 1:
+                    assert [child for _, _, child in lifted] == \
+                        [canonical(child) for _, _, child in moves]
+                else:
+                    assert lifted == ()
             starts = [random_profile(rng, game) for _ in range(6)]
             assert game_inefficiency(game, factory(), starts) == \
                 per_start_alpha(game, factory, starts)
@@ -434,6 +498,29 @@ class TestStatelessChoiceLift:
                 assert report.rule_visited == reach.visited
                 assert report.rule_ne_costs == costs
                 assert report.rule_witness == reach.witness(game, terminals[-1])
+
+    @pytest.mark.parametrize("factory", [min_path, max_cost, LowestIdRule],
+                             ids=lambda f: f.__name__)
+    def test_the_rule_is_asked_where_a_raw_search_would_ask_it(self, factory, monkeypatch):
+        # the canonical pass stops where the choice hangs on labels, and the
+        # raw pass where it does not: together they ask the rule at the
+        # canonical profile of every raw state a search of every start visits
+        made, init = [], _Searches.__init__
+
+        def recorded(self, *args):
+            init(self, *args)
+            made.append(self)
+
+        monkeypatch.setattr(_Searches, "__init__", recorded)
+        rng = random.Random(53)
+        for _ in range(12):
+            game = symmetric_pool(rng)
+            profiles = list(all_profiles(game))[:120]
+            game_inefficiency(game, factory(), profiles)
+            canonical = made[-1].quotient.canonical
+            asked = {canonical(state) for p0 in profiles
+                     for state in reachable_by_rule(game, p0, factory())._parents}
+            assert set(made[-1]._chosen) == asked
 
     def test_a_choice_that_splits_clones_on_one_strategy_is_rejected(self):
         class LowestOnly(DeviatorRule):

@@ -407,6 +407,22 @@ class TestMovingGroups:
             counts["moving"] += bool(groups)
         assert min(counts.values()) > 20, counts
 
+    def test_suboptimal_jobs_read_off_memoized_groups(self, monkeypatch):
+        # with the groups memoized, as the searches leave them, the jobs are
+        # their holders, and no job is tested again
+        pools = [tie_heavy_linear_pool(seed=196), tie_heavy_coco_pool(seed=197)]
+        items = [item for pool in pools for item in pool]
+        fresh = [game.suboptimal_players(Evaluation(game, p)) for game, p in items]
+        memoized = []
+        for game, p in items:
+            ev = Evaluation(game, p)
+            ev.moving_groups()
+            monkeypatch.setattr(SchedulingGame, "_load_verdict", None)
+            memoized.append(game.suboptimal_players(ev))
+            monkeypatch.undo()
+        assert memoized == fresh
+        assert sum(map(bool, fresh)) > 20
+
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 6), st.integers(1, 30), st.booleans(),
            st.lists(st.integers(0, 5), min_size=1, max_size=20))
