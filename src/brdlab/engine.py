@@ -20,6 +20,9 @@ rule) is what `reachable_by_rule` explores to compute the full set of
 equilibria a rule can reach.  `rule_choice` is the one checked reading of
 a rule's choice set, and `rule_successors` the rule's moves out of one
 evaluated profile, in the one `SearchMove` shape the oracle's moves share.
+Walks ask a rule for players; the oracle's searches ask a stateless rule
+for moving groups (`DeviatorRule._choose_groups`), once per canonical
+profile.
 
 `walk` is the one trace loop, with one step budget for the whole walk:
 runs, scripts, witness replays and the SPP cleanup are movers over it.  Its
@@ -77,8 +80,20 @@ class ScriptError(EngineError):
     """A move is not a legal best-response move."""
 
 
+class _Digits(dict):
+    """Each strategy index's decimal digits, made on first request: at most
+    `core.STRATEGY_CAP` entries."""
+
+    def __missing__(self, idx: int) -> str:
+        digits = self[idx] = str(idx)
+        return digits
+
+
+_DIGITS = _Digits()
+
+
 def profile_digest(profile: Profile) -> str:
-    data = ",".join(map(str, profile)).encode()
+    data = ",".join(map(_DIGITS.__getitem__, profile)).encode()
     return hashlib.sha1(data).hexdigest()[:12]
 
 
@@ -113,14 +128,22 @@ def state_vectors(game: Game, at: Profile | Evaluation,
 # -- rules ---------------------------------------------------------------------
 
 
+# a profile's moving groups, as `Evaluation.moving_groups()` gives them: per
+# (class, strategy) whose holders are suboptimal, its first position and its
+# best responses
+Groups = list[tuple[int, tuple[int, ...]]]
+
+
 class DeviatorRule(ABC):
     """Selects the next deviating player among the suboptimal ones.
 
     A stateless rule must treat interchangeable players (one weight, one
     strategy space) on one strategy alike, whatever their labels: it
     chooses all or none of them.  Local rules do, as state vectors carry no
-    label.  The oracle asks once per canonical profile, and raises
-    RuleViolation on a choice that splits such a group."""
+    label.  So the oracle's searches ask it once per canonical profile,
+    over the profile's moving groups (`_choose_groups`), and raise
+    RuleViolation on a choice that splits such a group.  Walks ask
+    `choose`, over players."""
 
     name: str = "rule"
     # False for rules that carry run state (a cursor, a seeded generator)
@@ -136,6 +159,22 @@ class DeviatorRule(ABC):
     def choose(self, ev: Evaluation, suboptimal: tuple[PlayerId, ...]) -> tuple[PlayerId, ...]:
         """Non-empty choice set, a subset of `suboptimal`."""
 
+    def _choose_groups(self, ev: Evaluation, groups: Groups) -> Groups:
+        """The entries of `groups`, the evaluation's `moving_groups()`,
+        whose holders the rule chooses, in their order; empty exactly when
+        `groups` is.  By default the checked player choice (`rule_choice`)
+        read back onto the groups: a choice that takes some but not all of
+        a group's holders raises RuleViolation, since the engine's lowest
+        id among them would hang on their labels."""
+        players = rule_choice(ev, self)
+        class_ids, profile = ev.game._class_ids, ev.profile
+        chosen = {(class_ids[p - 1], profile[p - 1]) for p in players}
+        members = sum(1 for group in zip(class_ids, profile) if group in chosen)
+        if members != len(set(players)):
+            raise RuleViolation(f"rule {self.name} chose some but not all of the "
+                                "interchangeable players on one strategy")
+        return [entry for entry in groups if (class_ids[entry[0]], profile[entry[0]]) in chosen]
+
 
 class LocalRule(DeviatorRule):
     """A total preorder over state vectors; the choice set is the owners of
@@ -148,7 +187,10 @@ class LocalRule(DeviatorRule):
     evaluation's cells and must order any one evaluation's suboptimal
     players exactly as their vectors' keys do, ties included (the shipped
     rules read integers in the game's cost unit).  Without it, `choose`
-    builds each player's vector and scores that.
+    builds each player's vector and scores that.  Clones on one strategy
+    have one vector, so they score alike: `_choose_groups` scores each
+    moving group's first position only, and keeps the groups at the
+    maximum.
     """
 
     def __init__(
@@ -172,14 +214,26 @@ class LocalRule(DeviatorRule):
         key = self._key_builder(game)
         return lambda ev: lambda pos: key(game.state_vector(ev, pos + 1))
 
-    def choose(self, ev, suboptimal):
+    def _bound(self, ev: Evaluation) -> Callable[[int], object]:
+        """The cell key, built once per game, bound to `ev`."""
         game = ev.game
         if self._scorer is None or self._scorer[0] is not game:
             self._scorer = (game, self._cell_key(game))
-        key = self._scorer[1](ev)
+        return self._scorer[1](ev)
+
+    def choose(self, ev, suboptimal):
+        key = self._bound(ev)
         keys = [key(i - 1) for i in suboptimal]
         best = max(keys)
         return tuple(i for i, k in zip(suboptimal, keys) if k == best)
+
+    def _choose_groups(self, ev, groups):
+        if not groups:
+            return groups
+        key = self._bound(ev)
+        keys = [key(pos) for pos, _ in groups]
+        best = max(keys)
+        return [entry for entry, k in zip(groups, keys) if k == best]
 
     def vector_chooser(self, game: Game) -> Callable[[Sequence[Hashable]], tuple[int, ...]]:
         """Choice-set function over bare vector profiles of `game`: the
@@ -202,6 +256,9 @@ class LowestIdRule(DeviatorRule):
 
     def choose(self, ev, suboptimal):
         return suboptimal
+
+    def _choose_groups(self, ev, groups):
+        return groups
 
 
 def _check_rule_output(

@@ -23,15 +23,15 @@ states instead of listing them, on the engine's one `fold` over the same
 checked moves: its span combine gives every state the cheapest and
 dearest equilibrium it reaches, and a start reads the oracle's pair at its
 canonical profile and the rule's worst.  A stateless rule is asked once
-per canonical profile, and its worst is read on canonical profiles too
-wherever its choice ignores labels: where it chooses one (class,
-strategy) group or none at every state a start reaches, every relabeling
-of the start reaches the same canonical states.  Elsewhere the engine's
-lowest-id tie-break among several chosen groups hangs on labels, and the
-start's raw profiles are searched, their moves read off the chosen groups
-(see `_Searches.rule_moves`).  Every value, and the oracle's moves, are
-memoized per call, so each state is expanded and valued once however
-many starts reach it.
+per canonical profile, over its moving groups, and its worst is read on
+canonical profiles too wherever its choice ignores labels: where it
+chooses one (class, strategy) group or none at every state a start
+reaches, every relabeling of the start reaches the same canonical states.
+Elsewhere the engine's lowest-id tie-break among several chosen groups
+hangs on labels, and the start's raw profiles are searched, their moves
+read off the chosen groups (see `_Searches.rule_moves`).  Every value,
+and the oracle's moves, are memoized per call, so each state is expanded
+and valued once however many starts reach it.
 
 Budgets are hard: exceeding the state limit raises; partial searches are
 never reported as results.
@@ -55,14 +55,12 @@ from .engine import (
     Link,
     Parents,
     RuleReach,
-    RuleViolation,
     SearchMove,
     StateBudgetExceeded,
     Trace,
     fold,
     parent_search,
     replay_links,
-    rule_choice,
     rule_successors,
 )
 
@@ -247,10 +245,11 @@ class _Searches:
     the game's one verdict per canonical profile, `Game._moving_groups`,
     which on scheduling games builds no cell.  A canonical profile is
     evaluated without validation: the start is validated by the caller,
-    and every other one is the child of a move.  A stateless rule's choice
-    is memoized per canonical profile, next to its oracle entry, with each
-    chosen group's best responses read off the same verdict; raw profiles
-    are only counted.  Where that choice is one group or none, its moves
+    and every other one is the child of a move.  A stateless rule is asked
+    once per canonical profile, over that verdict's moving groups
+    (`DeviatorRule._choose_groups`), and the chosen groups with their best
+    responses are memoized next to its oracle entry; raw profiles are only
+    counted.  Where that choice is one group or none, its moves
     are also given canonically (`canonical_rule_moves`).  Every rule move
     is checked to be an oracle move and every rule terminal an oracle
     sink, which puts NE_S(p0) within NE(p0).  `start` searches both move
@@ -298,26 +297,15 @@ class _Searches:
         return self._expand(key)[0]
 
     def _choice(self, key: Profile, ev: Evaluation) -> Choice:
-        """The stateless rule's checked choice at the canonical state `key`
-        with evaluation `ev`, memoized, with each chosen group's best
-        responses from `_moving_groups`.  Clones on one strategy are
-        suboptimal together; the choice must take all or none of them, or
-        its lowest id would hang on their labels."""
+        """The stateless rule's choice among the moving groups of the
+        canonical state `key`, with evaluation `ev` (`_choose_groups`,
+        which checks it), memoized."""
         choice = self._chosen.get(key)
         if choice is None:
-            players = rule_choice(ev, self.rule)
             class_ids = self.game._class_ids
-            chosen = {(class_ids[p - 1], key[p - 1]) for p in players}
-            choice = {}
-            for pos, br in ev.moving_groups():
-                group = (class_ids[pos], key[pos])
-                if group in chosen:
-                    choice[group] = br
-            members = sum(1 for group in zip(class_ids, key) if group in choice)
-            if members != len(set(players)):
-                raise RuleViolation(f"rule {self.rule.name} chose some but not all of the "
-                                    "interchangeable players on one strategy")
-            self._chosen[key] = choice
+            choice = self._chosen[key] = {
+                (class_ids[pos], key[pos]): br
+                for pos, br in self.rule._choose_groups(ev, ev.moving_groups())}
         return choice
 
     def _lifted(self, profile: Profile, choice: Choice) -> tuple[SearchMove, ...]:

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from brdlab.core import InvalidProfileError, Profile
+from brdlab.core import STRATEGY_CAP, InvalidProfileError, Profile
 from brdlab.engine import (
     CycleDetected,
     EngineError,
@@ -19,6 +20,7 @@ from brdlab.engine import (
     _apply_move,
     check_iip,
     parent_search,
+    profile_digest,
     reachable_by_rule,
     run_brd,
     fold,
@@ -130,6 +132,15 @@ class TestApplyMove:
         assert after.profile == Profile((2,))
         assert (move.old_strategy, move.new_strategy) == ((1,), (3,))
         assert (move.cost_before, move.cost_after) == (3, 1)
+
+
+def test_profile_digest_is_the_sha1_of_the_decimal_indices():
+    rng = random.Random(24)
+    for _ in range(300):
+        profile = tuple(rng.randrange(rng.choice((3, 40, STRATEGY_CAP)))
+                        for _ in range(rng.randint(1, 40)))
+        text = ",".join(str(i) for i in profile)
+        assert profile_digest(profile) == hashlib.sha1(text.encode()).hexdigest()[:12]
 
 
 class TestRunScripted:

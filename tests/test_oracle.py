@@ -522,6 +522,27 @@ class TestStatelessChoiceLift:
                      for state in reachable_by_rule(game, p0, factory())._parents}
             assert set(made[-1]._chosen) == asked
 
+    @pytest.mark.parametrize("pool, factory", LIFT_CASES,
+                             ids=lambda f: f.__name__)
+    def test_the_searches_ask_shipped_rules_by_group_only(self, pool, factory, monkeypatch):
+        # local rules and the baseline choose among moving groups: neither
+        # inefficiency entry point asks them for players
+        def refused(self, ev, suboptimal):
+            raise AssertionError(f"{self.name}: choose called")
+
+        monkeypatch.setattr(type(factory()), "choose", refused)
+        rng, moving = random.Random(67), []
+        for _ in range(4):
+            game = pool(rng)
+            starts = [random_profile(rng, game) for _ in range(4)]
+            game_inefficiency(game, factory(), starts)
+            for p0 in starts:
+                rule_inefficiency(game, p0, factory())
+            moving += [(game, p0) for p0 in starts if not game.is_nash(p0)]
+        # walks still ask for players
+        with pytest.raises(AssertionError, match="choose called"):
+            run_brd(*moving[0], factory())
+
     def test_a_choice_that_splits_clones_on_one_strategy_is_rejected(self):
         class LowestOnly(DeviatorRule):
             """The lowest suboptimal id alone, whatever her clones do."""

@@ -6,9 +6,21 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from brdlab.engine import EngineError, run_brd, state_vectors
+from brdlab.core import Evaluation
+from brdlab.engine import (
+    DeviatorRule,
+    EngineError,
+    LowestIdRule,
+    RuleViolation,
+    rule_choice,
+    run_brd,
+    state_vectors,
+)
 from brdlab.fixtures import fig2_maxcost, fig9_sched_pair
+from brdlab.networks import NetworkFormationGame, PlayerSpec
 from brdlab.rules import (
     RULES,
     longest_job,
@@ -22,6 +34,7 @@ from brdlab.rules import (
 )
 from brdlab.scheduling import s_opt_choose
 from helpers import (
+    parallel_network,
     random_coco_game,
     random_linear_game,
     random_profile,
@@ -198,3 +211,89 @@ class TestCellKeys:
                 profile = game.with_choice(profile, mover, game.canonical_br_pick(ev, mover))
         assert set(checked) == {f().name for f in SHIPPED_LOCAL_RULES}
         assert min(checked.values()) >= 100 and tied >= 100, (checked, tied)
+
+
+def reference_choose_groups(rule, ev):
+    """The route `_choose_groups` replaces in the searches: the checked
+    player choice, read back onto the moving groups, which must take all
+    or none of each group's holders."""
+    players = rule_choice(ev, rule)
+    class_ids, profile = ev.game._class_ids, ev.profile
+    chosen = {(class_ids[p - 1], profile[p - 1]) for p in players}
+    choice = [(pos, br) for pos, br in ev.moving_groups()
+              if (class_ids[pos], profile[pos]) in chosen]
+    groups = {(class_ids[pos], profile[pos]) for pos, _ in choice}
+    if sum(1 for group in zip(class_ids, profile) if group in groups) != len(set(players)):
+        raise RuleViolation(f"rule {rule.name} chose some but not all of the "
+                            "interchangeable players on one strategy")
+    return choice
+
+
+# every shipped stateless rule, and the baseline
+STATELESS_RULES = SHIPPED_LOCAL_RULES + (LowestIdRule,)
+
+
+def group_choices(game, profile):
+    """Per stateless rule that accepts `game`: its `_choose_groups` at
+    `profile`, the default route's and the reference's, each on a fresh
+    evaluation."""
+    out = {}
+    for factory in STATELESS_RULES:
+        rule = factory()
+        if not rule.accepts(game):
+            continue
+        ev = Evaluation(game, profile)
+        default = Evaluation(game, profile)
+        out[rule.name] = (rule._choose_groups(ev, ev.moving_groups()),
+                          DeviatorRule._choose_groups(rule, default, default.moving_groups()),
+                          reference_choose_groups(rule, game.evaluate(profile)))
+    return out
+
+
+@st.composite
+def clone_games(draw):
+    """Unit and weighted players on 2-4 parallel links of cost 1, 2 or 4:
+    clones share strategies and tied groups are common."""
+    costs = draw(st.lists(st.sampled_from((1, 2, 4)), min_size=2, max_size=4))
+    weights = draw(st.lists(st.sampled_from((F(1), F(1), F(2))), min_size=2, max_size=5))
+    game = NetworkFormationGame(parallel_network(costs), [PlayerSpec(0, 1, w) for w in weights])
+    profile = tuple(draw(st.integers(0, len(costs) - 1)) for _ in weights)
+    return game, profile
+
+
+class TestGroupChoice:
+    """The searches ask a stateless rule once per canonical profile, over
+    its moving groups; `LocalRule` scores each group's first position and
+    `LowestIdRule` takes every group.  Both must give the groups, in the
+    same order, that the checked player choice maps onto."""
+
+    def test_matches_the_player_choice_on_every_pool(self):
+        checked, several = {}, 0
+        for game, p0 in differential_pool(seed=24, rounds=40):
+            profile = p0
+            for _ in range(6):
+                for name, (groups, default, reference) in group_choices(game, profile).items():
+                    assert groups == default == reference, (name, game, profile)
+                    checked[name] = checked.get(name, 0) + 1
+                    several += len(groups) > 1
+                ev = game.evaluate(profile)
+                suboptimal = game.suboptimal_players(ev)
+                if not suboptimal:
+                    break
+                mover = suboptimal[-1]
+                profile = game.with_choice(profile, mover, game.canonical_br_pick(ev, mover))
+        assert set(checked) == {f().name for f in STATELESS_RULES}
+        assert min(checked.values()) >= 100 and several >= 100, (checked, several)
+
+    @given(clone_games())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_player_choice_on_clone_games(self, drawn):
+        game, profile = drawn
+        for name, (groups, default, reference) in group_choices(game, profile).items():
+            assert groups == default == reference, name
+
+    def test_an_equilibrium_has_no_choice(self):
+        fx = fig2_maxcost()
+        terminal = run_brd(fx.game, fx.initial, max_cost()).terminal
+        choices = group_choices(fx.game, terminal)
+        assert choices and all(c == ([], [], []) for c in choices.values())
