@@ -20,12 +20,13 @@ Every cost and best-response reader answers from one `Evaluation` of the
 profile: its integer load map, built once, and per (player class, strategy)
 a lazily computed `Cell` holding the cost of every strategy against
 everyone else's loads.  A walk evaluates its first profile and derives each
-later one from its parent with `Evaluation.child`, which patches the loads
-and the parent's cells on the mover's old and new resources only; searches
-evaluate every profile they visit afresh, and the oracle's searches build
-a state past the start without validating it again, since it is the child
-of a move.  Who is suboptimal, and where each suboptimal (class, strategy)
-may move, is each model's one verdict per profile, `_moving_groups`, which
+later one from its parent with `Evaluation.child`, which patches a copy of
+the loads on the mover's old and new resources and carries nothing else, so
+every cell is computed one way, by `Game._cell`.  Searches evaluate every
+profile they visit afresh, and the oracle's searches build a state past the
+start without validating it again, since it is the child of a move.
+Who is suboptimal, and where each suboptimal (class, strategy) may move, is
+each model's one verdict per profile, `_moving_groups`, which
 `suboptimal_players` and the oracle's moves read: by default one cell per
 occupied (class, strategy), while scheduling games, where a job's cost is a
 function of her machine's load, decide it from the loads alone and build
@@ -116,45 +117,34 @@ class Evaluation:
     """One profile's load map, integers in the game's load unit, and each
     position's `Cell` on first request.  A cell depends only on the
     position's class and strategy, so clones on one strategy share it, and
-    so do relabelings of the profile (see `relabeled`).
-
-    A `child` evaluation also carries its parent's cells, and derives each
-    of its own from the parent's on first request."""
+    so do relabelings of the profile (see `relabeled`).  Nothing is
+    carried from the evaluation a `child` came from but its loads."""
 
     def __init__(self, game: "Game", profile: Profile) -> None:
         self.game = game
         self.profile = profile
         self.loads = game._full_loads(profile)
         self._cells: dict[tuple[int, int], Cell] = {}
-        # a child's parent cells, the resources its move changed, and per
-        # strategy space the strategies through them
-        self._carried: dict[tuple[int, int], Cell] = {}
-        self._changed: frozenset[ResourceId] = frozenset()
-        self._touched: dict[int, tuple[int, ...]] = {}
         self._groups: list[tuple[int, tuple[int, ...]]] | None = None
 
     def _derived(self, profile: Profile, loads: dict[ResourceId, int],
-                 cells: dict, carried: dict, changed: frozenset[ResourceId],
-                 touched: dict) -> "Evaluation":
+                 cells: dict) -> "Evaluation":
         """An evaluation of the same game built field by field, without
         `__init__`'s load pass: searches and walks make one per state."""
         ev = object.__new__(Evaluation)
-        ev.game, ev.profile, ev.loads = self.game, profile, loads
-        ev._cells, ev._carried, ev._changed, ev._touched = cells, carried, changed, touched
+        ev.game, ev.profile, ev.loads, ev._cells = self.game, profile, loads, cells
         ev._groups = None
         return ev
 
     def relabeled(self, profile: Profile) -> "Evaluation":
         """An evaluation of `profile`, a permutation of this profile among
         interchangeable players: it has the same loads and cells."""
-        return self._derived(profile, self.loads, self._cells, self._carried,
-                             self._changed, self._touched)
+        return self._derived(profile, self.loads, self._cells)
 
     def child(self, pos: int, idx: int) -> "Evaluation":
-        """The evaluation after the position moves to strategy `idx`: the
-        loads patched on her old and new resources, and this evaluation's
-        cells carried, each patched on first read.  A carried cell whose
-        (class, strategy) the move empties is never read."""
+        """The evaluation after the position moves to strategy `idx`: a copy
+        of the loads patched on her old and new resources, with no cells
+        yet."""
         game, profile = self.game, self.profile
         space, w = game._spaces[pos], game._load_weights[pos]
         old, new = space[profile[pos]], space[idx]
@@ -167,8 +157,7 @@ class Evaluation:
                 del loads[e]
         for e in new:
             loads[e] = loads.get(e, 0) + w
-        return self._derived(game.with_choice(profile, pos + 1, idx), loads, {}, self._cells,
-                             frozenset(old).symmetric_difference(new), {})
+        return self._derived(game.with_choice(profile, pos + 1, idx), loads, {})
 
     def cell(self, pos: int) -> Cell:
         key = (self.game._class_ids[pos], self.profile[pos])
@@ -176,26 +165,8 @@ class Evaluation:
 
     def _fill(self, key: tuple[int, int]) -> Cell:
         """Compute and keep the cell of a (class, strategy) key that some
-        position holds: from the parent's cell when one is carried, else
-        afresh."""
-        game, parent = self.game, self._carried.get(key)
-        if parent is None:
-            cell = game._cell(key, self.loads)
-        else:
-            # only the strategies through a changed resource cost otherwise
-            space = id(game._spaces[key[0]])
-            touched = self._touched.get(space)
-            if touched is None:
-                users = game._users[space]
-                touched = self._touched[space] = tuple(
-                    {i for e in self._changed for i in users.get(e, ())})
-            cell = parent
-            if touched:
-                costs = list(parent.costs)
-                for i, cost in zip(touched, game._costs_against(*key, self.loads, touched)):
-                    costs[i] = cost
-                cell = _ranked(costs)
-        self._cells[key] = cell
+        position holds."""
+        cell = self._cells[key] = self.game._cell(key, self.loads)
         return cell
 
     def cost(self, pos: int) -> Cost:
@@ -231,8 +202,8 @@ class Game(ABC):
     """Abstract congestion game over a fixed player list 1..n.
 
     Subclasses fix the resource model by implementing `_costs_against`:
-    the cost to a position of moving to each of some of its strategies,
-    read from the full load map and the strategy it holds, in multiples of
+    the cost to a position of moving to each of its strategies, read from
+    the full load map and the strategy it holds, in multiples of
     1/`_cost_unit`.
     """
 
@@ -359,30 +330,16 @@ class Game(ABC):
 
     @abstractmethod
     def _costs_against(
-        self, pos: int, own: int, loads: Mapping[ResourceId, int], indices: Iterable[int]
+        self, pos: int, own: int, loads: Mapping[ResourceId, int]
     ) -> list[int]:
         """The cost to the position, holding strategy `own` in the full
-        `loads`, of each strategy in `indices` once she has moved to it, in
+        `loads`, of each of her strategies once she has moved to it, in
         multiples of 1/_cost_unit."""
 
     def _cell(self, key: tuple[int, int], loads: Mapping[ResourceId, int]) -> Cell:
         """The cell of a (class, strategy) key in `loads`; the class is
         named by its first position."""
-        pos, own = key
-        return _ranked(self._costs_against(pos, own, loads, range(len(self._spaces[pos]))))
-
-    @cached_property
-    def _users(self) -> dict[int, dict[ResourceId, list[int]]]:
-        """Per strategy space, keyed by its id, the indices of the
-        strategies using each resource."""
-        users: dict[int, dict[ResourceId, list[int]]] = {}
-        for space in self._spaces:
-            if id(space) not in users:
-                index = users[id(space)] = {}
-                for i, strategy in enumerate(space):
-                    for e in strategy:
-                        index.setdefault(e, []).append(i)
-        return users
+        return _ranked(self._costs_against(*key, loads))
 
     def evaluate(self, at: "Profile | Evaluation") -> Evaluation:
         """The evaluation every cost and best-response reader goes through;

@@ -439,15 +439,21 @@ class NetworkFormationGame(Game):
         return {c: tuple(sum(cost[e] for e in path) for path in self._spaces[c])
                 for c in set(self._class_ids)}
 
-    def _costs_against(self, pos, own, loads, indices):
+    @cached_property
+    def _space_edges(self) -> dict[int, frozenset[ResourceId]]:
+        """Per strategy space, keyed by its id, the edges its paths use."""
+        spaces = {id(space): space for space in self._spaces}
+        return {key: frozenset(e for path in space for e in path) for key, space in spaces.items()}
+
+    def _costs_against(self, pos, own, loads):
         # each edge's share once, then each path's sum of shares; an edge of
         # her own path holds her already
         w, cost, space = self._load_weights[pos], self._scaled_cost, self._spaces[pos]
-        share = {e: cost[e] * w // (loads.get(e, 0) + w) for e in self._users[id(space)]}
+        share = {e: cost[e] * w // (loads.get(e, 0) + w) for e in self._space_edges[id(space)]}
         for e in space[own]:
             share[e] = cost[e] * w // loads[e]
         get = share.__getitem__
-        return [sum(map(get, space[i])) for i in indices]
+        return [sum(map(get, path)) for path in space]
 
     def _unit_resource_cost(self, resource: ResourceId, multiplicity: int) -> Fraction:
         return self._edge_cost[resource] / multiplicity

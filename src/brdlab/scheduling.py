@@ -135,10 +135,10 @@ class SchedulingGame(Game):
             loads[idx + 1] = get(idx + 1, 0) + w
         return loads
 
-    def _costs_against(self, pos, own, loads, indices):
+    def _costs_against(self, pos, own, loads):
         # strategy i is machine i + 1, and her own machine's load holds her
         w, get = self._load_weights[pos], loads.get
-        joined = [get(i + 1, 0) + w if i != own else loads[i + 1] for i in indices]
+        joined = [get(i + 1, 0) + w if i != own else loads[i + 1] for i in range(self.machine_count)]
         return joined if self._scaled_b is None else list(map(self._unit_cost, joined))
 
     def _load_verdict(
@@ -169,10 +169,7 @@ class SchedulingGame(Game):
         return [pos for pos in positions if gap[profile[pos]] > 0], rank
 
     def _suboptimal(self, ev: Evaluation) -> tuple[PlayerId, ...]:
-        if ev._groups is not None:
-            # the searches' evaluations hold the groups: read their holders
-            return super()._suboptimal(ev)
-        # a walk's have none, and testing every job costs less than finding them
+        # testing every job costs less than finding the moving groups
         movers, _ = self._load_verdict(ev, range(len(ev.profile)))
         return tuple(pos + 1 for pos in movers)
 

@@ -329,10 +329,10 @@ def replay(instance: SppInstance, table: DpTable, game: NetworkFormationGame) ->
     p0 = game.profile_from_strategies([p.initial for p in instance.players])
 
     def flock(ev: Evaluation, step: int) -> tuple[PlayerId, int] | None:
-        suboptimal = game.suboptimal_players(ev)
-        if not suboptimal:
+        # the lowest-id suboptimal player, building no cell past hers
+        player = next((pos + 1 for pos in range(game.n) if ev.is_suboptimal(pos)), None)
+        if player is None:
             return None
-        player = suboptimal[0]
         strategy = _flock_strategy(instance, ev, player, table.resolved)
         return player, game.strategy_index(player, strategy)
 

@@ -295,12 +295,12 @@ class MatchingPennies(Game):
     def __init__(self) -> None:
         super().__init__([[(0,), (1,)]] * 2, [F(1), F(2)], SocialCostKind.SUM)
 
-    def _costs_against(self, pos, own, loads, indices):
+    def _costs_against(self, pos, own, loads):
         # a resource holds the other player when it carries more than her own load
         space, w = self._spaces[pos], self._load_weights[pos]
         mine = space[own][0]
         return [int((loads.get(e, 0) - (w if e == mine else 0) > 0) == (pos == 1))
-                for (e,) in map(space.__getitem__, indices)]
+                for (e,) in space]
 
 
 class EscapablePennies(Game):
@@ -325,12 +325,12 @@ class EscapablePennies(Game):
         super().__init__([[(0, 2), (1, 3)], [(2,), (3,), (0,), (1,)]], [F(1), F(2)],
                          SocialCostKind.SUM)
 
-    def _costs_against(self, pos, own, loads, indices):
+    def _costs_against(self, pos, own, loads):
         space, w, costs = self._spaces[pos], self._load_weights[pos], self.COSTS[pos]
         mine = space[own]
         # a resource holds the other player when it carries more than her own load
-        return [sum(costs[e][loads.get(e, 0) - (w if e in mine else 0) > 0] for e in space[i])
-                for i in indices]
+        return [sum(costs[e][loads.get(e, 0) - (w if e in mine else 0) > 0] for e in strategy)
+                for strategy in space]
 
 
 def _chain(*blocks) -> tuple[tuple[SppEdge, ...], ...]:

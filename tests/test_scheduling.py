@@ -313,17 +313,23 @@ class TestLinearVerdict:
         assert min(tied.values()) > 50, tied
 
     def test_every_step_of_a_linear_run_decides_as_the_cells_do(self, monkeypatch):
-        decide = SchedulingGame._suboptimal
+        decide, child = SchedulingGame._suboptimal, Evaluation.child
         derived = []
 
         def checked(game, ev):
             sub = decide(game, ev)
             assert sub == _cell_verdict(game, ev.profile)
             assert ev.loads == Evaluation(game, ev.profile).loads
-            derived.append(bool(ev._carried))
+            derived.append(getattr(ev, "is_child", False))
             return sub
 
+        def marked_child(ev, pos, idx):
+            kid = child(ev, pos, idx)
+            kid.is_child = True
+            return kid
+
         monkeypatch.setattr(SchedulingGame, "_suboptimal", checked)
+        monkeypatch.setattr(Evaluation, "child", marked_child)
         rng = random.Random(192)
         ran = set()
         for _ in range(30):
@@ -407,9 +413,9 @@ class TestMovingGroups:
             counts["moving"] += bool(groups)
         assert min(counts.values()) > 20, counts
 
-    def test_suboptimal_jobs_read_off_memoized_groups(self, monkeypatch):
+    def test_suboptimal_jobs_ignore_memoized_groups(self):
         # with the groups memoized, as the searches leave them, the jobs are
-        # their holders, and no job is tested again
+        # the same
         pools = [tie_heavy_linear_pool(seed=196), tie_heavy_coco_pool(seed=197)]
         items = [item for pool in pools for item in pool]
         fresh = [game.suboptimal_players(Evaluation(game, p)) for game, p in items]
@@ -417,9 +423,7 @@ class TestMovingGroups:
         for game, p in items:
             ev = Evaluation(game, p)
             ev.moving_groups()
-            monkeypatch.setattr(SchedulingGame, "_load_verdict", None)
             memoized.append(game.suboptimal_players(ev))
-            monkeypatch.undo()
         assert memoized == fresh
         assert sum(map(bool, fresh)) > 20
 

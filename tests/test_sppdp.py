@@ -2,21 +2,26 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import random
 import sys
 from fractions import Fraction as F
 
 import pytest
 
+from brdlab.core import GameError
+from brdlab.engine import DEFAULT_MAX_STEPS, script_mover, walk
 from brdlab.fixtures import fig3_minpath_chain, fig4_minpath_exp, fig8_weighted_minpath
 from brdlab.oracle import reachable_ne
 from brdlab.rules import min_path
-from brdlab.serde import verify_trace
+from brdlab.serde import dumps, trace_to_doc, verify_trace
 from brdlab.sppdp import (
     SppEdge,
     SppError,
     SppInstance,
     SppPlayer,
+    _flock_strategy,
     dp_proper_intervals,
     dp_single_source,
     from_network_game,
@@ -218,6 +223,68 @@ class TestFlockTieBreaks:
         table = dp_proper_intervals(inst)
         assert table.optimum == 4
         check_instance(inst, table)
+
+
+def reference_replay(instance, table, game):
+    """`replay` with its cleanup mover taken from `suboptimal_players`:
+    every suboptimal player found, the lowest id moved."""
+    p0 = game.profile_from_strategies([p.initial for p in instance.players])
+
+    def flock(ev, step):
+        suboptimal = game.suboptimal_players(ev)
+        if not suboptimal:
+            return None
+        player = suboptimal[0]
+        strategy = _flock_strategy(instance, ev, player, table.resolved)
+        return player, game.strategy_index(player, strategy)
+
+    return walk(game, p0, script_mover(table.skeleton, flock), DEFAULT_MAX_STEPS)
+
+
+def replay_outcome(run, instance, table, game):
+    """The trace document's text, or the error's type and message."""
+    try:
+        return dumps(trace_to_doc(game, run(instance, table, game)))
+    except GameError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def flock_cases():
+    """(instance, table) pairs: seeded random chains under each program that
+    takes them, each table also with its skeleton reversed, which often
+    forces a move that is no best response; then the tie-break chains."""
+    rng = random.Random(252)
+    for k in range(240):
+        if k % 2:
+            inst = random_proper_instance(rng, max_n=8, max_m=6, tie_heavy=True)
+            programs = (dp_proper_intervals,)
+        else:
+            inst = random_single_source_instance(rng, max_n=8, max_m=6, tie_heavy=k % 4 == 0)
+            programs = (dp_single_source, dp_proper_intervals)
+        for program in programs:
+            table = program(inst)
+            yield inst, table
+            yield inst, dataclasses.replace(table, skeleton=table.skeleton[::-1])
+    yield flock_current_edge_chain(), dp_single_source(flock_current_edge_chain())
+    yield flock_cheapest_edge_chain(), dp_proper_intervals(flock_cheapest_edge_chain())
+
+
+class TestFlockFirstMover:
+    """The cleanup moves the first suboptimal player in id order, found
+    without building a cell past hers: byte for byte the traces, and the
+    errors, of moving the head of `suboptimal_players`."""
+
+    def test_matches_the_reference_cleanup(self):
+        cleanup = errors = 0
+        for inst, table in flock_cases():
+            game, _ = inst.to_game()
+            got = replay_outcome(replay, inst, table, game)
+            assert got == replay_outcome(reference_replay, inst, table, game), inst
+            if isinstance(got, tuple):
+                errors += 1
+            else:
+                cleanup += len(json.loads(got)["moves"]) - len(table.skeleton)
+        assert cleanup >= 100 and errors >= 10, (cleanup, errors)
 
 
 class TestFromNetworkGame:
