@@ -30,7 +30,7 @@ each model's one verdict per profile, `_moving_groups`, which
 `suboptimal_players` and the oracle's moves read: by default one cell per
 occupied (class, strategy), while scheduling games, where a job's cost is a
 function of her machine's load, decide it from the loads alone and build
-no cell.
+no cell, and identical jobs from machine counts.
 """
 
 from __future__ import annotations

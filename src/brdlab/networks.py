@@ -455,6 +455,11 @@ class NetworkFormationGame(Game):
         get = share.__getitem__
         return [sum(map(get, path)) for path in space]
 
+    def _social_units(self, ev: Evaluation) -> int:
+        # the fair shares on an edge sum exactly to its cost in the cost
+        # unit, so the players' costs sum to the used edges' costs
+        return sum(map(self._scaled_cost.__getitem__, ev.loads))
+
     def _unit_resource_cost(self, resource: ResourceId, multiplicity: int) -> Fraction:
         return self._edge_cost[resource] / multiplicity
 

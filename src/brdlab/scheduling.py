@@ -7,8 +7,13 @@ a job on a machine with load L pays c(L) = L + B/L, so congestion both hurts
 (load) and helps (smaller activation share).
 
 Both models decide best responses from the machine loads alone, in one
-verdict (`SchedulingGame._load_verdict`), so `suboptimal_players`, the
-oracle's moves and an equilibrium's makespan build no cell.
+machine-level verdict (`SchedulingGame._load_verdict`), so
+`suboptimal_players`, the oracle's moves and an equilibrium's makespan
+build no cell.  Identical jobs (one job length, so every conflicting game)
+are decided from machine counts: the loads are counted from the profile,
+each leaving machine's group is headed by its first job, and the verdict
+visits the used machines only, reading c(L) from a per-game memo filled
+on demand.
 
 The structural theory for the conflicting model lives here too: the optimal
 per-load cost l*, the stay-active criterion for a machine, the count of
@@ -19,9 +24,12 @@ optimal deviator step.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import compress
+from operator import lt
+from typing import Sequence
 
 from .core import (
     STRATEGY_CAP,
@@ -58,6 +66,21 @@ class SchedStateVector:
     @property
     def sorted_loads(self) -> tuple[Fraction, ...]:
         return tuple(sorted(self.loads))
+
+
+class _JobCosts(dict):
+    """c(L) = L * U + (B * U) // L of a conflicting-model job on a machine of
+    load L, in the cost unit U, computed on first request: at
+    `core.SHARE_CAP` jobs U has 94,449 bits, so a table of every load
+    would hold hundreds of megabytes."""
+
+    def __init__(self, unit: int, scaled_b: int) -> None:
+        super().__init__()
+        self._unit, self._scaled_b = unit, scaled_b
+
+    def __missing__(self, load: int) -> int:
+        cost = self[load] = load * self._unit + self._scaled_b // load
+        return cost
 
 
 class SchedulingGame(Game):
@@ -98,14 +121,19 @@ class SchedulingGame(Game):
                     "the conflicting-congestion model requires unit jobs"
                 )
         # the conflicting unit over the n unit jobs' total load n, capped
-        # before the strategy lists are built; B in it needs no per-load
-        # table, since the unit has O(n) bits
+        # before the strategy lists are built; c(L) in it is kept per load
+        # on first request (`_JobCosts`), since the unit has O(n) bits
         b = self.activation_cost
         u = None if b is None else b.denominator * share_unit(len(lengths))
         spaces = [[(m,) for m in range(1, machine_count + 1)]] * len(lengths)
         super().__init__(spaces, lengths, SocialCostKind.MAKESPAN)
         self._cost_unit = self._load_unit if u is None else u
-        self._scaled_b = None if u is None else b.numerator * (u // b.denominator)
+        self._costs = None if u is None else _JobCosts(u, b.numerator * (u // b.denominator))
+        weights = set(self._load_weights)
+        # one job weight makes one player class, decided from machine counts
+        self._job_weight = next(iter(weights)) if len(weights) == 1 else None
+        # the least gap at which some job leaves a machine (see _load_verdict)
+        self._leave_floor = min(weights) if u is None else 0
 
     @property
     def is_conflicting(self) -> bool:
@@ -128,6 +156,11 @@ class SchedulingGame(Game):
         return load + self.activation_cost / load
 
     def _full_loads(self, profile: Profile) -> dict[ResourceId, int]:
+        """Load of every used machine, in the order of its first job.  With
+        one job weight the loads are machine counts, counted at C level."""
+        w = self._job_weight
+        if w is not None:
+            return {idx + 1: count * w for idx, count in Counter(profile).items()}
         # strategy i is machine i + 1 alone
         loads: dict[ResourceId, int] = {}
         get = loads.get
@@ -139,63 +172,99 @@ class SchedulingGame(Game):
         # strategy i is machine i + 1, and her own machine's load holds her
         w, get = self._load_weights[pos], loads.get
         joined = [get(i + 1, 0) + w if i != own else loads[i + 1] for i in range(self.machine_count)]
-        return joined if self._scaled_b is None else list(map(self._unit_cost, joined))
+        return joined if self._costs is None else list(map(self._costs.__getitem__, joined))
 
     def _load_verdict(
-        self, ev: Evaluation, positions: Iterable[int]
-    ) -> tuple[list[int], list[int]]:
-        """The suboptimal jobs among `positions`, in their order, and each
-        machine's join rank, from the loads alone.
+        self, ev: Evaluation
+    ) -> tuple[list[tuple[int, int]], list[int], int, int]:
+        """The used machines that a job of the least weight leaves, in the
+        load map's order, each as (its strategy index, its gap), every
+        machine's join rank and the two least ranks, from the loads alone.
 
         A job on machine a moves exactly when joining her cheapest other
         machine costs less than staying.  Joining ranks the machines alike
         for every job: by load L_i in the linear model, where a job of
         weight w pays L_i + w, and by c(L_i + 1) in the conflicting one,
         whose jobs are all unit jobs.  So the two least ranks decide every
-        job's cheapest other machine, in O(m) per profile."""
-        loads, profile, linear = ev.loads, ev.profile, self._scaled_b is None
-        load = [loads.get(i, 0) for i in range(1, self.machine_count + 1)]
-        rank = load if linear else [self._unit_cost(k + 1) for k in load]
+        job's cheapest other machine, in one pass over the used machines.
+        The gap is staying's cost less the cheapest other rank: a job of
+        weight w leaves when w < gap in the linear model, and every job
+        leaves when 0 < gap in the conflicting one."""
+        loads, cost = ev.loads, self._costs
+        # an unused machine ranks as load 0
+        if cost is None:
+            rank = [0] * self.machine_count
+            for a, load in loads.items():
+                rank[a - 1] = load
+        else:
+            rank = [cost[1]] * self.machine_count
+            for a, load in loads.items():
+                rank[a - 1] = cost[load + 1]
         if len(rank) == 1:
-            return [], rank
+            return [], rank, rank[0], rank[0]
         least, second = sorted(rank)[:2]
-        # per used machine, the cost of staying less the cheapest other rank
-        stay = loads if linear else {a: self._unit_cost(L) for a, L in loads.items()}
-        gap = {a - 1: cost - (second if rank[a - 1] == least else least)
-               for a, cost in stay.items()}
-        if linear:
-            weights = self._load_weights
-            return [pos for pos in positions if weights[pos] < gap[profile[pos]]], rank
-        return [pos for pos in positions if gap[profile[pos]] > 0], rank
+        leaving, floor = [], self._leave_floor
+        for a, load in loads.items():
+            # her cheapest other machine ranks second when hers ranks least
+            stay = load if cost is None else cost[load]
+            gap = stay - (second if rank[a - 1] == least else least)
+            if gap > floor:
+                leaving.append((a - 1, gap))
+        return leaving, rank, least, second
 
     def _suboptimal(self, ev: Evaluation) -> tuple[PlayerId, ...]:
         # testing every job costs less than finding the moving groups
-        movers, _ = self._load_verdict(ev, range(len(ev.profile)))
-        return tuple(pos + 1 for pos in movers)
+        leaving = self._load_verdict(ev)[0]
+        if not leaving:
+            return ()
+        profile = ev.profile
+        players = range(1, len(profile) + 1)
+        if self._job_weight is not None:
+            # one class: every job on a machine the verdict names leaves
+            moving = {idx for idx, _ in leaving}
+            return tuple(compress(players, map(moving.__contains__, profile)))
+        # several classes: a job leaves when her weight is below her machine's gap
+        gaps = [0] * self.machine_count
+        for idx, gap in leaving:
+            gaps[idx] = gap
+        return tuple(compress(players, map(lt, self._load_weights, map(gaps.__getitem__, profile))))
 
     def _moving_groups(self, ev: Evaluation) -> list[tuple[int, tuple[int, ...]]]:
+        """`Game._moving_groups` from the machine-level verdict.  With one
+        class each leaving machine's group is headed by its first job, found
+        by a C-level scan, and sorting the heads gives `_heads` order
+        whatever the load map's order.  With several classes a head leaves
+        when her weight is below her machine's gap.  A leaver joins one of
+        the least-ranked machines, or, from one of them, the other machines
+        of the second rank."""
+        leaving, rank, least, second = self._load_verdict(ev)
+        if not leaving:
+            return []
         profile = ev.profile
-        movers, rank = self._load_verdict(ev, self._heads(profile))
-        groups, lowest, least = [], None, min(rank)
-        for pos in movers:
+        if self._job_weight is not None:
+            index = profile.index
+            heads = sorted([index(idx) for idx, _ in leaving])
+        else:
+            gaps, weights = dict(leaving), self._load_weights
+            heads = [pos for pos in self._heads(profile)
+                     if weights[pos] < gaps.get(profile[pos], 0)]
+        groups, lowest = [], None
+        for pos in heads:
             idx = profile[pos]
-            if rank[idx] != least:
-                # a mover off the least-ranked machines joins one of them
-                lowest = lowest or tuple(i for i, r in enumerate(rank) if r == least)
-                groups.append((pos, lowest))
-            else:
-                best = min(r for i, r in enumerate(rank) if i != idx)
-                groups.append((pos, tuple(i for i, r in enumerate(rank) if r == best and i != idx)))
+            if rank[idx] == least:
+                others = tuple(i for i, r in enumerate(rank) if r == second and i != idx)
+                groups.append((pos, others))
+                continue
+            if lowest is None:
+                lowest = ((rank.index(least),) if rank.count(least) == 1
+                          else tuple(i for i, r in enumerate(rank) if r == least))
+            groups.append((pos, lowest))
         return groups
-
-    def _unit_cost(self, load: int) -> int:
-        """c(L) of a conflicting-model job on a machine of load L > 0."""
-        return load * self._cost_unit + self._scaled_b // load
 
     def _social_units(self, ev: Evaluation) -> int:
         # the makespan: the dearest used machine's cost, which its jobs pay
         loads = ev.loads.values()
-        return max(loads) if self._scaled_b is None else max(map(self._unit_cost, loads))
+        return max(loads) if self._costs is None else max(map(self._costs.__getitem__, loads))
 
     def _least_load(self, ev: Evaluation) -> int:
         """The least machine load, in the load unit."""

@@ -8,6 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from brdlab import networks
+from brdlab.core import Evaluation, Game
 from brdlab.fixtures import fig3_minpath_chain
 from brdlab.networks import (
     Edge,
@@ -380,3 +381,19 @@ class TestIncidence:
                 assert net.in_edges(v) == tuple(
                     sorted((e for e in net.edges if e.head == v), key=lambda e: e.id))
             assert net.out_edges(max(net.nodes) + 1) == net.in_edges(-1) == ()
+
+
+class TestSocialCost:
+    def test_used_edge_costs_equal_the_players_costs(self):
+        # fair shares on an edge sum exactly to its cost in the game's unit,
+        # weighted or not, so the social cost is read off the load map
+        rng = random.Random(26)
+        games = []
+        for _ in range(400):
+            games += [random_weighted_game(rng), random_symmetric_game(rng, rng.random() < 0.5)]
+        for game in games:
+            p = random_profile(rng, game)
+            ev = Evaluation(game, p)
+            assert game._social_units(ev) == Game._social_units(game, Evaluation(game, p))
+            assert not ev._cells
+        assert sum(not game.is_unweighted for game in games) > 300

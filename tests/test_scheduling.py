@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from brdlab.core import Evaluation, Game, UnsupportedModelError
@@ -452,6 +453,44 @@ class TestMovingGroups:
         assert game._moving_groups(ev) == _cell_groups(game, p)
         assert game._social_units(ev) == Game._social_units(game, Evaluation(game, p))
         assert not ev._cells
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 9), st.integers(1, 4), st.booleans(),
+           st.lists(st.integers(0, 5), min_size=1, max_size=20))
+    @example(1, 5, 2, False, [0, 3, 1])
+    @example(4, 7, 3, True, [2, 0, 1, 3])
+    def test_equal_length_linear_groups_equal_the_cell_groups(self, m, num, den, stacked, machines):
+        # one length per game makes one class, decided from machine counts;
+        # `stacked` puts every job on the first job's machine
+        game = SchedulingGame(m, [F(num, den)] * len(machines))
+        p = tuple((machines[0] if stacked else x) % m for x in machines)
+        ev = Evaluation(game, p)
+        assert list(ev.loads.items()) == list(Game._full_loads(game, p).items())
+        assert game._moving_groups(ev) == _cell_groups(game, p)
+        assert game._social_units(ev) == Game._social_units(game, Evaluation(game, p))
+        assert game.suboptimal_players(ev) == Game._suboptimal(game, Evaluation(game, p))
+        assert not ev._cells
+        # a walk's child patches its parent's loads, so their order need not
+        # be the order of the machines' first jobs
+        child = ev.child(0, (p[0] + 1) % m)
+        assert child.moving_groups() == _cell_groups(game, child.profile)
+
+    def test_job_costs_are_kept_on_demand(self):
+        # at 20,000 unit jobs the cost unit has about 28,800 bits, so a
+        # table of c(L) for every load 0..n + 1 would take about 72 MB;
+        # building the game and deciding its first profile stays under 8 MB
+        n = 20_000
+        tracemalloc.start()
+        try:
+            game = SchedulingGame(3, [1] * n, activation_cost=27)
+            p = (0,) * (n // 2) + (1,) * (n // 4) + (2,) * (n // 4)
+            groups = Evaluation(game, p).moving_groups()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, peak
+        # the loaded machine's jobs join either light one
+        assert groups == _cell_groups(game, p) == [(0, (1, 2))]
 
 
 def _through_cells(monkeypatch):
