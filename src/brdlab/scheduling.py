@@ -72,13 +72,17 @@ class _JobCosts(dict):
     """c(L) = L * U + (B * U) // L of a conflicting-model job on a machine of
     load L, in the cost unit U, computed on first request: at
     `core.SHARE_CAP` jobs U has 94,449 bits, so a table of every load
-    would hold hundreds of megabytes."""
+    would hold hundreds of megabytes.  A walk moves the loads through most
+    values up to n, so the memo is emptied once it holds more than `keep`
+    costs, a few times what one profile reads."""
 
-    def __init__(self, unit: int, scaled_b: int) -> None:
+    def __init__(self, unit: int, scaled_b: int, keep: int) -> None:
         super().__init__()
-        self._unit, self._scaled_b = unit, scaled_b
+        self._unit, self._scaled_b, self._keep = unit, scaled_b, keep
 
     def __missing__(self, load: int) -> int:
+        if len(self) > self._keep:
+            self.clear()
         cost = self[load] = load * self._unit + self._scaled_b // load
         return cost
 
@@ -128,7 +132,10 @@ class SchedulingGame(Game):
         spaces = [[(m,) for m in range(1, machine_count + 1)]] * len(lengths)
         super().__init__(spaces, lengths, SocialCostKind.MAKESPAN)
         self._cost_unit = self._load_unit if u is None else u
-        self._costs = None if u is None else _JobCosts(u, b.numerator * (u // b.denominator))
+        # a profile reads c(1), c(L) and c(L + 1) for each distinct used
+        # load L, and d distinct loads need at least d(d + 1) / 2 jobs
+        keep = 4 * min(machine_count, math.isqrt(2 * len(lengths))) + 4
+        self._costs = None if u is None else _JobCosts(u, b.numerator * (u // b.denominator), keep)
         weights = set(self._load_weights)
         # one job weight makes one player class, decided from machine counts
         self._job_weight = next(iter(weights)) if len(weights) == 1 else None
@@ -217,17 +224,16 @@ class SchedulingGame(Game):
         leaving = self._load_verdict(ev)[0]
         if not leaving:
             return ()
-        profile = ev.profile
-        players = range(1, len(profile) + 1)
-        if self._job_weight is not None:
-            # one class: every job on a machine the verdict names leaves
-            moving = {idx for idx, _ in leaving}
-            return tuple(compress(players, map(moving.__contains__, profile)))
-        # several classes: a job leaves when her weight is below her machine's gap
+        # every job on a machine the verdict names leaves in the conflicting
+        # model, and in the linear one a job whose weight is below its gap
         gaps = [0] * self.machine_count
         for idx, gap in leaving:
             gaps[idx] = gap
-        return tuple(compress(players, map(lt, self._load_weights, map(gaps.__getitem__, profile))))
+        profile = ev.profile
+        leaves = map(gaps.__getitem__, profile)
+        if self._costs is None:
+            leaves = map(lt, self._load_weights, leaves)
+        return tuple(compress(range(1, len(profile) + 1), leaves))
 
     def _moving_groups(self, ev: Evaluation) -> list[tuple[int, tuple[int, ...]]]:
         """`Game._moving_groups` from the machine-level verdict.  With one
@@ -256,8 +262,7 @@ class SchedulingGame(Game):
                 groups.append((pos, others))
                 continue
             if lowest is None:
-                lowest = ((rank.index(least),) if rank.count(least) == 1
-                          else tuple(i for i, r in enumerate(rank) if r == least))
+                lowest = tuple(i for i, r in enumerate(rank) if r == least)
             groups.append((pos, lowest))
         return groups
 

@@ -492,6 +492,34 @@ class TestMovingGroups:
         # the loaded machine's jobs join either light one
         assert groups == _cell_groups(game, p) == [(0, (1, 2))]
 
+    def test_a_walk_keeps_few_job_costs(self):
+        # a walk from every job on one machine reads c(L) at about two new
+        # loads a step, about 14 MB over 2,000 steps at 20,000 unit jobs if
+        # every cost were kept
+        n = 20_000
+        game = SchedulingGame(3, [1] * n, activation_cost=27)
+        ev = Evaluation(game, (0,) * n)
+        tracemalloc.start()
+        try:
+            for _ in range(2_000):
+                pos, br = ev.moving_groups()[0]
+                ev = ev.child(pos, br[0])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, peak
+        assert sum(ev.loads.values()) == n and ev.loads[1] < n - 1_900
+        assert ev.moving_groups() == _cell_groups(game, ev.profile)
+
+    def test_coco_jobs_leave_at_a_gap_of_one_cost_unit(self):
+        # B = 1: staying on a load of 2 costs 5/2 against c(1) = 2, a gap of
+        # one cost unit, the same number as a unit job's load weight
+        game = SchedulingGame(2, [1, 1], activation_cost=1)
+        ev = Evaluation(game, (0, 0))
+        assert game._load_verdict(ev)[0] == [(0, 1)]
+        assert game.suboptimal_players(ev) == Game._suboptimal(game, Evaluation(game, (0, 0)))
+        assert game.suboptimal_players(ev) == (1, 2)
+
 
 def _through_cells(monkeypatch):
     """Send scheduling games down the default cell-based verdict."""
