@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -131,19 +132,20 @@ def _cmd_dp(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_FIXTURES: dict[str, Callable[..., fx.FixtureSpec]] = {
-    "fig2": fx.fig2_maxcost,
-    "fig3": fx.fig3_minpath_chain,
-    "fig4": fx.fig4_minpath_exp,
-    "fig5a": lambda **kw: fx.fig5_ep_pair(**kw)[0],
-    "fig5b": lambda **kw: fx.fig5_ep_pair(**kw)[1],
-    "fig6": fx.fig6_weighted_partition,
-    "fig7a": lambda **kw: fx.fig7_weighted_local_pair(**kw)[0],
-    "fig7b": lambda **kw: fx.fig7_weighted_local_pair(**kw)[1],
-    "fig8": fx.fig8_weighted_minpath,
-    "fig9a": lambda **kw: fx.fig9_sched_pair(**kw)[0],
-    "fig9b": lambda **kw: fx.fig9_sched_pair(**kw)[1],
-    "appB": fx.appB_coco,
+# each fixture's builder, and for the paired ones which of the pair it is
+_FIXTURES: dict[str, tuple[Callable[..., Any], int | None]] = {
+    "fig2": (fx.fig2_maxcost, None),
+    "fig3": (fx.fig3_minpath_chain, None),
+    "fig4": (fx.fig4_minpath_exp, None),
+    "fig5a": (fx.fig5_ep_pair, 0),
+    "fig5b": (fx.fig5_ep_pair, 1),
+    "fig6": (fx.fig6_weighted_partition, None),
+    "fig7a": (fx.fig7_weighted_local_pair, 0),
+    "fig7b": (fx.fig7_weighted_local_pair, 1),
+    "fig8": (fx.fig8_weighted_minpath, None),
+    "fig9a": (fx.fig9_sched_pair, 0),
+    "fig9b": (fx.fig9_sched_pair, 1),
+    "appB": (fx.appB_coco, None),
 }
 
 
@@ -164,10 +166,16 @@ def _cmd_fixture(args: argparse.Namespace) -> int:
     if args.name not in _FIXTURES:
         raise CliError(f"unknown fixture {args.name!r}; known: {', '.join(sorted(_FIXTURES))}")
     params = dict(_parse_param(p) for p in args.params)
-    try:
-        fixture = _FIXTURES[args.name](**params)
-    except TypeError as exc:  # a parameter the fixture does not take
-        raise CliError(f"fixture {args.name}: {exc}") from exc
+    builder, index = _FIXTURES[args.name]
+    # the fixture checks the values of the parameters it takes
+    known = inspect.signature(builder).parameters
+    for key in params:
+        if key not in known:
+            raise CliError(f"fixture {args.name} takes no parameter {key!r}; "
+                           f"it takes {', '.join(known)}")
+    fixture = builder(**params)
+    if index is not None:
+        fixture = fixture[index]
     _emit(instance_to_doc(fixture.game, fixture.initial), args.out)
     return EXIT_OK
 
@@ -178,6 +186,18 @@ def _cmd_check(args: argparse.Namespace) -> int:
     verify_trace(game, trace)
     sys.stdout.write(f"ok: {len(trace.moves)} moves replay-verified\n")
     return EXIT_OK
+
+
+def _budget(text: str) -> int:
+    """A state or step budget: a non-negative integer.  Zero is a budget
+    too, one that runs out at the first state or move past the start."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -191,13 +211,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--rule", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
+    p.add_argument("--max-steps", type=_budget, default=DEFAULT_MAX_STEPS)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("oracle", help="enumerate reachable equilibria")
     p.add_argument("instance")
-    p.add_argument("--state-limit", type=int, default=DEFAULT_STATE_LIMIT)
+    p.add_argument("--state-limit", type=_budget, default=DEFAULT_STATE_LIMIT)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_oracle)
 
@@ -205,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--rule", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--state-limit", type=int, default=DEFAULT_STATE_LIMIT)
+    p.add_argument("--state-limit", type=_budget, default=DEFAULT_STATE_LIMIT)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_ineff)
 

@@ -55,6 +55,31 @@ def _require(condition: bool, message: str) -> None:
         raise FixtureError(message)
 
 
+def _shown(value: object) -> str:
+    """A parameter value as the command line writes it: a list as its
+    comma-separated items, a list of one with a trailing comma."""
+    if isinstance(value, (tuple, list)):
+        return ",".join(map(str, value)) + ("," if len(value) == 1 else "")
+    return str(value)
+
+
+def _integer(value: object, name: str) -> int:
+    """An integer parameter, checked before any arithmetic reads it; a
+    `Fraction` such as 4/1 is one."""
+    if isinstance(value, Fraction) and value.denominator == 1:
+        return value.numerator
+    _require(isinstance(value, int), f"{name} must be an integer, got {_shown(value)}")
+    return value  # type: ignore[return-value]
+
+
+def _rational(value: object, name: str) -> Fraction:
+    """A rational parameter: a `Fraction`, an integer or a string such as
+    "1/100"."""
+    _require(isinstance(value, (int, Fraction, str)),
+             f"{name} must be a rational number, got {_shown(value)}")
+    return F(value)  # type: ignore[arg-type]
+
+
 def _require_capped(count: int, what: str) -> None:
     """A fixture's player, edge or machine count stays within the strategy
     cap; checked before any list of that size is built."""
@@ -79,7 +104,7 @@ def fig2_maxcost(n: int = 5, eps: Fraction | str = F(1, 100)) -> FixtureSpec:
     edge (social cost 1/n).  The middle-edge cost is reconstructed: the text
     pins only the resulting equilibrium costs.
     """
-    eps = F(eps)
+    n, eps = _integer(n, "n"), _rational(eps, "eps")
     _require(n >= 2, "need at least two players")
     _require(0 < eps < F(1, n), "need 0 < eps < 1/n for the crowd to be mobile")
     _require_capped(n, "players")
@@ -131,7 +156,7 @@ def fig3_minpath_chain(m: int = 4, eps: Fraction | str = F(1, 100)) -> FixtureSp
     sharing it, for (m-1)(1+eps) + 1 total.  Both costs are recorded; the
     m/2 inefficiency gap only widens against the true optimum.
     """
-    eps = F(eps)
+    m, eps = _integer(m, "m"), _rational(eps, "eps")
     _require(m >= 2, "need at least two segments")
     _require(0 < eps < 1, "need 0 < eps < 1")
     _require_capped(2 * m - 1, "edges")
@@ -186,6 +211,7 @@ def fig4_minpath_exp(m: int = 3) -> FixtureSpec:
     sum_j 2^(m+j-1) = 2^(2m) - 2^m; one pack member moving first settles
     everyone on the lower chain at 2^(m+1) - 2, so the gap is 2^(m-1).
     """
+    m = _integer(m, "m")
     _require(m >= 2, "need at least two segments")
     # 2^(m-1) <= STRATEGY_CAP, so the m + 2^(m-1) players fit under the cap
     _require(m <= STRATEGY_CAP.bit_length(),
@@ -245,7 +271,7 @@ def fig5_ep_pair(
     forces the extra hop; the quoted terminal costs 34 and 30 are realized
     as 34+delta and 30+delta exactly.
     """
-    delta = F(delta)
+    n, delta = _integer(n, "n"), _rational(delta, "delta")
     _require(n >= 5, "need at least one bystander")
     _require(0 < delta < F(1, 10), "connector cost must sit below 1/10")
     _require_capped(n, "players")
@@ -344,11 +370,11 @@ def fig6_weighted_partition(
     when players of total weight 1 have migrated off her alternatives;
     finding the social-cost-2 equilibrium therefore encodes Partition.
     """
-    eps, big = F(eps), F(big_cost)
+    eps, big = _rational(eps, "eps"), _rational(big_cost, "big_cost")
     _require(isinstance(a, Sequence), f"a takes a list of weights; write one weight as a={a},")
     _require(len(a) <= PARTITION_CAP,
              f"{len(a)} partition weights, more than {PARTITION_CAP}: every subset is tried")
-    weights = [F(x) for x in a]
+    weights = [_rational(x, "a") for x in a]
     _require(all(0 < w <= 1 for w in weights), "partition weights must lie in (0, 1]")
     _require(sum(weights) <= 2, "partition weights must total at most 2")
     _require(0 < eps < F(1, 100), "eps must be small")
@@ -419,7 +445,7 @@ def fig7_weighted_local_pair(
     cost 2/r + eps holding a weight-4/r player, a unit player must move
     first so the stranded player's best response becomes the cheap edge.
     """
-    eps, big = F(eps), F(big_cost)
+    r, eps, big = _integer(r, "r"), _rational(eps, "eps"), _rational(big_cost, "big_cost")
     # once a unit player has left edge 2 for edge 3, the stranded player's
     # share of the cheap edge, 2(2/r + eps)/(4/r + 2), must undercut her
     # share 2r/(r^2 + r + 3) of edge 3: r > 3 and eps < 2(r-3)/(r(r^2 + r + 3))
@@ -514,7 +540,7 @@ def fig8_weighted_minpath(k: int = 10, eps: Fraction | str = F(1, 100)) -> Fixtu
     first instead funnels everyone through a single cost-2r edge per
     segment for 4r total.
     """
-    eps = F(eps)
+    k, eps = _integer(k, "k"), _rational(eps, "eps")
     _require(k > 2, "need k > 2")
     _require_capped(2 * k + 3, "edges")
     r = k + 2
@@ -576,7 +602,7 @@ def fig9_sched_pair(
     between the vectors v' (a long job on the overloaded machine) and v''
     (a short job on the second machine).
     """
-    eps = F(eps)
+    m, eps = _integer(m, "m"), _rational(eps, "eps")
     _require(m >= 3, "need at least three machines")
     _require(0 < eps < F(1, 2), "eps must be small")
     short_count = (m + eps / 2) / (eps * F(3, 2))
@@ -671,7 +697,8 @@ def appB_coco(B: int = 27) -> FixtureSpec:
     and the last holding B.  Every machine can stay active (best makespan
     c(B^(2/3))), but draining the light machines in ascending order leaves
     two active machines and makespan c(n/2)."""
-    c = _cube_root(B) if isinstance(B, int) and B >= 8 else 0
+    B = _integer(B, "B")
+    c = _cube_root(B) if B >= 8 else 0
     _require(c**3 == B and c >= 2, "B must be a perfect cube of an integer >= 2")
     machines = c + 1
     n = c * c + B

@@ -17,6 +17,7 @@ two routes can validate each other.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -351,6 +352,18 @@ def enumerate_paths(
     return tuple(sorted(paths))
 
 
+def product_blocks(space: Sequence[Strategy]) -> tuple[tuple[ResourceId, ...], ...] | None:
+    """The per-position edge blocks of a path space, each sorted by edge
+    id, where the space equals their product in lexicographic order (every
+    parallel-edge and SPP space does), else None."""
+    columns = tuple(tuple(sorted(set(column))) for column in zip(*space))
+    # the count first, so that no product larger than the space is built
+    if (any(len(path) != len(columns) for path in space)
+            or math.prod(map(len, columns)) != len(space)):
+        return None
+    return columns if tuple(itertools.product(*columns)) == tuple(space) else None
+
+
 # -- the game -----------------------------------------------------------------
 
 
@@ -398,6 +411,11 @@ class NetworkFormationGame(Game):
     the total load in the load unit (n for unit weights): a player of load
     w joining load L on edge e pays (c_e * U) * w // (L + w), exact as
     L + w <= W divides U (`unit_edge_costs`, capped by `core.SHARE_CAP`).
+    A cell computes each edge's share once; a strategy space that is the
+    product of its per-position edge blocks (`product_blocks`: every
+    parallel-edge and SPP space) then costs its paths as the outer sums of
+    the blocks' shares, and any other space, such as an EP one, sums each
+    path's shares.
     """
 
     def __init__(
@@ -440,20 +458,36 @@ class NetworkFormationGame(Game):
                 for c in set(self._class_ids)}
 
     @cached_property
+    def _space_blocks(self) -> dict[int, tuple[tuple[ResourceId, ...], ...] | None]:
+        """Per strategy space, keyed by its id, its per-position edge blocks
+        where the space is their product, else None."""
+        spaces = {id(space): space for space in self._spaces}
+        return {key: product_blocks(space) for key, space in spaces.items()}
+
+    @cached_property
     def _space_edges(self) -> dict[int, frozenset[ResourceId]]:
         """Per strategy space, keyed by its id, the edges its paths use."""
         spaces = {id(space): space for space in self._spaces}
         return {key: frozenset(e for path in space for e in path) for key, space in spaces.items()}
 
     def _costs_against(self, pos, own, loads):
-        # each edge's share once, then each path's sum of shares; an edge of
-        # her own path holds her already
+        # each edge's share once; an edge of her own path holds her already
         w, cost, space = self._load_weights[pos], self._scaled_cost, self._spaces[pos]
-        share = {e: cost[e] * w // (loads.get(e, 0) + w) for e in self._space_edges[id(space)]}
-        for e in space[own]:
-            share[e] = cost[e] * w // loads[e]
-        get = share.__getitem__
-        return [sum(map(get, path)) for path in space]
+        blocks = self._space_blocks[id(space)]
+        if blocks is None:
+            # then each path's sum of shares
+            share = {e: cost[e] * w // (loads.get(e, 0) + w) for e in self._space_edges[id(space)]}
+            for e in space[own]:
+                share[e] = cost[e] * w // loads[e]
+            get = share.__getitem__
+            return [sum(map(get, path)) for path in space]
+        # then the outer sums of the blocks' shares, in the product's order
+        costs: list[int] = []
+        for block, mine in zip(blocks, space[own]):
+            shares = [cost[e] * w // (loads.get(e, 0) + w) for e in block]
+            shares[block.index(mine)] = cost[mine] * w // loads[mine]
+            costs = [c + s for c in costs for s in shares] if costs else shares
+        return costs
 
     def _social_units(self, ev: Evaluation) -> int:
         # the fair shares on an edge sum exactly to its cost in the cost

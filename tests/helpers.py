@@ -286,6 +286,16 @@ def reference_resolved_segments(inst: SppInstance, prefix=()) -> dict[int, int]:
     return dict(sorted(resolved.items()))
 
 
+def reference_costs_against(game, pos, own, loads) -> list[int]:
+    """`NetworkFormationGame._costs_against` as each path's sum of its
+    edges' shares, in the game's cost unit: an edge of the position's own
+    path holds her already."""
+    w, cost, space = game._load_weights[pos], game._scaled_cost, game._spaces[pos]
+    mine = set(space[own])
+    return [sum(cost[e] * w // (loads.get(e, 0) + (0 if e in mine else w)) for e in path)
+            for path in space]
+
+
 class MatchingPennies(Game):
     """Two players on two resources, weights 1 and 2: player 1 pays 0 on
     the other player's resource and 1 elsewhere, player 2 the opposite.  A

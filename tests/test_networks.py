@@ -6,10 +6,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from brdlab import networks
 from brdlab.core import Evaluation, Game
-from brdlab.fixtures import fig3_minpath_chain
+from brdlab.fixtures import fig3_minpath_chain, fig5_ep_pair, fig8_weighted_minpath
 from brdlab.networks import (
     Edge,
     Network,
@@ -25,10 +27,17 @@ from brdlab.networks import (
     extend_with_edge,
     is_ep,
     is_spp,
+    product_blocks,
     single_edge,
     spp_segments,
 )
-from helpers import parallel_network, random_profile, random_symmetric_game, random_weighted_game
+from helpers import (
+    parallel_network,
+    random_profile,
+    random_symmetric_game,
+    random_weighted_game,
+    reference_costs_against,
+)
 
 
 def parallel_block(first_id: int, costs) -> Network:
@@ -397,3 +406,83 @@ class TestSocialCost:
             assert game._social_units(ev) == Game._social_units(game, Evaluation(game, p))
             assert not ev._cells
         assert sum(not game.is_unweighted for game in games) > 300
+
+
+@st.composite
+def block_games(draw):
+    """(game, profile) on parallel edges or two segments with weighted
+    players, or on an SPP chain of unit players each with her own source
+    and target vertex, whose first player spans the chain."""
+    kind = draw(st.sampled_from(("parallel", "two-segment", "chain")))
+    sizes = {"parallel": [draw(st.integers(1, 6))],
+             "two-segment": draw(st.lists(st.integers(1, 4), min_size=2, max_size=2)),
+             "chain": draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))}[kind]
+    cost = st.builds(F, st.integers(1, 12), st.integers(1, 4))
+    edges, m = [], len(sizes)
+    for seg, size in enumerate(sizes):
+        for _ in range(size):
+            edges.append(Edge(len(edges) + 1, seg, seg + 1, draw(cost)))
+    n = draw(st.integers(1, 5))
+    if kind == "chain":
+        spans = [(0, m)] + [tuple(sorted(draw(st.lists(st.integers(0, m), min_size=2,
+                                                         max_size=2, unique=True))))
+                            for _ in range(n - 1)]
+        players = [PlayerSpec(s, t) for s, t in spans]
+    else:
+        weights = st.sampled_from((F(1), F(3, 2), F(2), F(1, 3)))
+        players = [PlayerSpec(0, m, draw(weights)) for _ in range(n)]
+    game = NetworkFormationGame(Network(tuple(edges), source=0, sink=m), players)
+    return game, tuple(draw(st.integers(0, len(space) - 1)) for space in game._spaces)
+
+
+def _one_path_game():
+    game = NetworkFormationGame(
+        Network((Edge(1, 0, 1, F(3)), Edge(2, 1, 2, F(5, 2))), source=0, sink=2),
+        [PlayerSpec(0, 2)] * 2)
+    return game, (0, 0)
+
+
+def _fig8_game():
+    fx = fig8_weighted_minpath()
+    return fx.game, fx.initial
+
+
+class TestBlockCosts:
+    """A path space that is the product of its per-position edge blocks is
+    costed by outer sums of the blocks' shares; it must give the per-path
+    sums of shares exactly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(block_games())
+    @example(_one_path_game())
+    # fig8 is built in the test, so that its self-validation runs there
+    @example("fig8")
+    def test_block_costs_equal_the_per_path_sums(self, case):
+        game, profile = _fig8_game() if case == "fig8" else case
+        ev = Evaluation(game, profile)
+        for pos, (space, own) in enumerate(zip(game._spaces, profile)):
+            assert product_blocks(space) is not None
+            assert game._costs_against(pos, own, ev.loads) == \
+                reference_costs_against(game, pos, own, ev.loads)
+
+    def test_a_product_in_lexicographic_order_is_recognized(self):
+        assert product_blocks(((1, 3), (1, 4), (2, 3), (2, 4))) == ((1, 2), (3, 4))
+        assert product_blocks(((2,), (1,))) is None  # out of order
+        assert product_blocks(((1, 3), (2, 4))) is None  # a part of the product
+        assert product_blocks(((1,), (2, 3))) is None  # paths of two lengths
+
+    def test_fig8_space_is_a_product(self):
+        (space,) = {id(space): space for space in _fig8_game()[0]._spaces}.values()
+        assert len(space) == 132 and tuple(map(len, product_blocks(space))) == (11, 12)
+
+    def test_an_ep_space_is_costed_path_by_path(self):
+        rng = random.Random(29)
+        for fx in fig5_ep_pair():
+            game = fx.game
+            ep = [space for space in game._spaces if len(space) > 1]
+            assert ep and all(product_blocks(space) is None for space in ep)
+            for p in [fx.initial] + [random_profile(rng, game) for _ in range(30)]:
+                ev = Evaluation(game, p)
+                for pos, own in enumerate(p):
+                    assert game._costs_against(pos, own, ev.loads) == \
+                        reference_costs_against(game, pos, own, ev.loads)

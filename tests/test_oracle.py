@@ -22,9 +22,12 @@ from brdlab.engine import (
 )
 from brdlab.fixtures import fig2_maxcost, fig6_weighted_partition, fig7_weighted_local_pair
 from brdlab.networks import NetworkFormationGame, PlayerSpec
+from brdlab import oracle
 from brdlab.oracle import (
     DEFAULT_STATE_LIMIT,
+    _canonical_profiles,
     _Quotient,
+    _relabelings,
     _Searches,
     all_profiles,
     best_reachable,
@@ -34,7 +37,9 @@ from brdlab.oracle import (
     rule_inefficiency,
 )
 from brdlab.rules import (
+    RULES,
     longest_job,
+    make_rule,
     max_cost,
     max_improvement,
     min_path,
@@ -420,9 +425,9 @@ def count_raw_states(monkeypatch):
     read = []
     rule_moves = _Searches.rule_moves
 
-    def counted(self, profile):
+    def counted(self, profile, *keys):
         read.append(profile)
-        return rule_moves(self, profile)
+        return rule_moves(self, profile, *keys)
 
     monkeypatch.setattr(_Searches, "rule_moves", counted)
     return read
@@ -559,3 +564,133 @@ class TestStatelessChoiceLift:
             rule_inefficiency(game, Profile((0, 0, 1)), LowestOnly())
         with pytest.raises(RuleViolation, match="interchangeable"):
             game_inefficiency(game, LowestOnly())
+
+
+def coco_game(rng):
+    return random_coco_game(rng, max_n=5, max_m=3)[0]
+
+
+def tie_heavy_game(rng):
+    return random_symmetric_game(rng, tie_heavy=True)
+
+
+# multi-class (linear scheduling with repeated lengths, weighted networks),
+# tie-heavy and identical-job pools
+START_POOLS = [linear_pool, weighted_pool, tie_heavy_game, coco_game]
+# each shipped rule on each pool whose games it accepts
+START_CASES = [(pool, name) for pool in START_POOLS for name in sorted(RULES)
+               if make_rule(name).accepts(pool(random.Random(0)))]
+
+
+class StaysPut(DeviatorRule):
+    """Chooses the first moving group, or with `every` each of them, and
+    moves it to the strategy it holds: a target outside its best
+    responses."""
+
+    name = "stays-put"
+
+    def __init__(self, every: bool) -> None:
+        self.every = every
+
+    def choose(self, ev, suboptimal):
+        return suboptimal
+
+    def _choose_groups(self, ev, groups):
+        return [(pos, (ev.profile[pos],)) for pos, _ in (groups if self.every else groups[:1])]
+
+
+class TestCanonicalStarts:
+    """With no profile source, a stateless rule starts from each canonical
+    profile, and from its relabelings only where it is not label-free."""
+
+    @pytest.mark.parametrize("pool", START_POOLS, ids=lambda f: f.__name__)
+    def test_canonical_profiles_in_the_order_all_profiles_reaches_them(self, pool):
+        rng = random.Random(71)
+        for _ in range(25):
+            game = pool(rng)
+            profiles = list(all_profiles(game))
+            canonical = _Quotient(game).canonical
+            classes = game.player_classes()
+            keys = _canonical_profiles(game, classes)
+            assert keys == list(dict.fromkeys(map(canonical, profiles)))
+            orbits = {}
+            for p in profiles:
+                orbits.setdefault(canonical(p), []).append(p)
+            assert all(_relabelings(key, classes) == orbits[key] for key in keys)
+
+    @pytest.mark.parametrize("factory", RULE_FACTORIES, ids=lambda f: f.__name__)
+    def test_the_enumeration_guard_holds_for_every_rule(self, factory):
+        # 2^17 profiles, past the guard, but only 18 canonical ones
+        game = NetworkFormationGame(parallel_network([1, 2]), [PlayerSpec(0, 1)] * 17)
+        with pytest.raises(StateBudgetExceeded, match="100000-profile guard"):
+            game_inefficiency(game, factory())
+
+    @pytest.mark.parametrize("pool, name", START_CASES,
+                             ids=lambda case: getattr(case, "__name__", case))
+    def test_every_shipped_rule_over_every_profile(self, pool, name):
+        rng, compared = random.Random(73), 0
+        for _ in range(8):
+            game = pool(rng)
+            profiles = list(all_profiles(game))
+            if len(profiles) > 200:
+                continue  # the reference searches each start from scratch
+            try:
+                expected = per_start_alpha(game, lambda: make_rule(name), profiles)
+            except CycleDetected:
+                with pytest.raises(CycleDetected):
+                    game_inefficiency(game, make_rule(name))
+                continue
+            assert game_inefficiency(game, make_rule(name)) == expected
+            compared += 1
+        assert compared >= 4
+
+    def test_a_label_free_rule_opens_exactly_the_canonical_starts(self, monkeypatch):
+        # generic costs on parallel links: max-cost's choice is one group
+        # everywhere, so every start is checked once, at its canonical profile
+        read, checked = count_raw_states(monkeypatch), []
+        check = oracle._check_envelope
+        monkeypatch.setattr(oracle, "_check_envelope",
+                            lambda *args: checked.append(args) or check(*args))
+        rng = random.Random(75)
+        for _ in range(10):
+            costs = [rand_cost(rng) for _ in range(rng.randint(2, 4))]
+            game = NetworkFormationGame(parallel_network(costs),
+                                        [PlayerSpec(0, 1)] * rng.randint(2, 4))
+            del checked[:]
+            profiles = list(all_profiles(game))
+            keys = _canonical_profiles(game, game.player_classes())
+            assert game_inefficiency(game, max_cost()) == \
+                per_start_alpha(game, max_cost, profiles)
+            assert len(checked) == len(keys) < len(profiles)
+        assert read == []
+
+    def test_starts_that_hang_on_labels_open_every_relabeling(self, monkeypatch):
+        # costs 4, 2, 2: max-cost's choice hangs on labels from (0, 0, 1),
+        # whose three relabelings are searched raw, (0, 0, 1) first
+        read = count_raw_states(monkeypatch)
+        game = NetworkFormationGame(parallel_network([4, 2, 2]), [PlayerSpec(0, 1)] * 3)
+        assert game_inefficiency(game, max_cost()) == 2
+        starts = [p for p in read if sorted(p) == [0, 0, 1]]
+        assert starts[:1] == [(0, 0, 1)] and set(starts) == {(0, 0, 1), (0, 1, 0), (1, 0, 0)}
+
+    def test_a_target_outside_the_best_responses_raises_in_the_canonical_pass(
+            self, monkeypatch):
+        # one chosen group, so the canonical pass takes its move, and finds
+        # no oracle move with that position and target
+        read = count_raw_states(monkeypatch)
+        game = NetworkFormationGame(parallel_network([10, 9, 1]), [PlayerSpec(0, 1)] * 3)
+        for source in (None, [(0, 1, 2)]):
+            with pytest.raises(AssertionError, match="outside NE"):
+                game_inefficiency(game, StaysPut(every=False), source)
+        assert read == []
+
+    def test_a_target_outside_the_best_responses_raises_in_the_raw_pass(self, monkeypatch):
+        # from (0, 1, 2) both crowded edges' holders move, so the canonical
+        # pass stops there, and the raw pass lifts the move and checks it
+        read = count_raw_states(monkeypatch)
+        game = NetworkFormationGame(parallel_network([10, 9, 1]), [PlayerSpec(0, 1)] * 3)
+        with pytest.raises(AssertionError, match="outside NE"):
+            game_inefficiency(game, StaysPut(every=True), [(0, 1, 2)])
+        assert read == [(0, 1, 2)]
+        with pytest.raises(AssertionError, match="outside NE"):
+            rule_inefficiency(game, (0, 1, 2), StaysPut(every=True))

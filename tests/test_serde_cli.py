@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -19,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import brdlab
-from brdlab.cli import main
+from brdlab.cli import _FIXTURES, main
 from brdlab.core import Profile
 from brdlab.engine import LowestIdRule, run_brd
 from brdlab.fixtures import appB_coco, fig2_maxcost, fig3_minpath_chain
@@ -550,6 +551,48 @@ class TestCli:
         b = b_dir / "fig4.json"
         assert main(["fixture", "fig4", "--out", str(b)]) == 0
         assert a.read_text() == b.read_text()
+
+
+def _fixture_parameters(kind):
+    """(fixture, parameter) for every parameter of a CLI fixture whose
+    default is of type `kind`."""
+    return [(name, key) for name, (builder, _) in _FIXTURES.items()
+            for key, param in inspect.signature(builder).parameters.items()
+            if type(param.default) is kind]
+
+
+@pytest.mark.parametrize("name, key", _fixture_parameters(int))
+@pytest.mark.parametrize("value", ["5/2", "3,4", "7,"])
+def test_a_non_integer_for_an_integer_parameter_exits_2(name, key, value):
+    code, out, err = _call(["fixture", name, "--params", f"{key}={value}"])
+    assert (code, out) == (2, "")
+    assert err == f"error: {key} must be an integer, got {value}\n"
+
+
+@pytest.mark.parametrize("name, key", _fixture_parameters(F))
+def test_a_list_for_a_rational_parameter_exits_2(name, key):
+    code, out, err = _call(["fixture", name, "--params", f"{key}=1/3,2"])
+    assert (code, out, err) == (2, "", f"error: {key} must be a rational number, got 1/3,2\n")
+
+
+def test_an_integral_fraction_is_an_integer_parameter():
+    assert _call(["fixture", "fig2", "--params", "n=4/1"]) == _call(["fixture", "fig2", "--params", "n=4"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--state-limit"], ["ineff", "--rule", "max-cost", "--state-limit"],
+    ["run", "--rule", "max-cost", "--max-steps"],
+])
+def test_a_negative_budget_exits_2_naming_its_option(tmp_path, argv):
+    instance = tmp_path / "fig2.json"
+    assert main(["fixture", "fig2", "--out", str(instance)]) == 0
+    command, *options, flag = argv
+    # zero is a budget, which fig2 runs out of
+    for value, code in (("-3", 2), ("-1", 2), ("0", 3)):
+        got, out, err = _call([command, str(instance), *options, flag, value])
+        assert (got, out) == (code, "")
+        if code == 2:
+            assert f"argument {flag}: must be a non-negative integer, got {value}" in err
 
 
 def _limit_address_space():
