@@ -30,8 +30,8 @@ reaches, every relabeling of the start reaches the same canonical states.
 Elsewhere the engine's lowest-id tie-break among several chosen groups
 hangs on labels, and the start's raw profiles are searched, their moves
 read off the chosen groups (see `_Searches.rule_moves`).  So over every
-profile of a tiny game a stateless rule starts from the canonical
-profiles, and from the relabelings of those that are not label-free.
+profile of a tiny game a label-free start is checked once, at its
+canonical profile, and only the relabelings of the others are searched.
 Every value, and the oracle's moves, are memoized per call, so each state
 is expanded and valued once however many starts reach it.
 
@@ -262,14 +262,13 @@ class _Searches:
     move with the same position and target.  Every rule move is checked to
     be an oracle move, a raw one by its canonical child, and every rule
     terminal an oracle sink, which puts NE_S(p0) within NE(p0).  A raw
-    child is canonicalized once, in its check, and `game_inefficiency`
-    keeps that key for the child's own moves and value.  `start` searches
-    both move relations from one start, for `rule_inefficiency`;
-    `game_inefficiency` values their states with `engine.fold` instead,
-    reading each equilibrium's cost off `ne_units`.  `state_limit` bounds each search,
-    the oracle's memo and the raw states a stateless rule's moves are read
-    for.  The rule must accept the game, which is checked once, before any
-    search."""
+    child is canonicalized once, in its check, and that key is kept for
+    the child's own moves and value.  `start` searches both move relations
+    from one start, for `rule_inefficiency`; `game_inefficiency` values
+    their states with `engine.fold` instead, reading each equilibrium's
+    cost off `ne_units`.  `state_limit` bounds each search, the oracle's
+    memo and the raw states a stateless rule's moves are read for.  The
+    rule must accept the game, which is checked once, before any search."""
 
     def __init__(self, game: Game, rule: DeviatorRule, state_limit: int) -> None:
         if not rule.accepts(game):
@@ -332,33 +331,31 @@ class _Searches:
         return ()
 
     def _checked(self, moves: tuple[SearchMove, ...], kids: frozenset[Profile],
-                 keys: dict[Profile, Profile] | None) -> tuple[SearchMove, ...]:
+                 keys: dict[Profile, Profile]) -> tuple[SearchMove, ...]:
         """`moves`, each of whose children must be the child of an oracle
         move (`kids`); no moves must mean an oracle sink.  Each child is
-        canonicalized once, here, and its key kept in `keys` if given."""
+        canonicalized once, here, and its key kept in `keys`."""
         if kids and not moves:
             _outside()
         canonical = self.quotient.canonical
         for _, _, child in moves:
-            key = canonical(child)
+            key = keys[child] = canonical(child)
             if key not in kids:
                 _outside()
-            if keys is not None:
-                keys[child] = key
         return moves
 
     def rule_moves(self, profile: Profile,
-                   keys: dict[Profile, Profile] | None = None) -> tuple[SearchMove, ...]:
+                   keys: dict[Profile, Profile]) -> tuple[SearchMove, ...]:
         """The rule's checked moves out of the raw state `profile`, read
         from its canonical profile's oracle entry.  A stateless rule's are
         its choice there, lifted: the moves
         `rule_successors(ev.relabeled(profile), rule, branch_all=True)`
         gives, as the choice relabels with the clones; each such raw state
         counts against the state limit.  A stateful rule makes its
-        canonical move, so its search is its run.  Given `keys`, a map
-        from raw states to their canonical profiles, the profile's is read
-        there and each child's written there by its check."""
-        key = self.quotient.canonical(profile) if keys is None else keys[profile]
+        canonical move, so its search is its run.  `keys` maps raw states
+        to their canonical profiles: the profile's is read there, and each
+        child's written there by its check."""
+        key = keys[profile]
         _, kids, ev = self._expand(key)
         if not self.rule.is_stateless:
             return self._checked(rule_successors(ev.relabeled(profile), self.rule), kids, keys)
@@ -416,10 +413,11 @@ class _Searches:
         NE(p0) and NE_S(p0), each ranked by (social cost, profile), and
         alpha, asserting the 1 <= alpha <= (worst/best over NE(p0)) envelope."""
         game, rule = self.game, self.rule
-        parents, ne_keys = parent_search(self.quotient.canonical(p0), self.oracle_moves,
-                                         self.state_limit)
+        keys = {p0: self.quotient.canonical(p0)}
+        parents, ne_keys = parent_search(keys[p0], self.oracle_moves, self.state_limit)
         rule.reset(game)
-        links, terminals = parent_search(p0, self.rule_moves, self.state_limit)
+        links, terminals = parent_search(p0, lambda p: self.rule_moves(p, keys),
+                                         self.state_limit)
         reach = _reachable_set(game, p0, self.quotient, parents, ne_keys, self.cost)
         if not terminals:
             raise CycleDetected("a best-response cycle reaches no equilibrium")
@@ -467,13 +465,8 @@ def rule_inefficiency(
     )
 
 
-# the most profiles a search over every profile of a game enumerates
-_PROFILE_CAP = 100_000
-
-
-def _strategy_counts(game: Game, cap: int) -> list[int]:
-    """Each player's number of strategies, guarded by a cap on their
-    product, the number of profiles."""
+def all_profiles(game: Game, cap: int = 100_000) -> Iterator[Profile]:
+    """Every profile of a tiny game, guarded by a count cap."""
     sizes = [len(game.strategy_space(i)) for i in game.players]
     total = 1
     for size in sizes:
@@ -482,67 +475,7 @@ def _strategy_counts(game: Game, cap: int) -> list[int]:
             raise StateBudgetExceeded(
                 f"profile enumeration exceeds the {cap}-profile guard"
             )
-    return sizes
-
-
-def all_profiles(game: Game, cap: int = _PROFILE_CAP) -> Iterator[Profile]:
-    """Every profile of a tiny game, guarded by a count cap."""
-    yield from itertools.product(*map(range, _strategy_counts(game, cap)))
-
-
-def _spread(n: int, classes: tuple[tuple[int, ...], ...],
-            choices: Iterable[Iterable[tuple[int, ...]]]) -> list[Profile]:
-    """The profiles, in lexicographic order, that give each class's
-    positions, in order, one of that class's value tuples in `choices`,
-    each given in lexicographic order."""
-    if len(classes) == 1:
-        # one class holds every position, in order
-        (values,) = choices
-        return list(values)
-    profiles = []
-    for combination in itertools.product(*choices):
-        profile = [0] * n
-        for cls, values in zip(classes, combination):
-            for pos, value in zip(cls, values):
-                profile[pos] = value
-        profiles.append(tuple(profile))
-    profiles.sort()
-    return profiles
-
-
-def _canonical_profiles(game: Game, classes: tuple[tuple[int, ...], ...]) -> list[Profile]:
-    """Every canonical profile of a tiny game, under `all_profiles`' guard,
-    in the order `all_profiles` first reaches each: a canonical profile,
-    each class's strategy indices ascending over its positions, is the
-    least of its relabelings, so the order is lexicographic."""
-    sizes = _strategy_counts(game, _PROFILE_CAP)
-    return _spread(game.n, classes, (
-        itertools.combinations_with_replacement(range(sizes[cls[0]]), len(cls))
-        for cls in classes))
-
-
-def _arrangements(values: list[int]) -> Iterator[tuple[int, ...]]:
-    """The distinct orderings of the ascending `values`, in lexicographic
-    order (each is the next permutation of the one before)."""
-    while True:
-        yield tuple(values)
-        i = len(values) - 2
-        while i >= 0 and values[i] >= values[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = len(values) - 1
-        while values[j] <= values[i]:
-            j -= 1
-        values[i], values[j] = values[j], values[i]
-        values[i + 1:] = reversed(values[i + 1:])
-
-
-def _relabelings(key: Profile, classes: tuple[tuple[int, ...], ...]) -> list[Profile]:
-    """Every profile whose canonical profile is `key`, in lexicographic
-    order, `key` first."""
-    return _spread(len(key), classes, ([*_arrangements([key[pos] for pos in cls])]
-                                       for cls in classes))
+    yield from itertools.product(*map(range, sizes))
 
 
 def game_inefficiency(
@@ -567,25 +500,21 @@ def game_inefficiency(
     is label-free is a leaf valued from the canonical pass.  So the rule is
     asked at the same canonical states as a raw search of every start
     would ask it.  The checks are those of `rule_inefficiency`'s searches;
-    a raw state is canonicalized once, where the move to it is checked.
+    a raw state is canonicalized once, at its start or where the move to
+    it is checked.
     Every value but a stateful rule's is kept across starts, so each state
-    is valued once however many starts reach it.
-
-    With no source, a stateful rule starts from every profile in
-    `all_profiles`' order.  A stateless rule starts from every canonical
-    profile instead, in the order `all_profiles` first reaches each, and
-    from each relabeling of one, in lexicographic order right after it,
-    only where it is not label-free: a label-free start's relabelings share
-    its value and its check.  `state_limit` bounds the states one pass
-    opens, the oracle's memo of moves, and the raw states a stateless
-    rule's moves are read for, each summed over all starts.  A start's
-    relabelings are searched right after it, not in `all_profiles`' order,
-    so passes open their states in another order than a search of every
-    profile in that order would: the per-pass bound can trip in another
-    pass, or in none, while the summed bounds count the same states.  A
-    supplied start is validated; the profiles of a tiny game are valid as
-    enumerated.
+    is valued once however many starts reach it, and a stateless rule's
+    start whose canonical profile is label-free and already checked is
+    skipped: its value and its check are those of the first such start.
+    So over every profile of a tiny game, in `all_profiles`' order, where
+    a canonical profile comes before its relabelings, a label-free one is
+    checked once, and the relabelings of any other are searched raw.
+    `state_limit` bounds the states one pass opens, the oracle's memo of
+    moves, and the raw states a stateless rule's moves are read for, each
+    summed over all starts.  A supplied start is validated; the profiles
+    of a tiny game are valid as enumerated.
     """
+    profiles = profile_source if profile_source is not None else all_profiles(game)
     searches = _Searches(game, rule, state_limit)
     canonical, span = searches.quotient.canonical, searches.span
     oracle_values: dict[Profile, Extremes] = {}
@@ -593,6 +522,8 @@ def game_inefficiency(
     rule_values: dict[Profile, Extremes] = {}
     # raw state -> its canonical profile, from its start or its move's check
     keys: dict[Profile, Profile] = {}
+    # the label-free canonical profiles whose start was checked
+    checked: set[Profile] = set()
 
     def canonical_value(key: Profile) -> CanonicalValue | None:
         # a stateless rule's canonical pass; its memo is read first, as the
@@ -610,58 +541,38 @@ def game_inefficiency(
         value = canonical_values[keys[profile]]
         return value and value[0]
 
-    def raw_reach(p0: Profile) -> Extremes:
-        return rule_values.get(p0) or fold(p0, raw_moves, raw_leaf, _span, rule_values,
-                                           state_limit)
-
-    def run_moves(profile: Profile) -> tuple[SearchMove, ...]:
-        return searches.rule_moves(profile, keys)
-
-    def run_leaf(profile: Profile) -> Extremes:
-        return span(keys[profile])
-
-    # each start as its canonical profile and its raw profile, or None for
-    # a canonical start, which stands for all its relabelings
-    starts: Iterable[tuple[Profile, Profile | None]]
-    if profile_source is None and rule.is_stateless:
-        starts = ((key, None) for key in _canonical_profiles(game, searches.quotient.classes))
-    else:
-        starts = ((canonical(p0), p0) for p0 in _validated(game, profile_source))
     # the largest alpha so far, as (the rule's worst, the best) in the cost unit
     alpha: tuple[int, int] | None = None
-    for key, p0 in starts:
+    for p0 in profiles:
+        if profile_source is not None:
+            # `all_profiles` yields valid profiles only
+            game.validate_profile(p0)
+        key = canonical(p0)
+        if key in checked:
+            continue
         # a memo is read first; its None falls through to the fold, which returns it
         envelope = oracle_values.get(key) or fold(key, searches.oracle_moves, span, _span,
                                                   oracle_values, state_limit)
         rule.reset(game)
-        reaches: Iterable[Extremes]
         if not rule.is_stateless:
-            keys[p0] = key
-            reaches = (fold(p0, run_moves, run_leaf, _span, {}, state_limit),)
+            # a run keeps nothing across starts
+            run = {p0: key}
+            reach = fold(p0, lambda p: searches.rule_moves(p, run), lambda p: span(run[p]),
+                         _span, {}, state_limit)
         elif (value := canonical_value(key)) is None or value[1]:
-            reaches = (value and value[0],)
+            reach = value and value[0]
+            checked.add(key)
         else:
-            raws = _relabelings(key, searches.quotient.classes) if p0 is None else (p0,)
-            keys.update(dict.fromkeys(raws, key))
-            reaches = map(raw_reach, raws)
-        for reach in reaches:
-            if envelope is None or reach is None:
-                raise CycleDetected("a best-response cycle reaches no equilibrium")
-            (best, worst), rule_worst = envelope, reach[1]
-            _check_envelope(best, rule_worst, worst)
-            if alpha is None or rule_worst * alpha[1] > alpha[0] * best:
-                alpha = (rule_worst, best)
+            keys[p0] = key
+            reach = rule_values.get(p0) or fold(p0, raw_moves, raw_leaf, _span, rule_values,
+                                                state_limit)
+        if envelope is None or reach is None:
+            raise CycleDetected("a best-response cycle reaches no equilibrium")
+        (best, worst), rule_worst = envelope, reach[1]
+        _check_envelope(best, rule_worst, worst)
+        if alpha is None or rule_worst * alpha[1] > alpha[0] * best:
+            alpha = (rule_worst, best)
     if alpha is None:
         raise ValueError("profile source was empty")
     return Fraction(*alpha)
 
-
-def _validated(game: Game, profile_source: Iterable[Profile] | None) -> Iterator[Profile]:
-    """The supplied starts, each validated, or every profile of a tiny
-    game, valid as enumerated."""
-    if profile_source is None:
-        yield from all_profiles(game)
-        return
-    for p0 in profile_source:
-        game.validate_profile(p0)
-        yield p0
