@@ -3,7 +3,11 @@
 Subcommands: run (dynamics under a rule), oracle (enumerate reachable
 equilibria), ineff (rule inefficiency report), dp (optimal sequences on SPP
 chains), fixture (materialize a benchmark instance), check (replay-verify a
-trace).  Invalid input exits 2, exhausted budgets exit 3, success exits 0.
+trace).  Invalid input exits 2, exhausted budgets exit 3, success exits 0;
+`main` returns the code, for argparse's usage errors and `--help` too.
+`--out` overwrites its file in place, then cuts a regular file to the
+document's length: truncating first costs ten times as much on ext4 mounted
+with `discard`.  The write is not atomic.
 
 `main` builds the argparse tree once per process, on its first call, and
 reuses it for every later call; `build_parser` returns a fresh one.
@@ -15,6 +19,8 @@ import argparse
 import functools
 import inspect
 import json
+import os
+import stat
 import sys
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -61,10 +67,23 @@ def _load_instance(path: str):
     return instance_from_doc(_read_json(path, "instance"))
 
 
+def _overwrite(path: str, data: bytes) -> None:
+    """Write `data` over `path` and cut a regular file to its length."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 def _emit(doc: dict[str, Any], out: str | None) -> None:
     text = dumps(doc)
     if out:
-        Path(out).write_text(text)
+        _overwrite(out, text.encode())
     else:
         sys.stdout.write(text)
 
@@ -255,7 +274,12 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has written its usage error or help; it exits 2 after
+        # an error and 0 after help
+        return EXIT_INVALID if exc.code else EXIT_OK
     try:
         return args.func(args)
     except (StepBudgetExceeded, StateBudgetExceeded, CycleDetected) as exc:

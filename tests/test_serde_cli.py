@@ -719,15 +719,90 @@ def writer_checked(monkeypatch):
 
 
 def _call(argv):
-    """(exit code, stdout, stderr) of one in-process `main` call; a parse
-    error's SystemExit gives its code."""
+    """(exit code, stdout, stderr) of one in-process `main` call."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+class TestParseErrorsReturn:
+    """argparse's usage errors and `--help` come back from `main` as exit
+    codes, with argparse's own text; no SystemExit escapes."""
+
+    def test_a_usage_error_returns_2(self, tmp_path, capsys):
+        instance = tmp_path / "fig2.json"
+        assert main(["fixture", "fig2", "--out", str(instance)]) == 0
+        for argv in (["oracle", str(instance), "--state-limit", "-3"],
+                     ["dp", str(instance), "--mode", "bogus"], ["bogus"], []):
+            assert main(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("usage: brdlab") and "error: " in err
+
+    def test_help_returns_0(self, capsys):
+        assert main(["--help"]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: brdlab") and err == ""
+
+
+class TestOutWriter:
+    """`--out` leaves exactly the bytes the same command prints, whatever
+    the file held before."""
+
+    @pytest.fixture
+    def instance(self, tmp_path):
+        path = tmp_path / "fig3.json"
+        assert main(["fixture", "fig3", "--out", str(path)]) == 0
+        return str(path)
+
+    def test_out_holds_the_printed_bytes(self, tmp_path, instance):
+        short, long = ["oracle", instance], ["dp", instance, "--mode", "single-source"]
+        printed = {}
+        for argv in (short, long):
+            code, text, err = _call(argv)
+            assert (code, err) == (0, "")
+            printed[argv[0]] = text.encode()
+        assert len(printed["oracle"]) < len(printed["dp"]) < 20_000
+        fresh = tmp_path / "fresh.json"
+        assert _call([*long, "--out", str(fresh)]) == (0, "", "")
+        assert fresh.read_bytes() == printed["dp"]
+        out = tmp_path / "out.json"
+        out.write_bytes(random.Random(0).randbytes(20_000))
+        # shorter over junk, longer over shorter, and shorter over longer
+        for argv in (short, long, short):
+            assert _call([*argv, "--out", str(out)]) == (0, "", "")
+            assert out.read_bytes() == printed[argv[0]]
+
+    def test_a_device_is_written_untruncated(self, instance):
+        assert _call(["oracle", instance, "--out", os.devnull]) == (0, "", "")
+        # a pipe, through its /dev/stdout name, in a process of its own
+        argv = [sys.executable, "-m", "brdlab.cli", "oracle", instance]
+        env = {**os.environ, "PYTHONPATH": str(Path(brdlab.__file__).parents[1])}
+        plain = subprocess.run(argv, capture_output=True, env=env, check=True)
+        piped = subprocess.run([*argv, "--out", "/dev/stdout"], capture_output=True,
+                               env=env, check=True)
+        assert piped.stdout == plain.stdout and piped.stderr == b""
+
+    def test_an_unwritable_target_exits_2(self, tmp_path, instance):
+        for target in (tmp_path, tmp_path / "missing" / "out.json"):
+            code, out, err = _call(["oracle", instance, "--out", str(target)])
+            assert (code, out) == (2, "")
+            assert err.startswith("error: [Errno ") and err.endswith(f": {str(target)!r}\n")
+
+    def test_the_writer_never_opens_with_o_trunc(self, tmp_path, instance, monkeypatch):
+        flags = []
+        real_open = os.open
+
+        def spy(path, flag, *args, **kwargs):
+            flags.append(flag)
+            return real_open(path, flag, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", spy)
+        out = tmp_path / "out.json"
+        for _ in range(2):  # a new file, then an existing one
+            assert _call(["oracle", instance, "--out", str(out)])[0] == 0
+        assert len(flags) == 2
+        assert all(flag & os.O_CREAT and not flag & os.O_TRUNC for flag in flags)
 
 
 class TestParserReuse:
